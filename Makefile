@@ -1,25 +1,16 @@
 # CI entry points for the vmprov reproduction. `make ci` is the gate a PR
 # must pass: static checks, the full test suite with the race detector,
-# the kernel fuzz targets in short mode, and bench smoke runs that
-# regenerate BENCH_kernel.json and exercise the sweep benchmark path so
-# kernel and panel throughput are tracked per PR.
+# the kernel fuzz targets in short mode, end-to-end CLI smoke runs, and
+# the benchmark harness's own tests. Throughput is measured by
+# `bash bench/run.sh` (see bench/README.md), not by CI.
 
 GO        ?= go
 FUZZTIME  ?= 10s
-BENCHOUT  ?= BENCH_kernel.json
-SWEEPOUT  ?= BENCH_sweep.json
-SWEEPTMP  ?= /tmp/BENCH_sweep_fresh.json
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
-FFOUT     ?= BENCH_ff.json
-FFTMP     ?= /tmp/BENCH_ff_fresh.json
-MPCOUT    ?= BENCH_mpc.json
-MPCTMP    ?= /tmp/BENCH_mpc_fresh.json
-CHAOSOUT  ?= BENCH_chaos.json
-CHAOSTMP  ?= /tmp/BENCH_chaos_fresh.json
 
-.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench bench-sweep bench-compare bench-ff bench-mpc bench-chaos golden
+.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench-test bench golden
 
-ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz bench-smoke sweep-smoke spec-roundtrip ff-smoke snapshot-smoke
+ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench-test
 
 # gofmt cleanliness gate: fail (and list the files) if any tracked Go
 # source is not gofmt-formatted.
@@ -36,10 +27,10 @@ vet:
 # — the five v1 per-package passes (simclock, seededrand, maporder,
 # errcmp, hotclosure), the four v2 whole-program invariant passes
 # (snapshotfield, splitkey, specstrict, registry), and the lite
-# nilness/shadow/copylocks stock passes. One gate over the whole tree;
-# `make ci` fails on any finding that is neither suppressed in source
-# (`//vmprov:allow <analyzer> -- <reason>`) nor recorded in the
-# committed baseline. SARIF output: $(GO) run ./cmd/vmprovlint -sarif ./...
+# nilness/shadow stock passes (lock copies are go vet's). One gate over
+# the whole tree; `make ci` fails on any finding that is neither
+# suppressed in source (`//vmprov:allow <analyzer> -- <reason>`) nor
+# recorded in the committed baseline. SARIF output: $(GO) run ./cmd/vmprovlint -sarif ./...
 LINTBASE ?= lint_baseline.json
 
 lint:
@@ -83,7 +74,7 @@ fault-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/provision -run 'TestBreaker|TestShed|TestAllZonesOpen|TestRetryBackoff|TestRetryPolicyValidate|TestBreakerAndShedPolicyValidate'
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestChaos|TestSweepChaos'
-	$(GO) run ./cmd/vmprovsim -chaos -chaosscale 0.02 -chaosreps 1 -chaoshorizon 3600 > /dev/null
+	$(GO) run ./cmd/vmprovsim -chaos -scale 0.02 -reps 1 -horizon 3600 > /dev/null
 
 # Short fuzzing of the kernel's heap/arena against the reference
 # scheduler, the fault-schedule determinism fuzzer, and the strict v2
@@ -96,17 +87,9 @@ fuzz:
 	$(GO) test ./internal/experiment -run FuzzSnapshotRestore -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run FuzzTraceV2Decode -fuzz FuzzTraceV2Decode -fuzztime $(FUZZTIME)
 
-# Regenerate the kernel throughput record (web scenario, scales 0.1 and
-# 1.0, one simulated hour each).
-bench-smoke:
-	$(GO) run ./cmd/vmprovsim -benchkernel $(BENCHOUT)
-
-# Exercise the sweep benchmark end to end at a tiny panel size; the
-# report goes to a scratch path so the committed record is untouched.
-# Also runs the declarative-spec test suite (spec/panel/policy-registry
-# compilation and the spec-vs-RunAll equivalence property).
+# The declarative-spec test suite: spec/panel/policy-registry
+# compilation and the spec-vs-RunAll equivalence property.
 sweep-smoke:
-	$(GO) run ./cmd/vmprovsim -benchsweep $(SWEEPTMP) -sweephorizon 1800 -sweepreps 1 -sweeptries 1
 	$(GO) test -count=1 ./internal/experiment -run 'TestSpec|TestPanel|TestPaperPanel|TestResolve|TestGoldenSpec|TestScenarioSpec'
 
 # Spec round-trip gate: the committed golden panel files must equal a
@@ -121,64 +104,32 @@ spec-roundtrip:
 	$(GO) run ./cmd/vmprovsim -spec examples/specs/web_multiclient_panel.json > /dev/null
 
 # Hybrid fast-forward smoke: the hybrid engine's unit and equivalence
-# tests (accuracy within metrics.HybridTolerance, determinism across
-# worker counts, bit-exact -mode=exact), then a reduced -benchff run —
-# which itself fails if any policy's hybrid aggregate leaves the
-# declared tolerance. The report goes to a scratch path; the committed
-# BENCH_ff.json is regenerated by bench-ff.
+# tests — every policy of the hybrid panel within
+# metrics.HybridTolerance, determinism across worker counts, bit-exact
+# -mode=exact.
 ff-smoke:
 	$(GO) test -count=1 ./internal/fluid ./internal/experiment -run 'TestEngine|TestHybrid|TestMode'
-	$(GO) run ./cmd/vmprovsim -benchff $(FFTMP) -ffreps 1
 
 # Snapshot/restore smoke: the bit-identity property suite (exact +
 # hybrid + fault-enabled + MPC, nested stacks, checkpoint forks, worker
-# counts 1/4/8 with pooled contexts) under the race detector, the
-# federation snapshot tests, and a reduced -benchmpc run — which itself
-# fails if the MPC policy loses to every baseline on its own objective.
+# counts 1/4/8 with pooled contexts) under the race detector, including
+# TestMPCBeatsWorstBaseline (the MPC policy must not lose to every
+# baseline on its own objective), and the federation snapshot tests.
 snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
-	$(GO) run ./cmd/vmprovsim -benchmpc $(MPCTMP) -mpcscale 0.02 -mpcreps 1
 
-# Full benchmark sweep with allocation stats (slow; not part of ci).
+# The benchmark harness is its own module (bench/go.mod), so the root
+# `go test ./...` never builds it: build and test it here, so an internal
+# API change that breaks the harness fails CI rather than the next
+# benchmark run.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# The root package's Go benchmarks with allocation stats (slow; not part
+# of ci). The end-to-end benchmark is `bash bench/run.sh`.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
-
-# Regenerate the committed sweep benchmark record at full panel size
-# (web scale 0.1, 6 h horizon, 10 reps; slow).
-bench-sweep:
-	$(GO) run ./cmd/vmprovsim -benchsweep $(SWEEPOUT) -sweepbaseline BENCH_sweep_prechange.json
-
-# Guard against regressions on every committed benchmark trajectory:
-# regenerate each report fresh and diff it against the committed record
-# with benchdiff (which auto-detects the sweep / ff / mpc / chaos
-# formats) — sweep gates replication throughput, ff gates the hybrid
-# speedup and accuracy contract, mpc gates each policy's cost + QoS
-# objective, chaos gates per-tier availability and zone MTTR.
-bench-compare:
-	$(GO) run ./cmd/vmprovsim -benchsweep $(SWEEPTMP) -sweepbaseline BENCH_sweep_prechange.json
-	$(GO) run ./cmd/benchdiff -old $(SWEEPOUT) -new $(SWEEPTMP) -tolerance 0.20
-	$(GO) run ./cmd/vmprovsim -benchff $(FFTMP)
-	$(GO) run ./cmd/benchdiff -old $(FFOUT) -new $(FFTMP) -tolerance 0.20
-	$(GO) run ./cmd/vmprovsim -benchmpc $(MPCTMP)
-	$(GO) run ./cmd/benchdiff -old $(MPCOUT) -new $(MPCTMP) -tolerance 0.20
-	$(GO) run ./cmd/vmprovsim -benchchaos $(CHAOSTMP)
-	$(GO) run ./cmd/benchdiff -old $(CHAOSOUT) -new $(CHAOSTMP) -tolerance 0.20
-
-# Regenerate the committed hybrid fast-forward record: the 6-hour web
-# panel, exact vs hybrid, 3 reps per policy.
-bench-ff:
-	$(GO) run ./cmd/vmprovsim -benchff $(FFOUT)
-
-# Regenerate the committed model-predictive record: the 6-hour web-mpc
-# panel (mpc:600 vs adaptive vs the static ladder), 3 reps per policy.
-bench-mpc:
-	$(GO) run ./cmd/vmprovsim -benchmpc $(MPCOUT)
-
-# Regenerate the committed chaos resilience record: the 2-hour web-chaos
-# panel up the full fault-intensity ladder, 3 reps per tier.
-bench-chaos:
-	$(GO) run ./cmd/vmprovsim -benchchaos $(CHAOSOUT)
 
 # Re-pin the kernel golden file after a DELIBERATE semantic change to
 # event ordering or RNG stream layout. Never run to silence a failure.

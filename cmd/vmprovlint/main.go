@@ -6,7 +6,7 @@
 // allocation on kernel scheduling fast paths), the v2 whole-program
 // passes (snapshot coverage, rng.Split substream discipline, spec
 // strictness, registry hygiene), plus local lite editions of the stock
-// nilness, shadow, and copylocks passes.
+// nilness and shadow passes (lock copies are left to go vet).
 //
 // Usage:
 //

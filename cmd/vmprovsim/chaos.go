@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"time"
 
 	"vmprov"
@@ -13,50 +10,17 @@ import (
 // Chaos mode: -chaos runs the built-in chaos panel — the web-chaos
 // scenario swept up the fault-intensity ladder (brownout → outage →
 // storm) — checking the machine-checked chaos invariants after every
-// replication, and prints one resilience row per tier. -benchchaos runs
-// the same panel and writes the JSON resilience record; the committed
-// BENCH_chaos.json is this report at the default scale, and benchdiff
-// gates per-tier availability drops and zone-MTTR growth against it.
+// replication, and prints one resilience row per tier.
 
-type chaosTierRow struct {
-	Tier              string  `json:"tier"`
-	Availability      float64 `json:"availability"`
-	RejectionRate     float64 `json:"rejection_rate"`
-	Shed              uint64  `json:"shed"`
-	ZoneOutages       uint64  `json:"zone_outages"`
-	ZoneMTTRSecs      float64 `json:"zone_mttr_s"`
-	MTTRSecs          float64 `json:"mttr_s"`
-	BreakerTrips      uint64  `json:"breaker_trips"`
-	BreakerRecoveries uint64  `json:"breaker_recoveries"`
-	Crashes           uint64  `json:"crashes"`
-	MeanResponse      float64 `json:"mean_response_s"`
-	AvgInstances      float64 `json:"avg_instances"`
-}
-
-type chaosBenchReport struct {
-	Bench           string         `json:"bench"` // "chaos": benchdiff's format marker
-	GeneratedAt     string         `json:"generated_at"`
-	GoVersion       string         `json:"go_version"`
-	GOOS            string         `json:"goos"`
-	GOARCH          string         `json:"goarch"`
-	Scenario        string         `json:"scenario"`
-	Scale           float64        `json:"scale"`
-	HorizonS        float64        `json:"horizon_s"`
-	Reps            int            `json:"reps"`
-	Seed            uint64         `json:"seed"`
-	WallSeconds     float64        `json:"wall_seconds"`
-	InvariantChecks int            `json:"invariant_checks"`
-	Tiers           []chaosTierRow `json:"tiers"`
-}
-
-// runChaosPanel sweeps the chaos panel with per-replication invariant
-// checking and aggregates one row per fault tier. A horizon override of 0
-// keeps the scenario default. Any invariant violation is an error: the
-// panel's whole point is that these hold on every replication.
-func runChaosPanel(scale float64, reps int, seed uint64, workers int, horizon float64) (chaosBenchReport, error) {
+// runChaos sweeps the chaos panel with per-replication invariant checking
+// and prints the per-tier resilience table plus the invariant verdict. A
+// horizon override of 0 keeps the scenario default. Any invariant
+// violation is an error: the panel's whole point is that these hold on
+// every replication.
+func runChaos(scale float64, reps int, seed uint64, workers int, horizon float64) error {
 	spec, err := vmprov.ChaosPanel(scale, reps, seed)
 	if err != nil {
-		return chaosBenchReport{}, err
+		return err
 	}
 	if horizon > 0 {
 		for i := range spec.Scenarios {
@@ -65,7 +29,7 @@ func runChaosPanel(scale float64, reps int, seed uint64, workers int, horizon fl
 	}
 	panel, err := spec.Compile()
 	if err != nil {
-		return chaosBenchReport{}, err
+		return err
 	}
 	jobs := panel.Jobs()
 	checked := 0
@@ -82,81 +46,21 @@ func runChaosPanel(scale float64, reps int, seed uint64, workers int, horizon fl
 	})
 	wall := time.Since(start).Seconds()
 	if invErr != nil {
-		return chaosBenchReport{}, fmt.Errorf("chaos invariant violated: %w", invErr)
+		return fmt.Errorf("chaos invariant violated: %w", invErr)
 	}
 
-	rep := chaosBenchReport{
-		Bench:           "chaos",
-		GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
-		GoVersion:       runtime.Version(),
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		Scenario:        "web-chaos",
-		Scale:           panel.Scenarios[0].Scale,
-		HorizonS:        panel.Scenarios[0].Horizon,
-		Reps:            reps,
-		Seed:            seed,
-		WallSeconds:     wall,
-		InvariantChecks: checked,
-	}
+	sc := panel.Scenarios[0]
+	fmt.Printf("chaos panel web-chaos scale %g horizon %.0fs reps %d seed %d (%.2fs wall)\n\n",
+		sc.Scale, sc.Horizon, reps, seed, wall)
+	fmt.Printf("%-9s %8s %8s %6s %8s %9s %6s %7s %8s %9s\n",
+		"tier", "avail", "reject%", "shed", "outages", "zoneMTTR", "trips", "crashes", "resp(ms)", "avg inst")
 	tiers := vmprov.ChaosTiers()
 	for i, pr := range prs {
 		r := pr.Results[0] // the panel's single policy: adaptive
-		rep.Tiers = append(rep.Tiers, chaosTierRow{
-			Tier:              tiers[i].Name,
-			Availability:      r.Availability,
-			RejectionRate:     r.RejectionRate,
-			Shed:              r.Shed,
-			ZoneOutages:       r.ZoneOutages,
-			ZoneMTTRSecs:      r.ZoneMTTR,
-			MTTRSecs:          r.MTTR,
-			BreakerTrips:      r.BreakerTrips,
-			BreakerRecoveries: r.BreakerRecoveries,
-			Crashes:           r.Crashes,
-			MeanResponse:      r.MeanResponse,
-			AvgInstances:      r.AvgInstances,
-		})
-	}
-	return rep, nil
-}
-
-// runChaos is the -chaos print mode: the per-tier resilience table plus
-// the invariant verdict.
-func runChaos(scale float64, reps int, seed uint64, workers int, horizon float64) error {
-	rep, err := runChaosPanel(scale, reps, seed, workers, horizon)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("chaos panel %s scale %g horizon %.0fs reps %d seed %d (%.2fs wall)\n\n",
-		rep.Scenario, rep.Scale, rep.HorizonS, rep.Reps, rep.Seed, rep.WallSeconds)
-	fmt.Printf("%-9s %8s %8s %6s %8s %9s %6s %7s %8s %9s\n",
-		"tier", "avail", "reject%", "shed", "outages", "zoneMTTR", "trips", "crashes", "resp(ms)", "avg inst")
-	for _, t := range rep.Tiers {
 		fmt.Printf("%-9s %8.4f %7.2f%% %6d %8d %8.1fs %6d %7d %8.1f %9.1f\n",
-			t.Tier, t.Availability, t.RejectionRate*100, t.Shed, t.ZoneOutages,
-			t.ZoneMTTRSecs, t.BreakerTrips, t.Crashes, t.MeanResponse*1000, t.AvgInstances)
+			tiers[i].Name, r.Availability, r.RejectionRate*100, r.Shed, r.ZoneOutages,
+			r.ZoneMTTR, r.BreakerTrips, r.Crashes, r.MeanResponse*1000, r.AvgInstances)
 	}
-	fmt.Printf("\nchaos invariants: %d replication(s) checked, all passed\n", rep.InvariantChecks)
-	return nil
-}
-
-// runChaosBench is the -benchchaos mode: the same panel, written as the
-// JSON resilience record benchdiff gates.
-func runChaosBench(outPath string, scale float64, reps int, seed uint64, workers int, horizon float64) error {
-	rep, err := runChaosPanel(scale, reps, seed, workers, horizon)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	last := rep.Tiers[len(rep.Tiers)-1]
-	fmt.Fprintf(os.Stderr,
-		"chaos bench scale %g reps %d: %.2fs wall — %d invariant checks, storm-tier availability %.4f, zone MTTR %.1fs\n",
-		rep.Scale, reps, rep.WallSeconds, rep.InvariantChecks, last.Availability, last.ZoneMTTRSecs)
+	fmt.Printf("\nchaos invariants: %d replication(s) checked, all passed\n", checked)
 	return nil
 }

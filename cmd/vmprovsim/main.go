@@ -13,21 +13,16 @@
 //	vmprovsim -dumpspec web-multi -reps 3 > multi.json
 //	vmprovsim -dumpspec web-hybrid -reps 3 > hybrid.json
 //	vmprovsim -spec multi.json
-//	vmprovsim -benchff BENCH_ff.json
-//	vmprovsim -benchmpc BENCH_mpc.json
-//	vmprovsim -chaos -chaosscale 0.02 -chaosreps 1
-//	vmprovsim -benchchaos BENCH_chaos.json
+//	vmprovsim -chaos -scale 0.02 -reps 1
 //	vmprovsim -scenario web-multi -record arrivals.trace
-//	vmprovsim -benchkernel BENCH_kernel.json -benchscales 0.1,1
 //	vmprovsim -scenario web -scale 1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -all evaluates the adaptive policy against every static baseline of the
 // scenario (the full figure); otherwise a single policy runs. Scenarios
 // and policies resolve through registries; -spec runs a declarative JSON
 // panel file end to end and -dumpspec emits the built-in paper panels as
-// such files. -cpuprofile/-memprofile wrap any mode with pprof capture;
-// -benchkernel measures raw kernel throughput and writes a JSON perf
-// record.
+// such files. -cpuprofile/-memprofile wrap any mode with pprof capture.
+// Throughput is measured by the separate bench/ harness (bench/README.md).
 package main
 
 import (
@@ -62,32 +57,9 @@ func main() {
 		traceOut = flag.String("trace", "", "write a JSONL event trace of one replication to this file (single-policy mode)")
 		horizon  = flag.Float64("horizon", 0, "override simulated seconds (0 = scenario default)")
 
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		benchKernel = flag.String("benchkernel", "", "run the kernel throughput benchmark and write its JSON report to this file")
-		benchScales = flag.String("benchscales", "0.1,1", "comma-separated web load scales for -benchkernel")
-		benchHoriz  = flag.Float64("benchhorizon", 3600, "simulated seconds per -benchkernel run")
-
-		benchFF = flag.String("benchff", "", "run the hybrid fast-forward benchmark (exact vs hybrid web panel) and write its JSON report to this file")
-		ffScale = flag.Float64("ffscale", 0.05, "web load scale for -benchff")
-		ffReps  = flag.Int("ffreps", 3, "replications per policy for -benchff")
-
-		benchMPC = flag.String("benchmpc", "", "run the model-predictive panel benchmark (mpc vs adaptive vs static ladder) and write its JSON report to this file")
-		mpcScale = flag.Float64("mpcscale", 0.05, "web load scale for -benchmpc")
-		mpcReps  = flag.Int("mpcreps", 3, "replications per policy for -benchmpc")
-
-		chaos      = flag.Bool("chaos", false, "run the chaos panel (fault-intensity ladder with per-replication invariant checks) and print per-tier resilience results")
-		benchChaos = flag.String("benchchaos", "", "run the chaos panel and write its JSON resilience report to this file")
-		chaosScale = flag.Float64("chaosscale", 0, "load scale for -chaos/-benchchaos (0 = scenario default)")
-		chaosReps  = flag.Int("chaosreps", 3, "replications for -chaos/-benchchaos")
-		chaosHoriz = flag.Float64("chaoshorizon", 0, "override simulated seconds per chaos replication (0 = scenario default)")
-
-		benchSweep = flag.String("benchsweep", "", "run the sweep-engine panel benchmark and write its JSON report to this file")
-		sweepBase  = flag.String("sweepbaseline", "", "prior -benchsweep report to embed as the speedup baseline (default: in-process legacy run)")
-		sweepScale = flag.Float64("sweepscale", 0.1, "web load scale for -benchsweep")
-		sweepHoriz = flag.Float64("sweephorizon", 21600, "simulated seconds per -benchsweep replication")
-		sweepReps  = flag.Int("sweepreps", 10, "replications per policy for -benchsweep")
-		sweepTries = flag.Int("sweeptries", 3, "measurement repetitions per -benchsweep configuration (fastest wins)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		chaos      = flag.Bool("chaos", false, "run the chaos panel (fault-intensity ladder with per-replication invariant checks) and print per-tier resilience results; reads -scale, -reps, -horizon, -seed, -workers")
 	)
 	flag.Parse()
 
@@ -130,53 +102,8 @@ func main() {
 		}()
 	}
 
-	if *benchKernel != "" {
-		if err := runKernelBench(*benchKernel, *benchScales, *benchHoriz, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "kernel bench → %s\n", *benchKernel)
-		return
-	}
-
-	if *benchFF != "" {
-		if err := runFFBench(*benchFF, *ffScale, *ffReps, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "ff bench → %s\n", *benchFF)
-		return
-	}
-
-	if *benchMPC != "" {
-		if err := runMPCBench(*benchMPC, *mpcScale, *mpcReps, *seed, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mpc bench → %s\n", *benchMPC)
-		return
-	}
-
-	if *benchSweep != "" {
-		if err := runSweepBench(*benchSweep, *sweepBase, *sweepScale, *sweepHoriz, *sweepReps, *sweepTries); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sweep bench → %s\n", *benchSweep)
-		return
-	}
-
-	if *benchChaos != "" {
-		if err := runChaosBench(*benchChaos, *chaosScale, *chaosReps, *seed, *workers, *chaosHoriz); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "chaos bench → %s\n", *benchChaos)
-		return
-	}
-
 	if *chaos {
-		if err := runChaos(*chaosScale, *chaosReps, *seed, *workers, *chaosHoriz); err != nil {
+		if err := runChaos(*scale, *reps, *seed, *workers, *horizon); err != nil {
 			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
 			os.Exit(1)
 		}

@@ -1,8 +1,8 @@
 // The chaos panel: a fault-intensity ladder of correlated failure
 // domains over a three-class workload, plus the machine-checked
 // invariants every chaos replication must satisfy. The panel is the
-// harness behind `vmprovsim -chaos`, the chaos-smoke CI gate, and the
-// committed web_chaos_panel.json golden spec.
+// harness behind `vmprovsim -chaos` and the committed
+// web_chaos_panel.json golden spec.
 
 package experiment
 
@@ -112,9 +112,7 @@ func ChaosSpec(scale float64) ScenarioSpec {
 			Domains:        chaosDomains(),
 		},
 	}
-	for _, m := range []int{60, 90, 120, 150} {
-		sp.StaticFleets = append(sp.StaticFleets, scaled(m, scale))
-	}
+	sp.StaticFleets = staticLadder(scale, 60, 90, 120, 150)
 	return sp
 }
 

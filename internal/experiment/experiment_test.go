@@ -257,3 +257,47 @@ func TestObservedRateSeries(t *testing.T) {
 		t.Fatal("series CSV header missing")
 	}
 }
+
+// RunUntil(h) must stop the clock at exactly h even when h falls inside
+// a web arrival batch — the batched walker may not consume arrivals past
+// the bound inline — and resuming from there must be invisible.
+func TestRunUntilStopsAtBound(t *testing.T) {
+	sc := Web(0.1)
+	sc.Horizon = 7800
+	want, _ := RunOnce(sc, AdaptivePolicy(), 1, RunOptions{})
+	for _, h := range []float64{7200, 7230, 7300} {
+		w := NewRunContext().Setup(sc, AdaptivePolicy(), 1, RunOptions{})
+		w.RunUntil(h)
+		if now := w.Sim().Now(); now != h {
+			t.Errorf("RunUntil(%v) left the clock at %v", h, now)
+		}
+		w.RunUntil(sc.Horizon)
+		if got, _ := w.Finish(); !metrics.Equal(got, want) {
+			t.Errorf("pausing at %v changed the run:\ngot:  %+v\nwant: %+v", h, got, want)
+		}
+	}
+}
+
+// Every registered scenario's static ladder is strictly increasing at
+// every scale: rungs that round onto the same fleet size are dropped, not
+// run twice.
+func TestStaticLaddersStrictlyIncreasing(t *testing.T) {
+	for _, name := range ScenarioNames() {
+		for _, scale := range []float64{0.01, 0.02, 0.05, 0.1, 1} {
+			sp, err := BuildScenarioSpec(name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := sp.StaticFleets
+			if len(l) == 0 {
+				t.Errorf("%s at scale %g: empty static ladder", name, scale)
+			}
+			for i := 1; i < len(l); i++ {
+				if l[i] <= l[i-1] {
+					t.Errorf("%s at scale %g: static ladder %v not strictly increasing", name, scale, l)
+					break
+				}
+			}
+		}
+	}
+}

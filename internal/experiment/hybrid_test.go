@@ -20,20 +20,32 @@ func hybridWeb(t *testing.T) (exact, hybrid Scenario) {
 }
 
 // Hybrid mode must reproduce every figure-table metric of the exact run
-// within the declared tolerance, while executing meaningfully fewer
-// kernel events — the whole point of fast-forwarding.
+// within the declared tolerance on every policy of the hybrid panel,
+// while executing meaningfully fewer kernel events — the whole point of
+// fast-forwarding.
 func TestHybridMatchesExactWithinTolerance(t *testing.T) {
-	sc, hy := hybridWeb(t)
-	tol := metrics.HybridTolerance()
-	for _, pol := range []Policy{AdaptivePolicy(), StaticPolicy(sc.StaticFleets[2])} {
-		exact, _ := RunOnce(sc, pol, 1, RunOptions{})
-		hybrid, _ := RunOnce(hy, pol, 1, RunOptions{})
-		if diffs := metrics.CloseToDiff(exact, hybrid, tol); len(diffs) > 0 {
-			t.Errorf("%s: hybrid outside tolerance:\n  %s", pol.Name, strings.Join(diffs, "\n  "))
+	ps, err := HybridPanel(0.05, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode Mode) []metrics.Result {
+		ps.Mode = mode
+		panel, err := ps.Compile()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if hybrid.Events*2 >= exact.Events {
+		return panel.Run(SweepOptions{})[0].Results
+	}
+	exact, hybrid := run(ModeExact), run(ModeHybrid)
+	tol := metrics.HybridTolerance()
+	for i := range exact {
+		ex, hy := exact[i], hybrid[i]
+		if diffs := metrics.CloseToDiff(ex, hy, tol); len(diffs) > 0 {
+			t.Errorf("%s: hybrid outside tolerance:\n  %s", ex.Policy, strings.Join(diffs, "\n  "))
+		}
+		if hy.Events*2 >= ex.Events {
 			t.Errorf("%s: hybrid processed %d events vs exact %d — expected at least 2× reduction",
-				pol.Name, hybrid.Events, exact.Events)
+				ex.Policy, hy.Events, ex.Events)
 		}
 	}
 }

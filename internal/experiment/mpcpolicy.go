@@ -33,8 +33,8 @@ func MPCPolicy(horizon float64, candidates int) Policy {
 
 // MPCPanel returns the built-in model-predictive panel: six hours of the
 // web scenario with the MPC policy (10-minute lookahead) against the
-// adaptive policy and the full static ladder — the comparison
-// -benchmpc scores on the combined cost + QoS objective.
+// adaptive policy and the full static ladder, scored on the combined
+// cost + QoS objective (TestMPCBeatsWorstBaseline).
 func MPCPanel(scale float64, reps int, seed uint64) (PanelSpec, error) {
 	sp, err := BuildScenarioSpec("web", scale)
 	if err != nil {

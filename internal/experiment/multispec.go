@@ -95,9 +95,7 @@ func MultiSpec(scale float64) ScenarioSpec {
 			VMSpec:    cloud.DefaultVMSpec(),
 		},
 	}
-	for _, m := range []int{60, 90, 120, 150} {
-		sp.StaticFleets = append(sp.StaticFleets, scaled(m, scale))
-	}
+	sp.StaticFleets = staticLadder(scale, 60, 90, 120, 150)
 	return sp
 }
 

@@ -218,7 +218,7 @@ func FaultPanel(scale float64, reps int, seed uint64) (PanelSpec, error) {
 // of the web scenario in hybrid mode, adaptive against the full static
 // ladder — the validation target the hybrid engine's accuracy contract
 // (metrics.HybridTolerance against the same panel in exact mode) is
-// checked on, and the workload -benchff times.
+// checked on, and the benchmark's web-hybrid workload.
 func HybridPanel(scale float64, reps int, seed uint64) (PanelSpec, error) {
 	sp, err := BuildScenarioSpec("web", scale)
 	if err != nil {

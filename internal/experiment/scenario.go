@@ -81,13 +81,18 @@ type Scenario struct {
 	Fault fault.Spec
 }
 
-// scaled rounds a paper-scale fleet size to the scenario scale, at least 1.
-func scaled(m int, scale float64) int {
-	v := int(math.Round(float64(m) * scale))
-	if v < 1 {
-		v = 1
+// staticLadder scales the paper's static fleet sizes to the scenario
+// scale — each rounded, at least 1 — and drops rungs that round onto the
+// rung below, so a small scale never runs the same baseline twice.
+func staticLadder(scale float64, paper ...int) []int {
+	var ladder []int
+	for _, m := range paper {
+		v := max(int(math.Round(float64(m)*scale)), 1)
+		if len(ladder) == 0 || v > ladder[len(ladder)-1] {
+			ladder = append(ladder, v)
+		}
 	}
-	return v
+	return ladder
 }
 
 // Web returns the paper's web scenario (Section V-B1): one week of the

@@ -280,6 +280,37 @@ func TestMPCPolicyRegistry(t *testing.T) {
 	}
 }
 
+// TestMPCBeatsWorstBaseline: on the built-in MPC panel the controller's
+// whole-run objective — VM-seconds plus one VM-second per QoS violation,
+// rejection, and crash-lost request, the cost it minimises per lookahead —
+// is no worse than the worst baseline it co-simulates against. A
+// controller that loses to every baseline is broken.
+func TestMPCBeatsWorstBaseline(t *testing.T) {
+	ps, err := MPCPanel(0.02, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panel, err := ps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	objective := func(r metrics.Result) float64 {
+		return r.VMHours*3600 + float64(r.Violations+r.Rejected+r.RequestsLost)
+	}
+	rows := panel.Run(SweepOptions{})[0].Results
+	mpcRow, baselines := rows[0], rows[1:] // the panel lists mpc:600 first
+	worst := baselines[0]
+	for _, r := range baselines[1:] {
+		if objective(r) > objective(worst) {
+			worst = r
+		}
+	}
+	if objective(mpcRow) > objective(worst) {
+		t.Fatalf("%s objective %.0f worse than every baseline (worst %s %.0f)",
+			mpcRow.Policy, objective(mpcRow), worst.Policy, objective(worst))
+	}
+}
+
 // FuzzSnapshotRestore fuzzes the bit-identity invariant over the snapshot
 // instant, the divergence length, the seed, and the scenario variant
 // (exact / hybrid / fault-enabled) on a small web scenario.

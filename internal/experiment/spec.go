@@ -176,9 +176,7 @@ func WebSpec(scale float64) ScenarioSpec {
 			VMSpec:    cloud.DefaultVMSpec(),
 		},
 	}
-	for _, m := range []int{50, 75, 100, 125, 150} {
-		sp.StaticFleets = append(sp.StaticFleets, scaled(m, scale))
-	}
+	sp.StaticFleets = staticLadder(scale, 50, 75, 100, 125, 150)
 	return sp
 }
 
@@ -208,9 +206,7 @@ func SciSpec(scale float64) ScenarioSpec {
 			VMSpec:    cloud.DefaultVMSpec(),
 		},
 	}
-	for _, m := range []int{15, 30, 45, 60, 75} {
-		sp.StaticFleets = append(sp.StaticFleets, scaled(m, scale))
-	}
+	sp.StaticFleets = staticLadder(scale, 15, 30, 45, 60, 75)
 	return sp
 }
 

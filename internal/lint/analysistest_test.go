@@ -189,10 +189,6 @@ func TestShadowAnalyzer(t *testing.T) {
 	runFixture(t, ShadowAnalyzer, "shadow/a")
 }
 
-func TestCopyLocksAnalyzer(t *testing.T) {
-	runFixture(t, CopyLocksAnalyzer, "copylocks/a")
-}
-
 func TestAnalyzerByName(t *testing.T) {
 	for _, a := range Analyzers() {
 		got, ok := AnalyzerByName(a.Name)

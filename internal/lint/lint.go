@@ -127,7 +127,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full vmprovlint suite: the nine domain-specific
 // determinism and invariant analyzers (v1's five per-package passes
 // plus v2's snapshot-coverage, RNG-substream, spec-strictness, and
-// registry-hygiene passes) and the three stock-style correctness passes
+// registry-hygiene passes) and the two stock-style correctness passes
 // (local reduced-scope implementations of their x/tools namesakes).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
@@ -142,7 +142,6 @@ func Analyzers() []*Analyzer {
 		RegistryAnalyzer,
 		NilnessAnalyzer,
 		ShadowAnalyzer,
-		CopyLocksAnalyzer,
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"go/types"
 )
 
-// This file hosts the three stock-style correctness passes that round
-// out the vmprovlint multichecker. They are local, reduced-scope
+// This file hosts the two stock-style correctness passes that round out
+// the vmprovlint multichecker. They are local, reduced-scope
 // implementations of their golang.org/x/tools namesakes (nilness,
-// shadow, copylocks): the build environment is hermetic with no module
-// proxy, so the real passes (and the SSA machinery nilness needs)
-// cannot be vendored. Each lite pass keeps the high-signal core of its
-// namesake and leans conservative — `go vet` (which make ci runs
-// unchanged) still provides the full copylocks/nilfunc set.
+// shadow): the build environment is hermetic with no module proxy, so
+// the real passes (and the SSA machinery nilness needs) cannot be
+// vendored. Each lite pass keeps the high-signal core of its namesake
+// and leans conservative. Lock copies are left to `go vet` (which make
+// ci runs unchanged) and its full copylocks pass.
 
 // NilnessAnalyzer (lite) flags uses of a value inside the body of an
 // `if x == nil` check that are guaranteed to panic: field or method
@@ -214,104 +214,4 @@ func initClauseScopes(pass *Pass) map[*types.Scope]bool {
 		}
 	}
 	return out
-}
-
-// CopyLocksAnalyzer (lite) flags assignments and range clauses that
-// copy a value whose type (transitively) contains a lock — sync.Mutex,
-// sync.RWMutex, sync.WaitGroup, sync.Once, anything with a
-// pointer-receiver Lock method. A copied lock guards nothing. The full
-// x/tools/cmd/vet copylocks (also run by `go vet` in make ci) covers
-// calls and returns as well; this lite pass covers the assignment and
-// range forms inline in the multichecker.
-var CopyLocksAnalyzer = &Analyzer{
-	Name: "copylocks",
-	Doc:  "flag assignments and range clauses copying lock-containing values (lite)",
-	Run:  runCopyLocks,
-}
-
-func runCopyLocks(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, rhs := range n.Rhs {
-					checkLockCopy(pass, rhs)
-				}
-			case *ast.ValueSpec:
-				for _, rhs := range n.Values {
-					checkLockCopy(pass, rhs)
-				}
-			case *ast.RangeStmt:
-				if n.Value == nil {
-					return true
-				}
-				t := pass.TypesInfo.TypeOf(n.Value)
-				if path := lockPath(t); path != "" {
-					pass.Reportf(n.Value.Pos(), "range clause copies lock value: %s", path)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkLockCopy flags rhs when it reads an existing lock-containing
-// value (composite literals and call results are fresh values and
-// fine to move).
-func checkLockCopy(pass *Pass, rhs ast.Expr) {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-	default:
-		return
-	}
-	t := pass.TypesInfo.TypeOf(rhs)
-	if path := lockPath(t); path != "" {
-		pass.Reportf(rhs.Pos(), "assignment copies lock value: %s", path)
-	}
-}
-
-// lockPath returns a human-readable path to the lock inside t ("" when
-// t contains none).
-func lockPath(t types.Type) string {
-	return lockPathRec(t, map[types.Type]bool{})
-}
-
-func lockPathRec(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if hasPtrLockMethod(named) {
-			return named.Obj().Name()
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			f := u.Field(i)
-			if p := lockPathRec(f.Type(), seen); p != "" {
-				return f.Name() + "." + p
-			}
-		}
-	case *types.Array:
-		if p := lockPathRec(u.Elem(), seen); p != "" {
-			return "[...]" + p
-		}
-	}
-	return ""
-}
-
-// hasPtrLockMethod reports whether *T has Lock and Unlock methods —
-// the sync.Locker shape (sync.Mutex, and the noCopy sentinel that
-// WaitGroup/Once/atomic types embed).
-func hasPtrLockMethod(named *types.Named) bool {
-	ms := types.NewMethodSet(types.NewPointer(named))
-	lock := ms.Lookup(nil, "Lock")
-	unlock := ms.Lookup(nil, "Unlock")
-	if lock == nil || unlock == nil {
-		return false
-	}
-	sig, ok := lock.Obj().Type().(*types.Signature)
-	return ok && sig.Params().Len() == 0 && sig.Results().Len() == 0
 }

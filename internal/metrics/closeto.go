@@ -8,8 +8,8 @@ import (
 // Tolerance bounds how far two Results may drift before CloseTo calls
 // them different. It exists for hybrid-vs-exact validation: a fluid
 // fast-forwarded run reproduces the exact run's figures only within the
-// tolerances the hybrid mode declares, so tests and the -benchff report
-// compare with CloseTo where exact-mode comparisons use Equal.
+// tolerances the hybrid mode declares, so tests compare with CloseTo
+// where exact-mode comparisons use Equal.
 //
 // Each knob covers one group of the figure-table metrics. A comparison
 // passes when the absolute difference is within the Abs floor OR within
@@ -36,8 +36,8 @@ type Tolerance struct {
 // HybridTolerance is the accuracy contract of -mode=hybrid against
 // -mode=exact on the paper's panels: response mean within 2% relative,
 // rejection within 5% relative with an absolute floor at the config's
-// default rejection tolerance. The ff-smoke CI target and the hybrid
-// golden tests enforce exactly these bounds.
+// default rejection tolerance. The hybrid tests (make ff-smoke) enforce
+// exactly these bounds on every policy of the hybrid panel.
 func HybridTolerance() Tolerance {
 	return Tolerance{
 		RespRel:  0.02,
@@ -61,7 +61,7 @@ func CloseTo(a, b Result, tol Tolerance) bool {
 
 // CloseToDiff returns one human-readable line per figure-table metric on
 // which a and b disagree beyond tol, empty when CloseTo would be true.
-// Tests and the -benchff report print these lines verbatim.
+// Tests print these lines verbatim.
 func CloseToDiff(a, b Result, tol Tolerance) []string {
 	var diffs []string
 	add := func(name string, av, bv, rel, abs float64) {

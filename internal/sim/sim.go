@@ -133,6 +133,7 @@ type Sim struct {
 	free      int32       // head of the free list of arena slots
 	stopped   bool
 	processed uint64
+	until     float64 //vmprov:ephemeral -- run-loop bound, saved and restored by RunUntil itself
 
 	// The deferred slot: a one-element fast lane beside the heap for the
 	// single next event of a batched source (DeferReserved). The dispatch
@@ -146,7 +147,7 @@ type Sim struct {
 
 // New creates an empty simulator with the clock at zero.
 func New() *Sim {
-	return &Sim{free: noEvent}
+	return &Sim{free: noEvent, until: math.Inf(1)}
 }
 
 // Reset rewinds the simulator to its initial state — clock at zero, no
@@ -174,6 +175,7 @@ func (s *Sim) Reset() {
 	s.processed = 0
 	s.stopped = false
 	s.slotSet = false
+	s.until = math.Inf(1)
 }
 
 // Snapshot captures the simulator's complete state — clock, sequence and
@@ -256,6 +258,11 @@ type Snapshot struct {
 
 // Now returns the current virtual time in seconds.
 func (s *Sim) Now() float64 { return s.now }
+
+// Until returns the bound of the innermost RunUntil in progress, or +Inf
+// outside one. A batched source must not consume an event beyond it
+// inline: RunUntil would have left that event pending.
+func (s *Sim) Until() float64 { return s.until }
 
 // Processed returns how many events have been executed.
 func (s *Sim) Processed() uint64 { return s.processed }
@@ -413,10 +420,11 @@ func (s *Sim) PeekNext() (t float64, seq uint64, ok bool) {
 // itself. It is only legal when the event (t, seq) would be the next one
 // popped: t must not precede the clock and no pending event may order
 // before (t, seq). Violations panic, since they would silently reorder
-// the simulation.
+// the simulation. t must also not exceed Until: the run loop would not
+// have fired the event.
 func (s *Sim) InlineFire(t float64, seq uint64) {
-	if !(t >= s.now) {
-		panic(fmt.Sprintf("sim: InlineFire with time %v before now %v", t, s.now))
+	if !(t >= s.now) || t > s.until {
+		panic(fmt.Sprintf("sim: InlineFire with time %v outside [now %v, until %v]", t, s.now, s.until))
 	}
 	if pt, ps, _, ok := s.nextKey(); ok && (pt < t || (pt == t && ps < seq)) {
 		panic(fmt.Sprintf("sim: InlineFire(%v, %d) behind pending event (%v, %d)", t, seq, pt, ps))
@@ -510,7 +518,12 @@ func (s *Sim) Run() float64 { return s.RunUntil(math.Inf(1)) }
 // RunUntil executes events with timestamps ≤ t, then advances the clock to
 // t (if t is finite and beyond the last event) and returns it. Events
 // scheduled beyond t remain pending, so the simulation can be resumed.
+// Calls nest — an event may run a lookahead RunUntil — and Until reports
+// the innermost bound while each is in progress.
 func (s *Sim) RunUntil(t float64) float64 {
+	prev := s.until
+	s.until = t
+	defer func() { s.until = prev }()
 	s.stopped = false
 	for !s.stopped {
 		nt, _, slot, ok := s.nextKey()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -129,6 +130,36 @@ func TestRunUntilResume(t *testing.T) {
 	s.Run()
 	if len(hits) != 4 || s.Now() != 4 {
 		t.Fatalf("resume failed: hits=%v now=%v", hits, s.Now())
+	}
+}
+
+// Until reports the innermost RunUntil bound while it is in progress, and
+// InlineFire refuses an event beyond it: RunUntil would have left that
+// event pending.
+func TestUntilBoundsInlineFire(t *testing.T) {
+	s := New()
+	var bounds []float64
+	panicked := false
+	s.Schedule(1, func() {
+		bounds = append(bounds, s.Until())
+		s.RunUntil(3) // nested: nothing pending by then
+		bounds = append(bounds, s.Until())
+		defer func() { panicked = recover() != nil }()
+		s.RunUntil(4)
+	})
+	s.Schedule(3.5, func() {
+		bounds = append(bounds, s.Until())
+		s.InlineFire(4.5, s.ReserveSeq())
+	})
+	s.RunUntil(10)
+	if !slices.Equal(bounds, []float64{10, 10, 4}) {
+		t.Fatalf("bounds seen %v, want [10 10 4]", bounds)
+	}
+	if !panicked {
+		t.Fatal("InlineFire beyond the RunUntil bound did not panic")
+	}
+	if !math.IsInf(s.Until(), 1) {
+		t.Fatalf("Until outside RunUntil = %v, want +Inf", s.Until())
 	}
 }
 

@@ -397,8 +397,10 @@ func (wk *batchWalker) launch(batch []Request) {
 // event popped anyway — no pending event orders before (arrival,
 // reserved seq) — the walker consumes it inline (clock advance + event
 // count, no heap traffic) and keeps draining; otherwise it parks in the
-// pending set under the reserved sequence number. Both paths are
-// bit-identical to scheduling every step.
+// pending set under the reserved sequence number. It also parks when the
+// successor lies beyond the bound of the RunUntil in progress, which must
+// return with that arrival still pending. Both paths are bit-identical to
+// scheduling every step.
 func walkBatch(a any) {
 	wk := a.(*batchWalker)
 	s := wk.s
@@ -412,7 +414,7 @@ func walkBatch(a any) {
 		next := wk.batch[wk.idx].Arrival
 		seq := s.ReserveSeq()
 		wk.emit(req)
-		if pt, ps, ok := s.PeekNext(); ok && (pt < next || (pt == next && ps < seq)) {
+		if pt, ps, ok := s.PeekNext(); next > s.Until() || ok && (pt < next || (pt == next && ps < seq)) {
 			s.DeferReserved(next, seq, wk.fire)
 			return
 		}
