@@ -132,7 +132,7 @@ type Datacenter struct {
 	nextID    int
 	placed    map[int]VM
 	power     *powerMeter // nil = energy metering disabled
-	placement Placement   //vmprov:ephemeral -- run-scope policy config set before the first placement; Reset/Restore deliberately preserve it
+	placement Placement   //vmprov:ephemeral -- run-scope policy config set before the first placement; Restore deliberately preserves it
 	rrCursor  int
 }
 
@@ -154,33 +154,16 @@ func NewDefault() *Datacenter {
 	return New(DefaultHosts, HostSpec{Cores: DefaultHostCores, RAMMB: DefaultHostRAM})
 }
 
-// Reset releases every VM and rewinds the ID counter and placement
-// cursor, returning the data center to its just-constructed state while
-// keeping the host array and placement map. The power meter (if enabled)
-// restarts at zero with the same model. Pooled replication contexts use
-// this to reuse one data center across runs without allocating.
-func (dc *Datacenter) Reset() {
-	for i := range dc.hosts {
-		h := &dc.hosts[i]
-		h.usedCores, h.usedRAM, h.vms = 0, 0, 0
-	}
-	dc.nextID = 0
-	dc.rrCursor = 0
-	clear(dc.placed)
-	if dc.power != nil {
-		*dc.power = powerMeter{model: dc.power.model}
-	}
-}
-
 // DCSnap holds one captured Datacenter state (see Datacenter.Snapshot).
 // The zero value is ready to use; its buffers are reused across captures.
+// Restoring the zero DCSnap returns the data center to its
+// just-constructed state.
 type DCSnap struct {
 	hosts    []host
 	nextID   int
 	rrCursor int
 	placed   map[int]VM
 	power    powerMeter
-	hasPower bool
 }
 
 // Snapshot captures the data center's complete state — per-host usage,
@@ -199,7 +182,7 @@ func (dc *Datacenter) Snapshot(snap *DCSnap) {
 	for id, vm := range dc.placed {
 		snap.placed[id] = vm
 	}
-	snap.hasPower = dc.power != nil
+	snap.power = powerMeter{}
 	if dc.power != nil {
 		snap.power = *dc.power
 	}
@@ -208,16 +191,24 @@ func (dc *Datacenter) Snapshot(snap *DCSnap) {
 // Restore rewinds the data center to a state captured from it by
 // Snapshot: VMs provisioned since the snapshot vanish, released ones are
 // placed again, and energy accounting resumes from the captured integral.
+// Hosts past the captured prefix are emptied and the power model is
+// kept, so restoring the zero DCSnap releases every VM and restarts the
+// meter at zero without allocating.
 func (dc *Datacenter) Restore(snap *DCSnap) {
-	copy(dc.hosts, snap.hosts)
+	for i := copy(dc.hosts, snap.hosts); i < len(dc.hosts); i++ {
+		h := &dc.hosts[i]
+		h.usedCores, h.usedRAM, h.vms = 0, 0, 0
+	}
 	dc.nextID = snap.nextID
 	dc.rrCursor = snap.rrCursor
 	clear(dc.placed)
 	for id, vm := range snap.placed {
 		dc.placed[id] = vm
 	}
-	if snap.hasPower && dc.power != nil {
+	if dc.power != nil {
+		model := dc.power.model
 		*dc.power = snap.power
+		dc.power.model = model
 	}
 }
 

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,5 +179,54 @@ func TestAccountingConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dcScript provisions and releases a fixed sequence of VMs on dc from
+// time t0 on and returns the VMs it provisioned.
+func dcScript(t *testing.T, dc *Datacenter, t0 float64) []VM {
+	t.Helper()
+	var vms []VM
+	for i := 0; i < 7; i++ {
+		vm, err := dc.Provision(t0+float64(10*i), DefaultVMSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms = append(vms, vm)
+	}
+	if err := dc.Release(t0+100, vms[2].ID); err != nil {
+		t.Fatal(err)
+	}
+	return vms
+}
+
+// TestDatacenterZeroSnapshot: restoring the zero DCSnap releases every
+// VM, rewinds the ID counter and placement cursor, and restarts the
+// power meter at zero with the same model, so the data center then
+// behaves exactly like a new one under every placement policy.
+func TestDatacenterZeroSnapshot(t *testing.T) {
+	for _, pl := range []Placement{LeastLoaded, FirstFit, RoundRobin} {
+		build := func() *Datacenter {
+			dc := New(3, HostSpec{Cores: 4, RAMMB: 16384})
+			dc.SetPowerModel(DefaultPowerModel())
+			dc.SetPlacement(pl)
+			return dc
+		}
+		dc, fresh := build(), build()
+		dcScript(t, dc, 500)
+		dc.Restore(&DCSnap{})
+		if dc.Running() != 0 || !slices.Equal(dc.HostLoad(), fresh.HostLoad()) || dc.EnergyKWh(0) != 0 {
+			t.Fatalf("%v: after restoring the zero snapshot running=%d load=%v energy=%v", pl, dc.Running(), dc.HostLoad(), dc.EnergyKWh(0))
+		}
+		got, want := dcScript(t, dc, 0), dcScript(t, fresh, 0)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: VMs after restoring the zero snapshot %v, new data center %v", pl, got, want)
+		}
+		if !slices.Equal(dc.HostLoad(), fresh.HostLoad()) || dc.Capacity(DefaultVMSpec()) != fresh.Capacity(DefaultVMSpec()) {
+			t.Fatalf("%v: host load %v, new data center %v", pl, dc.HostLoad(), fresh.HostLoad())
+		}
+		if got, want := dc.EnergyKWh(1000), fresh.EnergyKWh(1000); got != want || got == 0 {
+			t.Fatalf("%v: energy %v kWh, new data center %v", pl, got, want)
+		}
 	}
 }

@@ -29,18 +29,10 @@ func NewFederation(members ...*Datacenter) *Federation {
 	return &Federation{members: members, placed: make(map[int]fedVM)}
 }
 
-// Reset rewinds the federation and every member data center to their
-// just-constructed state, keeping allocated structures for reuse.
-func (f *Federation) Reset() {
-	f.nextID = 0
-	clear(f.placed)
-	for _, dc := range f.members {
-		dc.Reset()
-	}
-}
-
 // FedSnap holds one captured Federation state, member data centers
 // included. The zero value is ready to use; buffers are reused.
+// Restoring the zero FedSnap returns the federation and every member to
+// their just-constructed state.
 type FedSnap struct {
 	nextID  int
 	placed  map[int]fedVM
@@ -68,7 +60,8 @@ func (f *Federation) Snapshot(snap *FedSnap) {
 }
 
 // Restore rewinds the federation and every member to a state captured
-// from it by Snapshot.
+// from it by Snapshot. Members past the captured ones restore an empty
+// DCSnap.
 func (f *Federation) Restore(snap *FedSnap) {
 	f.nextID = snap.nextID
 	clear(f.placed)
@@ -76,7 +69,11 @@ func (f *Federation) Restore(snap *FedSnap) {
 		f.placed[id] = fv
 	}
 	for i, dc := range f.members {
-		dc.Restore(&snap.members[i])
+		if i < len(snap.members) {
+			dc.Restore(&snap.members[i])
+		} else {
+			dc.Restore(&DCSnap{})
+		}
 	}
 }
 

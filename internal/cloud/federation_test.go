@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -158,33 +159,45 @@ func TestFederationTypedErrors(t *testing.T) {
 	}
 }
 
-// TestFederationReset: Reset rewinds routing state and every member, and
-// the federation then reproduces its first life exactly.
-func TestFederationReset(t *testing.T) {
-	fed, big, small := twoMemberFed()
-	spec := DefaultVMSpec()
-	first, err := fed.Provision(0, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		if _, err := fed.Provision(0, spec); err != nil {
+// TestFederationZeroSnapshot: restoring the zero FedSnap rewinds routing
+// state and every member, and the federation then behaves exactly like
+// a new one: the same VMs, member loads, capacity, and energy.
+func TestFederationZeroSnapshot(t *testing.T) {
+	script := func(fed *Federation) []VM {
+		var vms []VM
+		for i := 0; i < 8; i++ {
+			vm, err := fed.Provision(float64(i), DefaultVMSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			vms = append(vms, vm)
+		}
+		if err := fed.Release(9, vms[5].ID); err != nil {
 			t.Fatal(err)
 		}
+		return vms
 	}
-	fed.Reset()
+	fed, big, small := twoMemberFed()
+	fresh, freshBig, freshSmall := twoMemberFed()
+	for _, dc := range []*Datacenter{big, small, freshBig, freshSmall} {
+		dc.SetPowerModel(DefaultPowerModel())
+	}
+	script(fed)
+	fed.Restore(&FedSnap{})
 	if fed.Running() != 0 || big.Running() != 0 || small.Running() != 0 {
-		t.Fatalf("running after reset: fed=%d big=%d small=%d", fed.Running(), big.Running(), small.Running())
+		t.Fatalf("running after restoring the zero snapshot: fed=%d big=%d small=%d", fed.Running(), big.Running(), small.Running())
 	}
-	if got, want := fed.Capacity(spec), 10; got != want {
-		t.Fatalf("capacity after reset %d, want %d", got, want)
+	if got, want := fed.Capacity(DefaultVMSpec()), 10; got != want {
+		t.Fatalf("capacity after restoring the zero snapshot %d, want %d", got, want)
 	}
-	again, err := fed.Provision(0, spec)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := script(fed), script(fresh); !slices.Equal(got, want) {
+		t.Fatalf("VMs after restoring the zero snapshot %v, new federation %v", got, want)
 	}
-	if again != first {
-		t.Fatalf("first post-reset placement %+v differs from first life %+v", again, first)
+	if !slices.Equal(big.HostLoad(), freshBig.HostLoad()) || !slices.Equal(small.HostLoad(), freshSmall.HostLoad()) {
+		t.Fatalf("member loads %v/%v, new federation %v/%v", big.HostLoad(), small.HostLoad(), freshBig.HostLoad(), freshSmall.HostLoad())
+	}
+	if got, want := fed.EnergyKWh(50), fresh.EnergyKWh(50); got != want || got == 0 {
+		t.Fatalf("energy %v kWh, new federation %v", got, want)
 	}
 }
 
@@ -242,7 +255,7 @@ func TestFederationSnapshotRestore(t *testing.T) {
 	}
 	// Snapshot buffers are reusable: capture again into the same snap.
 	fed.Snapshot(&snap)
-	fed.Reset()
+	fed.Restore(&FedSnap{})
 	fed.Restore(&snap)
 	if fed.Running() != 4 {
 		t.Fatalf("running %d after snapshot-reset-restore round trip, want 4", fed.Running())

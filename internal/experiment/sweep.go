@@ -23,14 +23,18 @@ type Job struct {
 
 // RunContext is a reusable replication context: a simulator, a data
 // center, and a metrics collector that are rewound (not reallocated)
-// between runs. One context is owned by one worker at a time; it is not
-// safe for concurrent use. After warmup, running a replication in a
-// pooled context allocates only the per-run provisioner and workload
-// source — the arena, heap, host array, histogram buckets, and series
-// buffer are all reused.
+// between runs by restoring their zero snapshots. One context is owned
+// by one worker at a time; it is not safe for concurrent use. After
+// warmup, running a replication in a pooled context allocates only the
+// per-run provisioner and workload source — the arena, heap, host
+// array, histogram buckets, and series buffer are all reused.
 type RunContext struct {
-	s   *sim.Sim
-	dc  *cloud.Datacenter
+	s  *sim.Sim
+	dc *cloud.Datacenter
+
+	// col is the pooled collector, built on the first replication and
+	// rebuilt only when the QoS target changes: the target fixes the
+	// response histogram's range, so it is construction-time config.
 	col *metrics.Collector
 
 	// fed is the pooled federated provider for failure-domain scenarios,
@@ -49,11 +53,18 @@ type RunContext struct {
 func NewRunContext() *RunContext {
 	dc := cloud.NewDefault()
 	dc.SetPowerModel(cloud.DefaultPowerModel())
-	return &RunContext{
-		s:   sim.New(),
-		dc:  dc,
-		col: metrics.NewCollector(1),
+	return &RunContext{s: sim.New(), dc: dc}
+}
+
+// collector returns the pooled collector for QoS target ts, building it
+// on first use or when the target changes and rewinding it on reuse.
+func (rc *RunContext) collector(ts float64) *metrics.Collector {
+	if rc.col != nil && rc.col.Ts() == ts {
+		rc.col.Restore(&metrics.CollectorSnap{})
+		return rc.col
 	}
+	rc.col = metrics.NewCollector(ts)
+	return rc.col
 }
 
 // federation returns the pooled federated provider spanning zones member
@@ -63,7 +74,7 @@ func NewRunContext() *RunContext {
 // default at every zone count that divides it.
 func (rc *RunContext) federation(zones int) *cloud.Federation {
 	if rc.fed != nil && rc.fed.Zones() == zones {
-		rc.fed.Reset()
+		rc.fed.Restore(&cloud.FedSnap{})
 		return rc.fed
 	}
 	members := make([]*cloud.Datacenter, zones)
@@ -78,9 +89,10 @@ func (rc *RunContext) federation(zones int) *cloud.Federation {
 
 // Run executes one seeded replication inside the pooled context. Results
 // are bit-identical to a fresh-context RunOnce at the same (scenario,
-// policy, seed): Reset restores every piece of observable state, and
-// arena slot reuse order — the only thing that differs — is invisible to
-// the (time, seq) event order.
+// policy, seed): restoring a zero snapshot returns every piece of
+// observable state to its just-constructed value, and arena slot reuse
+// order — the only thing that differs — is invisible to the (time, seq)
+// event order.
 //
 // The returned series slice aliases the context's reusable buffer; copy
 // it before the context runs again if it must outlive this replication.

@@ -23,8 +23,9 @@ import (
 // futures between the two.
 //
 // A World borrows its heavy state from the RunContext that built it, so
-// it is single-use: Finish (or abandoning the World) returns the context
-// to a reusable state via the next Setup's Reset calls.
+// it is single-use: Finish (or abandoning the World) leaves the context
+// reusable, because the next Setup restores the zero snapshot of each
+// pooled part.
 type World struct {
 	rc  *RunContext
 	sc  Scenario
@@ -72,7 +73,7 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 	if err := sc.Validate(); err != nil {
 		panic(err)
 	}
-	s, dc, col := rc.s, rc.dc, rc.col
+	s, dc := rc.s, rc.dc
 	s.Reset()
 	// A scenario spanning failure domains runs against the pooled
 	// federation (one member cloud per zone) instead of the single default
@@ -84,10 +85,10 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 			fed.Member(i).SetPlacement(sc.Placement)
 		}
 	} else {
-		dc.Reset()
+		dc.Restore(&cloud.DCSnap{})
 		dc.SetPlacement(sc.Placement)
 	}
-	col.Reset(sc.Cfg.QoS.Ts)
+	col := rc.collector(sc.Cfg.QoS.Ts)
 	col.DeclareClients(sc.Clients)
 	col.TrackSeries = opts.TrackSeries
 	rng := stats.NewRNG(seed)

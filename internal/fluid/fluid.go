@@ -247,7 +247,7 @@ func (e *Engine) beginProbe(n int) {
 	if e.capShape == nil {
 		e.capShape = e.col.NewRespShape()
 	} else {
-		e.capShape.Reset(e.capShape.Lo, e.capShape.Hi)
+		e.capShape.Restore(&stats.HistSnap{})
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 
 // Forecaster predicts the next value of a series from the values observed
 // so far. Observe and Predict alternate: Observe folds one step in,
-// Predict returns the one-step-ahead forecast.
+// Predict returns the one-step-ahead forecast. Every forecaster in this
+// package also implements workload.Rewindable, the seam the simulation
+// snapshot protocol reaches its fitted state through.
 type Forecaster interface {
 	Observe(x float64)
 	Predict() float64
@@ -27,17 +29,6 @@ type Forecaster interface {
 
 // ErrSeries reports an unusable series.
 var ErrSeries = errors.New("forecast: series too short")
-
-// Rewindable is implemented by forecasters whose fitted state can be
-// captured and rewound in place — the seam the simulation snapshot
-// protocol reaches them through. Snapshot fills and returns store (the
-// value returned by the previous call, or nil first time) so repeated
-// captures reuse one buffer; Restore rewinds from a captured store.
-// Every forecaster in this package implements it.
-type Rewindable interface {
-	Snapshot(store any) any
-	Restore(store any)
-}
 
 // histSnap is the shared store of the history-window forecasters.
 type histSnap struct{ hist []float64 }
@@ -66,7 +57,7 @@ func (n *Naive) Name() string { return "naive" }
 // naiveSnap holds one captured Naive state.
 type naiveSnap struct{ last float64 }
 
-// Snapshot implements Rewindable.
+// Snapshot implements workload.Rewindable.
 func (n *Naive) Snapshot(store any) any {
 	sn, _ := store.(*naiveSnap)
 	if sn == nil {
@@ -76,7 +67,7 @@ func (n *Naive) Snapshot(store any) any {
 	return sn
 }
 
-// Restore implements Rewindable.
+// Restore implements workload.Rewindable.
 func (n *Naive) Restore(store any) { n.last = store.(*naiveSnap).last }
 
 // MovingAverage predicts the mean of the last Window observations.
@@ -113,7 +104,7 @@ type maSnap struct {
 	w       stats.WindowSnap
 }
 
-// Snapshot implements Rewindable.
+// Snapshot implements workload.Rewindable.
 func (m *MovingAverage) Snapshot(store any) any {
 	sn, _ := store.(*maSnap)
 	if sn == nil {
@@ -126,9 +117,10 @@ func (m *MovingAverage) Snapshot(store any) any {
 	return sn
 }
 
-// Restore implements Rewindable. A window allocated after the capture
-// stays allocated but is rewound to empty only when it existed at
-// capture time; otherwise the forecaster returns to its unstarted state.
+// Restore implements workload.Rewindable. A window allocated after the
+// capture stays allocated but is rewound to empty only when it existed
+// at capture time; otherwise the forecaster returns to its unstarted
+// state.
 func (m *MovingAverage) Restore(store any) {
 	sn := store.(*maSnap)
 	if !sn.started {
@@ -183,7 +175,7 @@ type holtSnap struct {
 	steps        int
 }
 
-// Snapshot implements Rewindable.
+// Snapshot implements workload.Rewindable.
 func (h *Holt) Snapshot(store any) any {
 	sn, _ := store.(*holtSnap)
 	if sn == nil {
@@ -193,7 +185,7 @@ func (h *Holt) Snapshot(store any) any {
 	return sn
 }
 
-// Restore implements Rewindable.
+// Restore implements workload.Rewindable.
 func (h *Holt) Restore(store any) {
 	sn := store.(*holtSnap)
 	h.level, h.trend, h.steps = sn.level, sn.trend, sn.steps
@@ -234,10 +226,10 @@ func (s *SeasonalNaive) Predict() float64 {
 // Name implements Forecaster.
 func (s *SeasonalNaive) Name() string { return "seasonal-naive" }
 
-// Snapshot implements Rewindable.
+// Snapshot implements workload.Rewindable.
 func (s *SeasonalNaive) Snapshot(store any) any { return snapshotHist(store, s.hist) }
 
-// Restore implements Rewindable.
+// Restore implements workload.Rewindable.
 func (s *SeasonalNaive) Restore(store any) {
 	s.hist = append(s.hist[:0], store.(*histSnap).hist...)
 }
@@ -313,10 +305,10 @@ func (a *AR) Predict() float64 {
 // Name implements Forecaster.
 func (a *AR) Name() string { return "ar" }
 
-// Snapshot implements Rewindable.
+// Snapshot implements workload.Rewindable.
 func (a *AR) Snapshot(store any) any { return snapshotHist(store, a.hist) }
 
-// Restore implements Rewindable.
+// Restore implements workload.Rewindable.
 func (a *AR) Restore(store any) {
 	a.hist = append(a.hist[:0], store.(*histSnap).hist...)
 }

@@ -8,16 +8,16 @@ import (
 )
 
 // SnapshotFieldAnalyzer verifies snapshot coverage: for every type that
-// carries a Snapshot/Restore (or Snap/Reset) method pair in the
-// stateful simulation packages, every persistent struct field must be
-// referenced by the Snapshot side and by the Restore side (directly or
-// through helper methods of the same type). The MPC lookahead,
-// checkpoint forks, and the whole bit-identity contract of
-// run→snapshot→restore→continue rest on snapshots being complete: a
-// field added to a stateful type but forgotten in its snapshot pair
-// corrupts restored runs silently, and only a golden test that happens
-// to exercise the field would ever notice. This analyzer turns that
-// heisenbug into a CI failure.
+// carries a Snapshot/Restore method pair in the stateful simulation
+// packages, every persistent struct field must be referenced by the
+// Snapshot side and by the Restore side (directly or through helper
+// methods of the same type). The MPC lookahead, checkpoint forks, pooled
+// replication contexts (which rewind by restoring zero snapshots), and
+// the whole bit-identity contract of run→snapshot→restore→continue rest
+// on snapshots being complete: a field added to a stateful type but
+// forgotten in its snapshot pair corrupts restored runs silently, and
+// only a golden test that happens to exercise the field would ever
+// notice. This analyzer turns that heisenbug into a CI failure.
 //
 // Persistent means mutated: a field counts only if package code outside
 // the snapshot pair (and outside plain constructor functions returning
@@ -41,12 +41,6 @@ var SnapshotFieldAnalyzer = &Analyzer{
 	Run:           runSnapshotField,
 }
 
-// snapPairs are the recognized method-name pairs, capture side first.
-var snapPairs = [][2]string{
-	{"Snapshot", "Restore"},
-	{"Snap", "Reset"},
-}
-
 // typeMethods indexes one named struct type's method declarations.
 type typeMethods struct {
 	name    *types.TypeName
@@ -68,46 +62,43 @@ func runSnapshotField(pass *Pass) {
 		if !ok {
 			continue
 		}
-		for _, pair := range snapPairs {
-			capture, haveCap := tm.methods[pair[0]]
-			restore, haveRes := tm.methods[pair[1]]
-			if !haveCap || !haveRes {
+		capture, haveCap := tm.methods["Snapshot"]
+		restore, haveRes := tm.methods["Restore"]
+		if !haveCap || !haveRes {
+			continue
+		}
+		capMentions, capAll, capDecls := fieldMentions(pass, tm, capture)
+		resMentions, resAll, resDecls := fieldMentions(pass, tm, restore)
+		excluded := constructorDecls(pass, tm)
+		for fd := range capDecls {
+			excluded[fd] = true
+		}
+		for fd := range resDecls {
+			excluded[fd] = true
+		}
+		for _, field := range st.Fields.List {
+			if ephemeralField(field) {
 				continue
 			}
-			capMentions, capAll, capDecls := fieldMentions(pass, tm, capture)
-			resMentions, resAll, resDecls := fieldMentions(pass, tm, restore)
-			excluded := constructorDecls(pass, tm)
-			for fd := range capDecls {
-				excluded[fd] = true
-			}
-			for fd := range resDecls {
-				excluded[fd] = true
-			}
-			for _, field := range st.Fields.List {
-				if ephemeralField(field) {
+			for _, id := range field.Names {
+				if id.Name == "_" {
 					continue
 				}
-				for _, id := range field.Names {
-					if id.Name == "_" {
-						continue
-					}
-					obj, _ := pass.TypesInfo.Defs[id].(*types.Var)
-					if obj == nil || !mutatedOutside(mutations[obj], excluded) {
-						continue // never mutated after construction: nothing to snapshot
-					}
-					if !capAll && !capMentions[id.Name] {
-						pass.Reportf(id.Pos(), "mutated field %s.%s is not referenced in %s; "+
-							"a restored run silently keeps its future value — snapshot it or mark it "+
-							"//vmprov:ephemeral -- <reason>", n, id.Name, pair[0])
-					}
-					if !resAll && !resMentions[id.Name] {
-						pass.Reportf(id.Pos(), "mutated field %s.%s is not referenced in %s; "+
-							"a restored run silently keeps its future value — restore it or mark it "+
-							"//vmprov:ephemeral -- <reason>", n, id.Name, pair[1])
-					}
+				obj, _ := pass.TypesInfo.Defs[id].(*types.Var)
+				if obj == nil || !mutatedOutside(mutations[obj], excluded) {
+					continue // never mutated after construction: nothing to snapshot
+				}
+				if !capAll && !capMentions[id.Name] {
+					pass.Reportf(id.Pos(), "mutated field %s.%s is not referenced in Snapshot; "+
+						"a restored run silently keeps its future value — snapshot it or mark it "+
+						"//vmprov:ephemeral -- <reason>", n, id.Name)
+				}
+				if !resAll && !resMentions[id.Name] {
+					pass.Reportf(id.Pos(), "mutated field %s.%s is not referenced in Restore; "+
+						"a restored run silently keeps its future value — restore it or mark it "+
+						"//vmprov:ephemeral -- <reason>", n, id.Name)
 				}
 			}
-			break // one pair per type: Snapshot/Restore wins over Snap/Reset
 		}
 	}
 }

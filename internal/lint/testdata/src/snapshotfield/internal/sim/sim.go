@@ -75,12 +75,12 @@ func (t *Tree) rewind(s *TreeSnap) {
 	t.size = s.Size
 }
 
-// Meter exercises the Snap/Reset pair and the running-max shape: the
-// comparison in Observe puts peak on the RIGHT of >, which is a real
-// mutation, not defaulting normalization.
+// Meter exercises the running-max shape: the comparison in Observe puts
+// peak on the RIGHT of >, which is a real mutation, not defaulting
+// normalization.
 type Meter struct {
 	total float64
-	peak  float64 // want `mutated field Meter\.peak is not referenced in Snap` `mutated field Meter\.peak is not referenced in Reset`
+	peak  float64 // want `mutated field Meter\.peak is not referenced in Snapshot` `mutated field Meter\.peak is not referenced in Restore`
 }
 
 func (m *Meter) Observe(v float64) {
@@ -90,9 +90,9 @@ func (m *Meter) Observe(v float64) {
 	}
 }
 
-func (m *Meter) Snap() float64  { return m.total }
-func (m *Meter) Reset()         { m.total = 0 }
-func (m *Meter) Total() float64 { return m.total }
+func (m *Meter) Snapshot(s *float64) { *s = m.total }
+func (m *Meter) Restore(s *float64)  { m.total = *s }
+func (m *Meter) Total() float64      { return m.total }
 
 // Allowed documents the escape hatch: a mutated uncovered field with a
 // line-above suppression.

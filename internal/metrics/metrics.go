@@ -94,6 +94,9 @@ func NewCollector(ts float64) *Collector {
 	}
 }
 
+// Ts returns the QoS response-time target the collector was built for.
+func (c *Collector) Ts() float64 { return c.ts }
+
 // clientStats accumulates one client cohort's view of the run. Like
 // classStats, only the mean response is reported per client, so plain
 // sums suffice.
@@ -153,40 +156,14 @@ func (c *Collector) class(class int) *classStats {
 	return cs
 }
 
-// Reset rewinds the collector for a fresh run with QoS target ts,
-// retaining the histogram buckets, the series buffer, and the class map
-// so a pooled replication context reuses a warmed collector without
-// allocating. TrackSeries is cleared; re-enable it after Reset if needed.
-func (c *Collector) Reset(ts float64) {
-	c.ts = ts
-	c.responses = stats.Welford{}
-	c.respHist.Reset(0, 4*ts)
-	c.execSum, c.waitSum = 0, 0
-	c.accepted, c.rejected, c.violated, c.missed = 0, 0, 0, 0
-	c.class0 = classStats{}
-	clear(c.classes)
-	clear(c.clients)
-	c.instances = stats.TimeWeighted{}
-	c.everScaled = false
-	c.vmSeconds, c.busySeconds = 0, 0
-	c.crashes, c.retries, c.lost, c.requeued, c.shortfalls = 0, 0, 0, 0, 0
-	c.repairs, c.repairSum = 0, 0
-	c.deficit = stats.TimeWeighted{}
-	c.deficitSeen = false
-	c.arrived, c.inFlight, c.shed = 0, 0, 0
-	c.zoneOutages, c.zoneDownSum, c.zonesDown = 0, 0, 0
-	c.breakerTrips, c.breakerRecoveries = 0, 0
-	c.faultSeen, c.lastFaultT = false, 0
-	c.inDeficit, c.healedAt = false, 0
-	c.TrackSeries = false
-	c.Series = c.Series[:0]
-}
-
 // CollectorSnap holds one captured Collector state (see Snapshot). The
 // zero value is ready to use; buffers and maps are reused across
-// captures, so a pooled snapshot costs O(live state).
+// captures, so a pooled snapshot costs O(live state). The QoS target
+// and histogram range are construction-time config and are not
+// captured, so restoring the zero CollectorSnap rewinds the collector to
+// its just-constructed state, keeping the histogram buckets, the series
+// buffer and the class map for reuse.
 type CollectorSnap struct {
-	ts          float64
 	responses   stats.Welford
 	respHist    stats.HistSnap
 	execSum     float64
@@ -233,7 +210,6 @@ type CollectorSnap struct {
 // snap, reusing snap's buffers. The series is captured as a length — it
 // is append-only, so a restore truncates instead of copying history.
 func (c *Collector) Snapshot(snap *CollectorSnap) {
-	snap.ts = c.ts
 	snap.responses = c.responses
 	c.respHist.Snapshot(&snap.respHist)
 	snap.execSum, snap.waitSum = c.execSum, c.waitSum
@@ -275,7 +251,6 @@ func (c *Collector) Snapshot(snap *CollectorSnap) {
 // and per-client accumulators are restored in place where possible so
 // the common restore path does not allocate.
 func (c *Collector) Restore(snap *CollectorSnap) {
-	c.ts = snap.ts
 	c.responses = snap.responses
 	c.respHist.Restore(&snap.respHist)
 	c.execSum, c.waitSum = snap.execSum, snap.waitSum

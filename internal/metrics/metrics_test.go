@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"vmprov/internal/stats"
 	"vmprov/internal/workload"
 )
 
@@ -161,7 +164,7 @@ func TestEverScaledLatch(t *testing.T) {
 		t.Fatalf("never-scaled run reported instance stats: %+v", r)
 	}
 
-	c.Reset(1)
+	c.Restore(&CollectorSnap{})
 	c.SetInstances(0, 0)
 	c.SetInstances(10, 4)
 	c.SetInstances(20, 0)
@@ -174,11 +177,74 @@ func TestEverScaledLatch(t *testing.T) {
 		t.Fatalf("avg instances = %v, want 1", r.AvgInstances)
 	}
 
-	// Reset must clear the latch, not carry it into the next replication.
-	c.Reset(1)
+	// Restoring the zero snapshot must clear the latch, not carry it into
+	// the next replication.
+	c.Restore(&CollectorSnap{})
 	c.SetInstances(0, 0)
 	if r = c.Result("p", 5); r.MaxInstances != 0 || r.AvgInstances != 0 {
-		t.Fatalf("latch survived Reset: %+v", r)
+		t.Fatalf("latch survived restoring the zero snapshot: %+v", r)
+	}
+}
+
+// record drives every accounting path of c. Values scale with k, so
+// state left over from a run at another k shows in the result.
+func record(c *Collector, k float64) {
+	c.TrackSeries = true
+	c.DeclareClients([]workload.ClientInfo{{Name: fmt.Sprint("declared", k), SLOClass: "batch"}})
+	for i := 0; i < 4; i++ {
+		t := k * float64(i+1)
+		q := workload.Request{Arrival: t, Class: i % 3, Client: fmt.Sprint("c", k*float64(i%2)), Deadline: t + k/2}
+		c.Arrive()
+		c.Complete(q, t+0.1*k, t+k)
+		c.Reject(q)
+		c.Displace(q)
+		c.Shed(q)
+		c.SetInstances(t, i*int(k))
+		c.InstanceRetired(10*k, 5*k)
+		c.Crash()
+		c.Retry()
+		c.Lost()
+		c.Requeue()
+		c.CapacityShortfall()
+		c.RepairDone(k)
+		c.SetDeficit(t, 0.1*k*float64(i%2))
+		c.ZoneOutage()
+		c.BreakerTrip()
+		c.BreakerRecover()
+		c.FaultAt(t)
+	}
+	c.ZoneRestored(k)
+	c.SetInFlight(uint64(k))
+	c.AddFluidWindow(FluidWindow{Accepted: 3, Rejected: 1, Violated: 1,
+		Resp: stats.Summary(3, k, k, 0, 2*k), ExecSum: k, WaitSum: k, BusySeconds: k})
+}
+
+// TestCollectorZeroSnapshot: restoring the zero CollectorSnap returns a
+// collector dirtied on every accounting path to its just-constructed
+// state, so it reports exactly what a new one does, both at once and
+// after the same run.
+func TestCollectorZeroSnapshot(t *testing.T) {
+	c, fresh := NewCollector(2), NewCollector(2)
+	record(c, 3)
+	c.Restore(&CollectorSnap{})
+	if c.TrackSeries || len(c.Series) != 0 {
+		t.Fatalf("series survived restoring the zero snapshot: track=%v len=%d", c.TrackSeries, len(c.Series))
+	}
+	if got, want := c.Result("p", 0), fresh.Result("p", 0); !Equal(got, want) {
+		t.Fatalf("result after restoring the zero snapshot\n%+v\nnew collector\n%+v", got, want)
+	}
+	record(c, 1)
+	record(fresh, 1)
+	if got, want := c.Result("p", 10), fresh.Result("p", 10); !Equal(got, want) {
+		t.Fatalf("result of a run after restoring the zero snapshot\n%+v\nnew collector\n%+v", got, want)
+	}
+	if !slices.Equal(c.Series, fresh.Series) {
+		t.Fatalf("series %v, new collector %v", c.Series, fresh.Series)
+	}
+	v1, r1, l1, s1 := c.ObjectiveState(10)
+	v2, r2, l2, s2 := fresh.ObjectiveState(10)
+	if v1 != v2 || r1 != r2 || l1 != l2 || s1 != s2 {
+		t.Fatalf("objective state (%d %d %d %v), new collector (%d %d %d %v)", v1, r1, l1, s1, v2, r2, l2, s2)
 	}
 }
 
@@ -255,10 +321,10 @@ func TestClientResults(t *testing.T) {
 		t.Fatalf("run totals wrong: %+v", r)
 	}
 
-	// Reset drops the declarations and the rows.
-	c.Reset(2.0)
+	// Restoring the zero snapshot drops the declarations and the rows.
+	c.Restore(&CollectorSnap{})
 	if got := c.Result("p", 10).Clients; got != nil {
-		t.Fatalf("client rows survived Reset: %+v", got)
+		t.Fatalf("client rows survived restoring the zero snapshot: %+v", got)
 	}
 
 	// An undeclared tag still earns a row, with no SLO class.

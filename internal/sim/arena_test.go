@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -165,6 +166,52 @@ func TestSameTimeOrderAcrossReuse(t *testing.T) {
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-time events fired out of insertion order: %v", order)
+		}
+	}
+}
+
+// TestResetMatchesNew: Reset restores the zero snapshot, which is the
+// initial state, so a dirtied simulator — clock advanced, events pending
+// in the heap and the deferred slot, callbacks registered, handles
+// outstanding — then runs a script with the same firing order, clock,
+// Processed and Pending as a new one, and its pre-Reset events never
+// fire.
+func TestResetMatchesNew(t *testing.T) {
+	script := func(s *Sim, order *[]int) {
+		rec := func(a any) { *order = append(*order, a.(int)) }
+		s.ScheduleFire(2, s.RegisterFire(rec, 100))
+		s.DeferReserved(1, s.ReserveSeq(), s.RegisterFire(rec, 200))
+		for i := 0; i < 6; i++ {
+			s.ScheduleFunc(float64(i%3), rec, i)
+		}
+		s.Cancel(s.Schedule(1.5, func() { *order = append(*order, -1) }))
+		s.Every(0.5, 1, func(float64) { *order = append(*order, 300) })
+		s.RunUntil(4)
+	}
+	dirty := New()
+	script(dirty, new([]int))
+	stale := dirty.Schedule(10, func() { t.Error("pre-Reset event fired") })
+	dirty.DeferReserved(20, dirty.ReserveSeq(), dirty.RegisterFire(func(any) { t.Error("pre-Reset slot event fired") }, nil))
+	dirty.Reset()
+	if dirty.Now() != 0 || dirty.Processed() != 0 || dirty.Pending() != 0 {
+		t.Fatalf("after Reset: now=%v processed=%d pending=%d, want all zero", dirty.Now(), dirty.Processed(), dirty.Pending())
+	}
+	if dirty.Cancel(stale) {
+		t.Fatal("Cancel of a pre-Reset handle succeeded")
+	}
+	fresh := New()
+	var got, want []int
+	script(dirty, &got)
+	script(fresh, &want)
+	for _, end := range []float64{4, 25} {
+		dirty.RunUntil(end)
+		fresh.RunUntil(end)
+		if !slices.Equal(got, want) {
+			t.Fatalf("firing order through t=%v after Reset %v, new simulator %v", end, got, want)
+		}
+		if dirty.Now() != fresh.Now() || dirty.Processed() != fresh.Processed() || dirty.Pending() != fresh.Pending() {
+			t.Fatalf("at t=%v after Reset: now=%v processed=%d pending=%d; new simulator now=%v processed=%d pending=%d",
+				end, dirty.Now(), dirty.Processed(), dirty.Pending(), fresh.Now(), fresh.Processed(), fresh.Pending())
 		}
 	}
 }

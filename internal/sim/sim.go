@@ -78,7 +78,8 @@ type heapEntry struct {
 
 // FireID is a handle to an interned (callback, arg) pair, obtained from
 // RegisterFire and consumed by ScheduleFire/DeferReserved. Handles are
-// invalidated by Reset.
+// invalidated by a Restore to a snapshot taken before they were
+// registered, Reset included.
 type FireID int32
 
 // fireRef is one interned fire-and-forget callback.
@@ -151,32 +152,10 @@ func New() *Sim {
 }
 
 // Reset rewinds the simulator to its initial state — clock at zero, no
-// pending events, sequence and processed counters cleared — while
-// retaining the arena and heap capacity grown by previous runs. All
-// outstanding Event handles are invalidated (their generation counters
-// advance), so Cancel on a pre-Reset handle is a safe no-op. A warmed-up
-// Sim therefore runs subsequent replications without allocating.
-func (s *Sim) Reset() {
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		n.fn, n.afn, n.arg = nil, nil, nil
-		n.gen++
-		n.pos = noEvent
-		n.next = int32(i) - 1
-	}
-	s.free = int32(len(s.nodes)) - 1
-	// Heap entries are pointer-free, so truncating cannot pin anything;
-	// the fire registry does hold callbacks and args and must be cleared.
-	s.heap = s.heap[:0]
-	clear(s.fires)
-	s.fires = s.fires[:0]
-	s.now = 0
-	s.seq = 0
-	s.processed = 0
-	s.stopped = false
-	s.slotSet = false
-	s.until = math.Inf(1)
-}
+// pending events, counters cleared — by restoring an empty Snapshot: the
+// zero value but for its free-list head, which must read "no free slot".
+// The arena and heap keep the capacity grown by previous runs.
+func (s *Sim) Reset() { s.Restore(&Snapshot{free: noEvent}) }
 
 // Snapshot captures the simulator's complete state — clock, sequence and
 // processed counters, arena (including generation counters and the free
@@ -313,8 +292,9 @@ func (s *Sim) AtFunc(t float64, fn func(any), arg any) Event {
 // and DeferReserved, returning its handle. A long-lived event source
 // (an application instance, an arrival walker) registers once and then
 // schedules through the handle at zero marginal cost; keeping the pair
-// out of the heap entries keeps those entries pointer-free. Handles are
-// invalidated by Reset and must be re-registered each run.
+// out of the heap entries keeps those entries pointer-free. Handles
+// registered after a snapshot are invalidated by restoring it, so they
+// must be re-registered each run.
 func (s *Sim) RegisterFire(fn func(any), arg any) FireID {
 	s.fires = append(s.fires, fireRef{fn: fn, arg: arg})
 	return FireID(len(s.fires) - 1)

@@ -186,19 +186,6 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n), widthIn: float64(n) / (hi - lo)}
 }
 
-// Reset clears all counts and re-ranges the histogram over [lo, hi),
-// keeping the bucket array so a pooled collector reuses it without
-// allocating.
-func (h *Histogram) Reset(lo, hi float64) {
-	if hi <= lo {
-		panic("stats: Histogram.Reset requires hi > lo")
-	}
-	h.Lo, h.Hi = lo, hi
-	clear(h.Counts)
-	h.Under, h.Over, h.total = 0, 0, 0
-	h.widthIn = float64(len(h.Counts)) / (hi - lo)
-}
-
 // Add records one observation.
 func (h *Histogram) Add(x float64) {
 	h.total++
@@ -279,31 +266,28 @@ func (h *Histogram) AddShape(src *Histogram, n uint64) {
 }
 
 // HistSnap holds one captured Histogram state (see Histogram.Snapshot).
+// The range is construction-time config and is not captured, so the
+// zero HistSnap is the empty histogram.
 type HistSnap struct {
-	lo, hi  float64
-	counts  []uint64
-	under   uint64
-	over    uint64
-	total   uint64
-	widthIn float64
+	counts []uint64
+	under  uint64
+	over   uint64
+	total  uint64
 }
 
-// Snapshot captures the histogram's counts and range into snap, reusing
-// snap's bucket buffer.
+// Snapshot captures the histogram's counts into snap, reusing snap's
+// bucket buffer.
 func (h *Histogram) Snapshot(snap *HistSnap) {
-	snap.lo, snap.hi = h.Lo, h.Hi
 	snap.counts = append(snap.counts[:0], h.Counts...)
 	snap.under, snap.over, snap.total = h.Under, h.Over, h.total
-	snap.widthIn = h.widthIn
 }
 
-// Restore rewinds the histogram to a captured state. The bucket count
-// must match, which holds for snapshots taken from the same histogram.
+// Restore rewinds the histogram to a captured state: buckets past the
+// captured counts are emptied, so restoring the zero HistSnap clears
+// the histogram while keeping its range and bucket array.
 func (h *Histogram) Restore(snap *HistSnap) {
-	h.Lo, h.Hi = snap.lo, snap.hi
-	copy(h.Counts, snap.counts)
+	clear(h.Counts[copy(h.Counts, snap.counts):])
 	h.Under, h.Over, h.total = snap.under, snap.over, snap.total
-	h.widthIn = snap.widthIn
 }
 
 // Quantile returns an approximate q-quantile (0 ≤ q ≤ 1) assuming uniform

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,31 @@ func TestHistogramOutOfRange(t *testing.T) {
 	h.Add(10) // hi is exclusive
 	if h.Under != 1 || h.Over != 2 {
 		t.Fatalf("under/over = %d/%d", h.Under, h.Over)
+	}
+}
+
+// TestHistogramZeroSnapshot: restoring the zero HistSnap empties every
+// bucket and keeps the range, so the histogram then counts and reports
+// quantiles exactly like a new one.
+func TestHistogramZeroSnapshot(t *testing.T) {
+	h := NewHistogram(0, 10, 10)
+	for _, x := range []float64{-1, 0.5, 3, 3, 7.5, 9.9, 12} {
+		h.Add(x)
+	}
+	h.Restore(&HistSnap{})
+	fresh := NewHistogram(0, 10, 10)
+	for _, x := range []float64{1, 1, 2, 4.5} {
+		h.Add(x)
+		fresh.Add(x)
+	}
+	if !reflect.DeepEqual(h.Counts, fresh.Counts) || h.Under != fresh.Under || h.Over != fresh.Over || h.Total() != fresh.Total() {
+		t.Fatalf("restored histogram counts %v under=%d over=%d total=%d, new one %v under=%d over=%d total=%d",
+			h.Counts, h.Under, h.Over, h.Total(), fresh.Counts, fresh.Under, fresh.Over, fresh.Total())
+	}
+	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
+		if got, want := h.Quantile(q), fresh.Quantile(q); got != want {
+			t.Errorf("Quantile(%v) = %v after restoring the zero snapshot, new histogram %v", q, got, want)
+		}
 	}
 }
 

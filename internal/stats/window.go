@@ -19,13 +19,6 @@ func NewWindow(n int) *Window {
 	return &Window{buf: make([]float64, n)}
 }
 
-// Reset empties the window, keeping its buffer.
-func (w *Window) Reset() {
-	w.next = 0
-	w.full = false
-	w.sum = 0
-}
-
 // Add pushes one observation, evicting the oldest when full.
 func (w *Window) Add(x float64) {
 	if w.full {
@@ -78,9 +71,10 @@ func (w *Window) Snapshot(snap *WindowSnap) {
 	snap.sum = w.sum
 }
 
-// Restore rewinds the window to a captured state.
+// Restore rewinds the window to a captured state; restoring the zero
+// WindowSnap empties it.
 func (w *Window) Restore(snap *WindowSnap) {
-	copy(w.buf, snap.buf)
+	clear(w.buf[copy(w.buf, snap.buf):])
 	w.next = snap.next
 	w.full = snap.full
 	w.sum = snap.sum

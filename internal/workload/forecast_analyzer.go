@@ -58,11 +58,11 @@ type forecastSnap struct {
 }
 
 // Snapshot implements Rewindable; it requires a forecaster that also
-// implements the protocol (every forecaster in internal/forecast does).
+// implements it (every forecaster in internal/forecast does).
 func (fa *ForecastAnalyzer) Snapshot(store any) any {
-	rw, ok := fa.Forecaster.(forecast.Rewindable)
+	rw, ok := fa.Forecaster.(Rewindable)
 	if !ok {
-		panic("workload: ForecastAnalyzer snapshot needs a forecast.Rewindable forecaster")
+		panic("workload: ForecastAnalyzer snapshot needs a Rewindable forecaster")
 	}
 	sn, _ := store.(*forecastSnap)
 	if sn == nil {
@@ -77,5 +77,5 @@ func (fa *ForecastAnalyzer) Snapshot(store any) any {
 func (fa *ForecastAnalyzer) Restore(store any) {
 	sn := store.(*forecastSnap)
 	fa.count = sn.count
-	fa.Forecaster.(forecast.Rewindable).Restore(sn.fc)
+	fa.Forecaster.(Rewindable).Restore(sn.fc)
 }
