@@ -60,11 +60,12 @@ sweep-race:
 
 # Fault-injection smoke: a short fault panel sweeps under the race
 # detector (TestSweepFault*), the self-healing provisioner's fault
-# tests run under -race, and the committed fault panel runs end to end
-# through -spec.
+# tests and the committed-floor invariant the MPC search prunes on
+# (TestCommittedFloor*) run under -race, and the committed fault panel
+# runs end to end through -spec.
 fault-smoke:
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestSweepFault'
-	$(GO) test -race -count=1 ./internal/provision -run 'TestRetry|TestCrash|TestBootFailure|TestStaleBoot|TestTransientRelease|TestGracefulDegradation|TestReactivated|TestCeiling'
+	$(GO) test -race -count=1 ./internal/provision -run 'TestRetry|TestCrash|TestBootFailure|TestStaleBoot|TestTransientRelease|TestGracefulDegradation|TestReactivated|TestCeiling|TestCommittedFloor'
 	$(GO) run ./cmd/vmprovsim -spec examples/specs/web_fault_panel.json > /dev/null
 
 # Chaos smoke: the correlated failure-domain suite — breaker, shed, and
@@ -113,6 +114,7 @@ ff-smoke:
 # Snapshot/restore smoke: the bit-identity property suite (exact +
 # hybrid + fault-enabled + MPC, nested stacks, checkpoint forks, worker
 # counts 1/4/8 with pooled contexts) under the race detector, including
+# TestMPCGolden (the MPC controller's decisions, pinned bit for bit) and
 # TestMPCBeatsWorstBaseline (the MPC policy must not lose to every
 # baseline on its own objective), and the federation snapshot tests.
 snapshot-smoke:

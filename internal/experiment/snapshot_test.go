@@ -284,12 +284,15 @@ func TestMPCPolicyRegistry(t *testing.T) {
 // whole-run objective — VM-seconds plus one VM-second per QoS violation,
 // rejection, and crash-lost request, the cost it minimises per lookahead —
 // is no worse than the worst baseline it co-simulates against. A
-// controller that loses to every baseline is broken.
+// controller that loses to every baseline is broken. The panel runs at
+// web scale 0.1 over three hours, where Adaptive changes fleet size; at
+// smaller scales it holds one size and is just another static rung.
 func TestMPCBeatsWorstBaseline(t *testing.T) {
-	ps, err := MPCPanel(0.02, 1, 1)
+	ps, err := MPCPanel(0.1, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ps.Scenarios[0].Horizon = 3 * 3600
 	panel, err := ps.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +302,18 @@ func TestMPCBeatsWorstBaseline(t *testing.T) {
 	}
 	rows := panel.Run(SweepOptions{})[0].Results
 	mpcRow, baselines := rows[0], rows[1:] // the panel lists mpc:600 first
+	dynamic := false
+	for _, r := range baselines {
+		if r.Policy == AdaptivePolicy().Name {
+			if r.MinInstances == r.MaxInstances {
+				t.Fatalf("Adaptive held %d instances all run: the panel has no dynamic baseline", r.MinInstances)
+			}
+			dynamic = true
+		}
+	}
+	if !dynamic {
+		t.Fatal("the panel has no Adaptive baseline")
+	}
 	worst := baselines[0]
 	for _, r := range baselines[1:] {
 		if objective(r) > objective(worst) {

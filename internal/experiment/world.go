@@ -300,8 +300,9 @@ func (w *World) Perturb(u uint64) { w.rng.Perturb(u) }
 
 // Objective reports the cumulative cost and QoS quantities a
 // model-predictive scorer differences across a lookahead: QoS
-// violations, rejections, crash-lost requests, and VM-seconds of
-// committed capacity through time t.
+// violations, rejections, crash-lost requests, and VM-seconds through
+// time t — the integral of the running-instance count, which counts
+// booting, active and draining instances.
 func (w *World) Objective(t float64) (violated, rejected, lost uint64, vmSeconds float64) {
 	return w.col.ObjectiveState(t)
 }

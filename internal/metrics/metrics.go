@@ -304,9 +304,9 @@ func (c *Collector) Restore(snap *CollectorSnap) {
 
 // ObjectiveState reports the cumulative quantities a model-predictive
 // scorer differences across a co-simulated lookahead: QoS violations,
-// rejections, crash-lost requests, and the integral of the
-// running-instance count (VM-seconds of committed capacity) through
-// time t.
+// rejections, crash-lost requests, and VM-seconds through time t — the
+// integral of the running-instance count SetInstances records, which
+// counts booting, active and draining instances.
 func (c *Collector) ObjectiveState(t float64) (violated, rejected, lost uint64, vmSeconds float64) {
 	return c.violated, c.rejected, c.lost, c.instances.Integral(t)
 }

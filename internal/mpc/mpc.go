@@ -29,11 +29,36 @@
 //     bit-identical to a run that never looked ahead — only the
 //     committed targets differ.
 //
+// The search over candidates is an exact branch-and-bound. The clipped
+// committed size is scored first, then the other candidates in ascending
+// order; the lowest score wins and equal scores go to the smaller fleet.
+// Each candidate runs in lookaheadSlices equal slices of the horizon, and
+// before the first slice and after every slice a lower bound on its final
+// score is compared with the incumbent's. A candidate whose bound already
+// loses under the tie rule is abandoned there, so a pruned candidate has
+// no final score. The bound is the score accrued so far plus the
+// VM-second cost the rest of the horizon must still add:
+//
+//   - The accrued score never decreases over a lookahead, exactly so in
+//     float64: its counts and the VM-seconds integral only grow, and
+//     every operation combining them rounds monotonically.
+//   - Until the next SetTarget the fleet keeps at least
+//     Provisioner.CommittedFloor instances running (the committed size
+//     without a fault model, 0 with one), so the VM-seconds integral
+//     grows at least that fast. That term is compared with a margin that
+//     covers float64 rounding at the magnitude of the cumulative
+//     VM-seconds; a candidate inside the margin runs to the end.
+//
+// A candidate is therefore pruned only when its full lookahead would have
+// lost, and the committed target is the one exhaustive search picks.
+//
 // One caveat: an external trace recorder is I/O and cannot be rewound,
-// so tracing an MPC run records lookahead events alongside real ones.
+// so tracing an MPC run records lookahead events alongside real ones —
+// for a pruned candidate, only the part of its lookahead that ran.
 package mpc
 
 import (
+	"math"
 	"strconv"
 
 	"vmprov/internal/provision"
@@ -55,7 +80,9 @@ type World interface {
 	// Perturb decorrelates every random stream from the real future.
 	Perturb(u uint64)
 	// Objective reports cumulative QoS violations, rejections,
-	// crash-lost requests, and VM-seconds of committed capacity at t.
+	// crash-lost requests, and VM-seconds through t: the integral of the
+	// running-instance count, which counts booting, active and draining
+	// instances.
 	Objective(t float64) (violated, rejected, lost uint64, vmSeconds float64)
 }
 
@@ -80,6 +107,10 @@ type Controller struct {
 	// Candidates caps how many fleet sizes are tried per cycle. The set
 	// spreads geometrically around the currently committed size:
 	// {0, ±1, ±2, ±4, ...} offsets, clipped to [1, MaxVMs]. Default 5.
+	// The clipped committed size is evaluated first, then the others in
+	// ascending order. The lowest score wins, equal scores go to the
+	// smaller fleet, and a candidate abandoned because it provably cannot
+	// win has no final score.
 	Candidates int
 
 	// CostPerVMSecond weighs capacity cost in the objective. Default 1.
@@ -123,6 +154,13 @@ func (c *Controller) BindWorld(w World, lookahead *stats.RNG) {
 // Attach implements provision.Controller: it resolves defaults and
 // schedules the first sizing cycle at time zero.
 func (c *Controller) Attach(s *sim.Sim, p *Provisioner) {
+	c.bind(s, p)
+	s.AtFunc(0, fireCycle, c)
+}
+
+// bind resolves zero-valued knobs to their defaults and wires the
+// controller to the run's simulator and provisioner.
+func (c *Controller) bind(s *sim.Sim, p *Provisioner) {
 	if c.Horizon <= 0 {
 		panic("mpc: Controller.Horizon must be positive")
 	}
@@ -142,7 +180,6 @@ func (c *Controller) Attach(s *sim.Sim, p *Provisioner) {
 		c.BootPenalty = p.Config().BootDelay
 	}
 	c.s, c.p = s, p
-	s.AtFunc(0, fireCycle, c)
 }
 
 // Provisioner aliases provision.Provisioner so Attach matches the
@@ -156,9 +193,28 @@ func fireCycle(a any) {
 	a.(*Controller).runCycle()
 }
 
-// runCycle snapshots the run, co-simulates each candidate fleet size
-// Horizon seconds ahead, commits the cheapest, and schedules the next
-// cycle.
+// lookaheadSlices is how many equal slices of the horizon each candidate
+// future runs in; its pruning bound is checked before the first slice
+// and after each one. Consecutive RunUntil bounds are invisible to the
+// run, so slicing a lookahead leaves its final score bit-identical.
+const lookaheadSlices = 60
+
+// floorMargin is the relative margin the floor term of the pruning bound
+// is compared with. One float64 rounding is off by at most 2^-53 of its
+// magnitude; 2^-30 covers millions of VM-seconds accumulation steps
+// within one lookahead, far more than any fleet makes.
+const floorMargin = 0x1p-30
+
+// objective is the cumulative state World.Objective reports at one
+// instant.
+type objective struct {
+	violated, rejected, lost uint64
+	vmSeconds                float64
+}
+
+// runCycle snapshots the run, searches the candidate fleet sizes by
+// co-simulating each up to Horizon seconds ahead, commits the cheapest,
+// and schedules the next cycle.
 func (c *Controller) runCycle() {
 	if c.inSim {
 		panic("mpc: controller cycle fired inside its own lookahead")
@@ -173,27 +229,20 @@ func (c *Controller) runCycle() {
 	base := c.p.Committed()
 	c.candidates(base)
 
-	v0, r0, l0, vm0 := c.world.Objective(t)
+	var o0 objective
+	o0.violated, o0.rejected, o0.lost, o0.vmSeconds = c.world.Objective(t)
 	c.world.Snapshot()
-	best, bestScore := base, 0.0
-	for i, m := range c.cands {
+	// The first candidate runs against an infinite incumbent, which no
+	// finite bound beats, so it always runs to the end.
+	best, bestScore := 0, math.Inf(1)
+	for _, m := range c.cands {
 		c.inSim = true
 		c.world.Perturb(u)
 		c.p.SetTarget(m)
-		c.s.RunUntil(t + c.Horizon)
-		v1, r1, l1, vm1 := c.world.Objective(t + c.Horizon)
+		score, done := c.lookahead(o0, t, m, max(0, m-base), best, bestScore)
 		c.world.Restore()
 		c.inSim = false
-		boot := 0
-		if m > base {
-			boot = m - base
-		}
-		score := c.CostPerVMSecond*(vm1-vm0) +
-			c.ViolationPenalty*float64((v1-v0)+(r1-r0)+(l1-l0)) +
-			c.BootPenalty*float64(boot)
-		// Strict < with candidates ascending prefers the smaller fleet
-		// on ties.
-		if i == 0 || score < bestScore {
+		if done && (score < bestScore || score == bestScore && m < best) {
 			best, bestScore = m, score
 		}
 	}
@@ -205,9 +254,47 @@ func (c *Controller) runCycle() {
 	c.s.AtFunc(t+c.Cycle, fireCycle, c)
 }
 
+// lookahead runs candidate m, already committed at cycle start t, to
+// t+Horizon in lookaheadSlices slices and returns its score. It abandons
+// the candidate with done false as soon as a lower bound on that score
+// cannot beat the incumbent (best, bestScore) under the tie rule.
+func (c *Controller) lookahead(o0 objective, t float64, m, boot, best int, bestScore float64) (score float64, done bool) {
+	end := t + c.Horizon
+	floor := float64(c.p.CommittedFloor())
+	margin := floorMargin * (c.CostPerVMSecond*o0.vmSeconds + 2*bestScore)
+	tau := t
+	for k := 1; ; k++ {
+		score = c.partialScore(o0, tau, boot)
+		if tau == end {
+			return score, true
+		}
+		if score > bestScore || score == bestScore && m > best ||
+			score+c.CostPerVMSecond*floor*(end-tau)-margin > bestScore {
+			return score, false
+		}
+		tau = end
+		if k < lookaheadSlices {
+			tau = t + c.Horizon*float64(k)/lookaheadSlices
+		}
+		c.s.RunUntil(tau)
+	}
+}
+
+// partialScore is the objective a candidate accrued from the cycle start
+// (o0) through tau, with a penalty for the boot instances it launched
+// above the committed fleet. At tau = t+Horizon it is the candidate's
+// score; before that it is a lower bound on it (see the package doc).
+func (c *Controller) partialScore(o0 objective, tau float64, boot int) float64 {
+	v, r, l, vm := c.world.Objective(tau)
+	return c.CostPerVMSecond*(vm-o0.vmSeconds) +
+		c.ViolationPenalty*float64((v-o0.violated)+(r-o0.rejected)+(l-o0.lost)) +
+		c.BootPenalty*float64(boot)
+}
+
 // candidates fills c.cands with up to c.Candidates fleet sizes spread
 // around base: offsets 0, +1, -1, +2, -2, +4, -4, ... clipped to
-// [1, MaxVMs], deduplicated, ascending.
+// [1, MaxVMs], deduplicated. The clipped base comes first, the rest
+// ascending — the order runCycle evaluates them in.
 func (c *Controller) candidates(base int) {
 	maxVMs := c.p.Config().MaxVMs
 	c.cands = c.cands[:0]
@@ -236,9 +323,9 @@ func (c *Controller) candidates(base int) {
 			break
 		}
 	}
-	// Insertion sort: the set is tiny and nearly ordered.
-	for i := 1; i < len(c.cands); i++ {
-		for j := i; j > 0 && c.cands[j] < c.cands[j-1]; j-- {
+	// Insertion sort behind the base: the set is tiny and nearly ordered.
+	for i := 2; i < len(c.cands); i++ {
+		for j := i; j > 1 && c.cands[j] < c.cands[j-1]; j-- {
 			c.cands[j], c.cands[j-1] = c.cands[j-1], c.cands[j]
 		}
 	}

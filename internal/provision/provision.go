@@ -297,6 +297,20 @@ func (p *Provisioner) Running() int { return len(p.instances) }
 // are maintained at every state transition.
 func (p *Provisioner) Committed() int { return p.numBooting + p.numActive }
 
+// CommittedFloor returns a lower bound on Committed() that holds until
+// the next SetTarget: Committed() itself without a fault model, 0 with
+// one. Without injected faults only SetTarget lowers the committed count
+// (scale-down retires or drains); activations, drained retirements and
+// retries never do. Running() is never below Committed(), so the
+// collector's VM-seconds integral also grows by at least floor·Δt until
+// then. With a fault model, any crash may take a committed instance.
+func (p *Provisioner) CommittedFloor() int {
+	if p.fm != nil {
+		return 0
+	}
+	return p.Committed()
+}
+
 // Target returns the size most recently requested via SetTarget.
 func (p *Provisioner) Target() int { return p.target }
 
