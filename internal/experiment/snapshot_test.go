@@ -9,8 +9,9 @@ import (
 
 // snapshotCase is one (scenario, policy) pair the snapshot protocol is
 // property-tested on. The set spans the stateful surface: exact DES,
-// fault injection, the hybrid fluid engine, and the model-predictive
-// controller (which itself snapshots inside the run being snapshotted).
+// fault injection, the hybrid fluid engine, the model-predictive
+// controller (which itself snapshots inside the run being snapshotted),
+// and the scientific generator's day planner and task walker.
 type snapshotCase struct {
 	name string
 	sc   Scenario
@@ -38,7 +39,21 @@ func snapshotCases(t testing.TB) []snapshotCase {
 		{"fault-adaptive", faulty, AdaptivePolicy()},
 		{"hybrid-adaptive", hy, AdaptivePolicy()},
 		{"exact-mpc", web, mpcPol},
+		{"sci-adaptive", smallSci(), AdaptivePolicy()},
+		{"sci-mpc", smallSci(), mpcPol},
 	}
+}
+
+// smallSci is the scientific scenario at scale 0.1 over its first 12 h:
+// sixteen off-peak periods, the 08:00 peak start, and four peak hours.
+// Snapshotting at a third of the horizon and diverging to two thirds
+// runs the divergent future up to the peak start. Under MPC, a cycle
+// that shares an instant with an off-peak job fires after the job and
+// before its tasks, so lookaheads snapshot tasks that are still pending.
+func smallSci() Scenario {
+	sc := Sci(0.1)
+	sc.Horizon = 12 * 3600
+	return sc
 }
 
 // divergeAndRestore snapshots the world, simulates a deliberately
@@ -328,12 +343,17 @@ func TestMPCBeatsWorstBaseline(t *testing.T) {
 
 // FuzzSnapshotRestore fuzzes the bit-identity invariant over the snapshot
 // instant, the divergence length, the seed, and the scenario variant
-// (exact / hybrid / fault-enabled) on a small web scenario.
+// (exact / hybrid / fault-enabled) on a small web scenario, or on the
+// small scientific scenario when sci is set (faulty then has no effect,
+// and hybrid mode runs exact: the scientific source is not tick-shaped).
 func FuzzSnapshotRestore(f *testing.F) {
-	f.Add(uint64(1), uint8(85), uint8(170), false, false)
-	f.Add(uint64(7), uint8(32), uint8(200), true, false)
-	f.Add(uint64(42), uint8(128), uint8(64), false, true)
-	f.Add(uint64(3), uint8(250), uint8(5), true, true)
+	f.Add(uint64(1), uint8(85), uint8(170), false, false, false)
+	f.Add(uint64(7), uint8(32), uint8(200), true, false, false)
+	f.Add(uint64(42), uint8(128), uint8(64), false, true, false)
+	f.Add(uint64(3), uint8(250), uint8(5), true, true, false)
+	f.Add(uint64(5), uint8(80), uint8(120), false, false, true)
+	f.Add(uint64(11), uint8(230), uint8(30), false, false, true)
+	f.Add(uint64(13), uint8(10), uint8(250), true, false, true)
 	faultSp := func() Scenario {
 		sp := tinyFaultPanel(f, 1).Scenarios[0]
 		sp.Horizon = 900
@@ -344,11 +364,14 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		return sc
 	}()
-	f.Fuzz(func(t *testing.T, seed uint64, snapAt, divLen uint8, hybrid, faulty bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, snapAt, divLen uint8, hybrid, faulty, sci bool) {
 		sc := Web(0.02)
 		sc.Horizon = 900
 		if faulty {
 			sc = faultSp
+		}
+		if sci {
+			sc = smallSci()
 		}
 		if hybrid {
 			sc.Mode = ModeHybrid
@@ -367,8 +390,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		w.RunUntil(sc.Horizon)
 		got, _ := w.Finish()
 		if !metrics.Equal(got, want) {
-			t.Fatalf("seed=%d at=%v until=%v hybrid=%v faulty=%v: interrupted run differs:\ngot:  %+v\nwant: %+v",
-				seed, at, until, hybrid, faulty, got, want)
+			t.Fatalf("seed=%d at=%v until=%v hybrid=%v faulty=%v sci=%v: interrupted run differs:\ngot:  %+v\nwant: %+v",
+				seed, at, until, hybrid, faulty, sci, got, want)
 		}
 	})
 }

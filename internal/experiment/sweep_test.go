@@ -114,3 +114,25 @@ func TestRunContextReuse(t *testing.T) {
 		t.Fatalf("warmed pooled context differs from fresh RunOnce:\n%+v\n%+v", again, fresh1)
 	}
 }
+
+// TestRunContextSciAllocs bounds the heap allocations of a full-scale
+// scientific replication (Static-45, ≈8.4 k task arrivals) in a warm
+// pooled context. Task arrivals drain through the source's reusable
+// batch walker, so what allocates is per-replication assembly (source,
+// controller, RNG tree, ...), well under the bound; a generator that
+// allocates per task arrival lands near 8.4 k and fails.
+func TestRunContextSciAllocs(t *testing.T) {
+	sc := Sci(1)
+	pol := StaticPolicy(sc.StaticFleets[2])
+	rc := NewRunContext()
+	seed := uint64(1)
+	run := func() {
+		rc.Run(sc, pol, seed, RunOptions{})
+		seed++
+	}
+	run() // grow the pooled arena, heap and buffers
+	const limit = 1000
+	if allocs := testing.AllocsPerRun(3, run); allocs > limit {
+		t.Fatalf("%.0f allocations per pooled scientific replication, want ≤ %d", allocs, limit)
+	}
+}

@@ -11,11 +11,10 @@ import (
 // ticker refires without reallocating, so a closure there is a one-time
 // setup cost, not a per-event one.
 var hotScheduleMethods = map[string]bool{
-	"Schedule":       true,
-	"At":             true,
-	"ScheduleFunc":   true,
-	"AtFunc":         true,
-	"AtFuncReserved": true,
+	"Schedule":     true,
+	"At":           true,
+	"ScheduleFunc": true,
+	"AtFunc":       true,
 }
 
 // HotClosureAnalyzer flags closure literals passed to the kernel's

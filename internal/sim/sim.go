@@ -28,7 +28,7 @@
 //     (request completions, batched arrival walkers) can pass a static
 //     function and a pointer instead of capturing a fresh closure per
 //     event.
-//   - ReserveSeq/PeekNext/InlineFire/AtFuncReserved let a batched event
+//   - ReserveSeq/PeekNext/InlineFire/DeferReserved let a batched event
 //     source (the arrival walkers) consume events inline — advancing the
 //     clock without a heap push+pop per event — while remaining
 //     bit-identical to the scheduled execution order.
@@ -318,23 +318,14 @@ func (s *Sim) ScheduleFire(delay float64, f FireID) {
 
 // ReserveSeq consumes and returns the next insertion sequence number
 // without scheduling anything. It exists for batched event sources that
-// may either schedule the reserved event normally (AtFuncReserved) or
-// consume it inline (InlineFire); either way the sequence numbering — and
-// therefore the tie-break order of every later event — is identical to
-// having scheduled it eagerly.
+// may either schedule the reserved event (DeferReserved) or consume it
+// inline (InlineFire); either way the sequence numbering — and therefore
+// the tie-break order of every later event — is identical to having
+// scheduled it eagerly.
 func (s *Sim) ReserveSeq() uint64 {
 	sq := s.seq
 	s.seq++
 	return sq
-}
-
-// AtFuncReserved schedules fn at absolute time t under a sequence number
-// previously obtained from ReserveSeq. Events scheduled after the
-// reservation but before this call tie-break after the reserved event at
-// equal timestamps, exactly as if it had been inserted at reservation
-// time.
-func (s *Sim) AtFuncReserved(t float64, seq uint64, fn func(any), arg any) Event {
-	return s.insertSeq(t, seq, nil, fn, arg)
 }
 
 // DeferReserved schedules the registered callback f at absolute time t
@@ -417,14 +408,8 @@ func (s *Sim) InlineFire(t float64, seq uint64) {
 // and pushes it onto the pending heap under a fresh sequence number.
 // Exactly one of fn/afn is non-nil.
 func (s *Sim) insert(t float64, fn func(), afn func(any), arg any) Event {
-	sq := s.seq
+	seq := s.seq
 	s.seq++
-	return s.insertSeq(t, sq, fn, afn, arg)
-}
-
-// insertSeq is insert with an explicit sequence number (fresh or
-// reserved).
-func (s *Sim) insertSeq(t float64, seq uint64, fn func(), afn func(any), arg any) Event {
 	// !(t >= now) rejects NaN and past times; IsInf rejects +Inf (-Inf is
 	// already below now). Non-finite timestamps would sit in the heap
 	// forever, silently leaking the slot.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 
 	"vmprov/internal/sim"
@@ -89,7 +90,6 @@ func (sc *Scientific) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	run := &sciRun{
 		sc:   sc,
 		s:    s,
-		emit: emit,
 		arr:  r.Split("sci/arrivals"),
 		size: r.Split("sci/size"),
 		svc:  r.Split("sci/service"),
@@ -97,6 +97,7 @@ func (sc *Scientific) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 			S:      stats.Uniform{Min: 1, Max: 1 + sc.Jitter},
 			Factor: sc.BaseService,
 		},
+		wk: newBatchWalker(s, emit),
 	}
 	sc.run = run
 	run.planDay()
@@ -106,11 +107,12 @@ func (sc *Scientific) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 type sciSnap struct {
 	ids counter
 	day int
+	wk  walkerSnap
 }
 
 // Snapshot implements Rewindable: the planner's cross-event state is the
-// ID counter and the next day to plan; everything else lives in the
-// kernel and the RNG tree.
+// ID counter, the next day to plan, and the task walker's undrained
+// remnant; everything else lives in the kernel and the RNG tree.
 func (sc *Scientific) Snapshot(store any) any {
 	sn, _ := store.(*sciSnap)
 	if sn == nil {
@@ -119,6 +121,7 @@ func (sc *Scientific) Snapshot(store any) any {
 	sn.ids = sc.ids
 	if sc.run != nil {
 		sn.day = sc.run.day
+		sc.run.wk.snapshot(&sn.wk)
 	}
 	return sn
 }
@@ -129,42 +132,36 @@ func (sc *Scientific) Restore(store any) {
 	sc.ids = sn.ids
 	if sc.run != nil {
 		sc.run.day = sn.day
+		sn.wk.restore()
 	}
 }
 
 // sciRun is one replication's arrival-process state. The planner, the
 // off-peak batches, and the peak chain all schedule through package-level
-// callbacks sharing this single struct as their kernel arg, so the
-// steady-state arrival machinery allocates nothing per event; only each
-// task's arrival carries its own payload (sciTask). Callbacks that used
-// to capture their fire time read s.Now() instead, which returns the
-// stored event time bit-exactly.
+// callbacks sharing this single struct as their kernel arg, and each
+// job's tasks drain through one reused batch walker, so the arrival
+// machinery allocates nothing per event. Callbacks that used to capture
+// their fire time read s.Now() instead, which returns the stored event
+// time bit-exactly.
 type sciRun struct {
 	sc      *Scientific
 	s       *sim.Sim
-	emit    func(Request)
 	arr     *stats.RNG
 	size    *stats.RNG
 	svc     *stats.RNG
 	service stats.Scaled
-	day     int // next day to plan
+	day     int          // next day to plan
+	wk      *batchWalker // emits the current job's tasks
 }
 
-// sciTask carries one task's request to its arrival event.
-type sciTask struct {
-	run *sciRun
-	req Request
-}
-
-// emitSciTask delivers one task arrival.
-func emitSciTask(a any) {
-	t := a.(*sciTask)
-	t.run.emit(t.req)
-}
-
-// emitJob samples a job's task count and schedules each task's arrival
-// at time at.
+// emitJob samples a job's task count and service times and hands the
+// tasks, all arriving at time at, to the walker. No two jobs share an
+// instant and a job's tasks drain at its own, so the walker is idle
+// whenever a job fires.
 func (r *sciRun) emitJob(at float64) {
+	if r.wk.active() {
+		panic(fmt.Sprintf("workload: scientific job at t=%v while the previous job's tasks are still pending", at))
+	}
 	// Truncate, don't round: the size class is the integer part of
 	// the Weibull variate (at least one task). This reproduces the
 	// paper's reported volume of ≈8286 requests per simulated day;
@@ -173,14 +170,16 @@ func (r *sciRun) emitJob(at float64) {
 	if tasks < 1 {
 		tasks = 1
 	}
+	// IDs ascend at one arrival time: the batch is already in firing order.
+	batch := r.wk.batch[:0]
 	for i := 0; i < tasks; i++ {
-		req := Request{
+		batch = append(batch, Request{
 			ID:      r.sc.ids.next(),
 			Arrival: at,
 			Service: r.service.Sample(r.svc),
-		}
-		r.s.AtFunc(at, emitSciTask, &sciTask{run: r, req: req})
+		})
 	}
+	r.wk.launch(batch)
 }
 
 // sciChain advances the peak-hours self-scheduling interarrival chain,

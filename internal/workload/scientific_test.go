@@ -134,6 +134,52 @@ func TestScientificDeterministic(t *testing.T) {
 	}
 }
 
+// TestScientificTasksFireAtArrival: the job walker emits every task at
+// its own arrival instant, in generation (ID) order, and each task counts
+// as one kernel event.
+func TestScientificTasksFireAtArrival(t *testing.T) {
+	sc := NewScientific(1)
+	s := sim.New()
+	var prev Request
+	n, jobs := 0, 0
+	sc.Start(s, stats.NewRNG(5), func(q Request) {
+		if q.Arrival != s.Now() {
+			t.Fatalf("task %d emitted at t=%v, arrives at %v", q.ID, s.Now(), q.Arrival)
+		}
+		if n > 0 && (q.ID <= prev.ID || q.Arrival < prev.Arrival) {
+			t.Fatalf("task %+v emitted after %+v", q, prev)
+		}
+		if n == 0 || q.Arrival != prev.Arrival {
+			jobs++ // no two jobs share an instant
+		}
+		prev = q
+		n++
+	})
+	s.RunUntil(Day)
+	if n < 8000 {
+		t.Fatalf("%d tasks in one day, want ≈8.4k", n)
+	}
+	if got := s.Processed(); got < uint64(n+jobs) {
+		t.Fatalf("%d events for %d jobs of %d tasks: tasks were not one event each", got, jobs, n)
+	}
+}
+
+// TestScientificOverlappingJobsPanic: a job firing while the previous
+// job's tasks are still pending would overwrite the walker's batch, so
+// it panics instead.
+func TestScientificOverlappingJobsPanic(t *testing.T) {
+	sc := NewScientific(1)
+	s := sim.New()
+	sc.Start(s, stats.NewRNG(1), func(Request) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second job at one instant did not panic")
+		}
+	}()
+	sc.run.emitJob(0)
+	sc.run.emitJob(0)
+}
+
 func TestSciAnalyzerEstimates(t *testing.T) {
 	sc := NewScientific(1)
 	a := NewSciAnalyzer(sc)

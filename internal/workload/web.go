@@ -203,8 +203,9 @@ func (tk *webTicker) Emit(now float64, n int) {
 }
 
 // batchWalker drains a pre-sampled batch of requests through one pooled
-// kernel event. The batch, scratch, and bucket-count slices are reused
-// across ticks, so steady-state generation allocates nothing.
+// kernel event: a web tick, a replayed trace, or one scientific job's
+// tasks. The batch, scratch, and bucket-count slices are reused across
+// batches, so steady-state generation allocates nothing.
 type batchWalker struct {
 	s          *sim.Sim
 	fire       sim.FireID // interned walkBatch callback for this walker
@@ -245,8 +246,8 @@ func (wk *batchWalker) precount(n int, width float64) ([]int32, float64) {
 func (wk *batchWalker) active() bool { return wk.idx < len(wk.batch) }
 
 // walkerSnap holds one walker's captured drain state. The batch and
-// scratch buffers are overwritten by the next tick, so the snapshot
-// copies the undrained remnant batch[idx:] — O(live batch), not O(tick
+// scratch buffers are overwritten by the next batch, so the snapshot
+// copies the undrained remnant batch[idx:] — O(live batch), not O(batch
 // history) — into a buffer the snap reuses across captures.
 type walkerSnap struct {
 	wk      *batchWalker
@@ -382,12 +383,15 @@ func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 	wk.launch(scratch)
 }
 
-// launch points the walker at a sorted batch and schedules the first
-// emission.
+// launch points the walker at a batch in firing order — sorted, or one
+// scientific job's tasks in ID order — and schedules the first emission
+// through the walker's interned fire handle under a freshly reserved
+// sequence number: the same (time, seq) key an arena event would take,
+// without the arena slot.
 func (wk *batchWalker) launch(batch []Request) {
 	wk.batch = batch
 	wk.idx = 0
-	wk.s.AtFunc(batch[0].Arrival, walkBatch, wk)
+	wk.s.DeferReserved(batch[0].Arrival, wk.s.ReserveSeq(), wk.fire)
 }
 
 // walkBatch emits requests in firing order. The successor's sequence
@@ -396,11 +400,12 @@ func (wk *batchWalker) launch(batch []Request) {
 // all-upfront scheduling order. When the successor would be the very next
 // event popped anyway — no pending event orders before (arrival,
 // reserved seq) — the walker consumes it inline (clock advance + event
-// count, no heap traffic) and keeps draining; otherwise it parks in the
-// pending set under the reserved sequence number. It also parks when the
-// successor lies beyond the bound of the RunUntil in progress, which must
-// return with that arrival still pending. Both paths are bit-identical to
-// scheduling every step.
+// count, no heap traffic) and keeps draining; a scientific job's tasks,
+// which share one instant, normally drain in a single call this way.
+// Otherwise it parks in the pending set under the reserved sequence
+// number. It also parks when the successor lies beyond the bound of the
+// RunUntil in progress, which must return with that arrival still
+// pending. Both paths are bit-identical to scheduling every step.
 func walkBatch(a any) {
 	wk := a.(*batchWalker)
 	s := wk.s
