@@ -1,16 +1,16 @@
 # CI entry points for the vmprov reproduction. `make ci` is the gate a PR
 # must pass: static checks, the full test suite with the race detector,
-# the kernel fuzz targets in short mode, end-to-end CLI smoke runs, and
-# the benchmark harness's own tests. Throughput is measured by
-# `bash bench/run.sh` (see bench/README.md), not by CI.
+# the kernel fuzz targets in short mode, end-to-end CLI smoke runs, every
+# example program, and the benchmark harness's own tests. Throughput is
+# measured by `bash bench/run.sh` (see bench/README.md), not by CI.
 
 GO        ?= go
 FUZZTIME  ?= 10s
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
 
-.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench-test bench golden
+.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test bench golden
 
-ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke bench-test
+ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test
 
 # gofmt cleanliness gate: fail (and list the files) if any tracked Go
 # source is not gofmt-formatted.
@@ -120,6 +120,15 @@ ff-smoke:
 snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
+
+# Run every example program end to end with its default flags (a few
+# seconds, most of it webautoscale); a non-zero exit from any fails the
+# gate. `build` only compiles them.
+examples-smoke:
+	@set -e; for pkg in $$($(GO) list ./examples/...); do \
+		echo "$(GO) run $$pkg"; \
+		$(GO) run $$pkg > /dev/null; \
+	done
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` never builds it: build and test it here, so an internal

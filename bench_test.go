@@ -216,7 +216,7 @@ func BenchmarkAblationEmpiricalAnalyzers(b *testing.B) {
 			return &WindowAnalyzer{Interval: 900, Windows: 4, Safety: 1.5, Horizon: sc.Horizon}
 		}},
 		{"ar2", func(sc Scenario, src Source) Analyzer {
-			return &ARAnalyzer{Interval: 900, Order: 2, Fit: 16, Safety: 1.5, Horizon: sc.Horizon}
+			return &ForecastAnalyzer{Interval: 900, Forecaster: &ARForecaster{Order: 2, Fit: 16}, Safety: 1.5, Horizon: sc.Horizon}
 		}},
 	}
 	for _, a := range analyzers {

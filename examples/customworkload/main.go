@@ -52,7 +52,7 @@ func main() {
 		return &vmprov.WindowAnalyzer{Interval: 120, Windows: 5, Safety: 1.3}
 	})
 	ar := run("AR(3)", func(vmprov.Source) vmprov.Analyzer {
-		return &vmprov.ARAnalyzer{Interval: 120, Order: 3, Fit: 30, Safety: 1.3}
+		return &vmprov.ForecastAnalyzer{Interval: 120, Forecaster: &vmprov.ARForecaster{Order: 3, Fit: 30}, Safety: 1.3}
 	})
 
 	fmt.Print(vmprov.FigureTable(

@@ -35,6 +35,28 @@ func TestFacadeTracing(t *testing.T) {
 	}
 }
 
+// A deployment's tracer also records the adaptive controller's sizing
+// decisions: one predict event per analyzer alert.
+func TestFacadeAdaptiveTracing(t *testing.T) {
+	cfg := Config{
+		QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
+		NominalTr: 1,
+		MaxVMs:    10,
+	}
+	d := NewDeployment(cfg, nil)
+	ring := NewTraceRing(1 << 12)
+	d.Trace(ring)
+	src := &StepSource{Times: []float64{0, 50}, Rates: []float64{1, 3}, Service: uniformSvc{}, Horizon: 100}
+	an := &OracleAnalyzer{Source: src, Times: []float64{50}}
+	d.UseAdaptive(an)
+	d.Start(src, 3, an)
+	d.Finish("traced", 100)
+	preds := ring.Filter(TracePredict)
+	if len(preds) != 2 || preds[0].Value != 1 || preds[1].Value != 3 || preds[1].T != 50 {
+		t.Fatalf("predict events %+v, want λ̂ 1 at t=0 and 3 at t=50", preds)
+	}
+}
+
 func TestFacadeForecasting(t *testing.T) {
 	series := []float64{10, 20, 30, 40, 50, 60, 70, 80}
 	score, err := Backtest(&Holt{Alpha: 0.9, Beta: 0.9}, series, 2)

@@ -124,9 +124,6 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 	}
 	src := sc.NewSource()
 	ctrl, analyzer := pol.Build(sc, src)
-	if ad, ok := ctrl.(*provision.Adaptive); ok && opts.Tracer != nil {
-		ad.Tracer = opts.Tracer
-	}
 	ctrl.Attach(s, p)
 	w.src, w.ctrl, w.analyzer = src, ctrl, analyzer
 
@@ -147,7 +144,7 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 	// exact simulation).
 	if fsrc, ok := src.(workload.FluidSource); ok &&
 		sc.Mode == ModeHybrid && !observing && opts.Tracer == nil {
-		eng := fluid.New(fluid.Config{}, p, col, sc.Cfg.QoS.Ts)
+		eng := fluid.New(p, col, sc.Cfg.QoS.Ts)
 		eng.Start(s, fsrc, rng, emit)
 		w.eng = eng
 	} else {

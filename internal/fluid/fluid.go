@@ -18,8 +18,8 @@
 //	resp(λ, m)   = resp_cal · T(λ, m) / T(λ_cal, m_cal)
 //
 // where P is Fleet.SharedBlocking, T is Fleet.ResponseTime, and γ is
-// Config.Gamma. Both corrections are multiplicative around the
-// calibrated empirical level: they preserve it exactly when the
+// the constant gamma (1.8). Both corrections are multiplicative around
+// the calibrated empirical level: they preserve it exactly when the
 // operating point has not moved, and track the model's sensitivity when
 // it has (see Engine.rejectFrac for the rejection correction's regime
 // gates and the choice of γ).
@@ -32,9 +32,10 @@
 //     during every recent probe), every tick probes;
 //   - after any fleet transition — scaling decision, activation, crash,
 //     retirement, reported through the provisioner's fleet-change hook —
-//     the next ProbeOnChange ticks probe, re-measuring the new regime;
-//   - otherwise one tick in ProbeEvery probes, bounding drift between
-//     the model and the exact dynamics.
+//     the next probeOnChange (2) ticks probe, re-measuring the new
+//     regime;
+//   - otherwise one tick in probeEvery (8) probes, bounding drift
+//     between the model and the exact dynamics.
 //
 // Everything outside request service still runs as discrete events
 // during fluid ticks: analyzer alerts, scaling decisions, boot delays,
@@ -53,43 +54,27 @@ import (
 	"vmprov/internal/workload"
 )
 
-// Config tunes the probe schedule.
-type Config struct {
-	// ProbeEvery is the steady-state probe period in ticks: one tick in
-	// ProbeEvery runs exact while the fleet is quiescent. 0 means 8.
-	ProbeEvery int
+// The probe schedule and the extrapolation's roughness exponent.
+const (
+	// probeEvery is the steady-state probe period in ticks: one tick in
+	// probeEvery runs exact while the fleet is quiescent.
+	probeEvery = 8
 
-	// ProbeOnChange is how many consecutive ticks probe after a fleet
-	// transition before fluid advancement may resume. 0 means 2.
-	ProbeOnChange int
+	// probeOnChange is how many consecutive ticks probe after a fleet
+	// transition before fluid advancement may resume.
+	probeOnChange = 2
 
-	// MinCalibration is the minimum number of completions a probe window
+	// minCalibration is the minimum number of completions a probe window
 	// must capture to produce a valid calibration; windows below it keep
-	// the engine probing. 0 means 100.
-	MinCalibration uint64
+	// the engine probing.
+	minCalibration = 100
 
-	// Gamma is the rejection roughness exponent: the fluid extrapolation
-	// moves the calibrated rejection level along SharedBlocking^Gamma
-	// (see Engine.rejectFrac). 0 means 1.8, calibrated against the exact
-	// web panel; 1 would assume the Markov loss model's own sensitivity.
-	Gamma float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 8
-	}
-	if c.ProbeOnChange <= 0 {
-		c.ProbeOnChange = 2
-	}
-	if c.MinCalibration == 0 {
-		c.MinCalibration = 100
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 1.8
-	}
-	return c
-}
+	// gamma is the rejection roughness exponent: the fluid extrapolation
+	// moves the calibrated rejection level along SharedBlocking^gamma
+	// (see Engine.rejectFrac). 1.8 is calibrated against the exact web
+	// panel; 1 would assume the Markov loss model's own sensitivity.
+	gamma = 1.8
+)
 
 // Fleet is the engine's view of the application provisioner: the current
 // operating point of the closed-form model plus the observation hooks the
@@ -121,7 +106,6 @@ type calibration struct {
 // Engine runs one replication in hybrid mode. Create one per run with
 // New, then call Start where exact mode would call Source.Start.
 type Engine struct {
-	cfg      Config
 	fleet    Fleet
 	col      *metrics.Collector
 	ts       float64         // QoS response threshold, for violation capture
@@ -153,9 +137,10 @@ type Engine struct {
 }
 
 // New wires an engine to the fleet it observes and the collector it
-// feeds. ts is the QoS response-time threshold (Config.QoS.Ts).
-func New(cfg Config, fleet Fleet, col *metrics.Collector, ts float64) *Engine {
-	return &Engine{cfg: cfg.withDefaults(), fleet: fleet, col: col, ts: ts}
+// feeds. ts is the QoS response-time threshold (the provisioner's
+// Config.QoS.Ts).
+func New(fleet Fleet, col *metrics.Collector, ts float64) *Engine {
+	return &Engine{fleet: fleet, col: col, ts: ts}
 }
 
 // Start schedules the hybrid tick loop, replacing src.Start. It
@@ -198,7 +183,7 @@ func (e *Engine) onRejected(workload.Request) {
 // point moved, so the next ticks must re-measure, and a capture spanning
 // the transition would mix two regimes, so it is discarded.
 func (e *Engine) onFleetChange() {
-	e.postChange = e.cfg.ProbeOnChange
+	e.postChange = probeOnChange
 	if e.probing {
 		e.capDirty = true
 	}
@@ -231,7 +216,7 @@ func (e *Engine) shouldProbe() bool {
 	if !e.cal.valid {
 		return true
 	}
-	return e.sinceProbe >= e.cfg.ProbeEvery-1
+	return e.sinceProbe >= probeEvery-1
 }
 
 // beginProbe opens an exact window of n requests and resets the capture
@@ -260,7 +245,7 @@ func (e *Engine) beginProbe(n int) {
 // few tenths of a percent at web-workload scale.
 func (e *Engine) closeProbe() {
 	e.probing = false
-	if e.capDirty || e.capAcc < e.cfg.MinCalibration || e.probeOffered <= 0 {
+	if e.capDirty || e.capAcc < minCalibration || e.probeOffered <= 0 {
 		return
 	}
 	m := e.fleet.Committed()
@@ -376,7 +361,7 @@ func (e *Engine) Restore(snap *EngineSnap) {
 // pooling averages away — measured against exact runs, every pooled
 // variant (uniform, kernel-weighted, EWMA, GLM) under-predicted where
 // latest-anchor landed within a few percent. The roughness exponent γ
-// (Config.Gamma) is likewise fixed rather than fitted online: the
+// (the constant gamma) is likewise fixed rather than fitted online: the
 // realized d ln rf / d ln P in linear space is ~1.8 on the web panel,
 // while an online log-space regression attenuates toward ~1.3 and
 // re-introduces the deficit. The P ratio is clamped to [1/8, 8] per
@@ -401,7 +386,7 @@ func (e *Engine) rejectFrac(cur queueing.Fleet) float64 {
 		} else if ratio > 8 {
 			ratio = 8
 		}
-		rf = calRF * math.Pow(ratio, e.cfg.Gamma)
+		rf = calRF * math.Pow(ratio, gamma)
 	}
 	if lo := cur.SystemRejection(); rf < lo {
 		rf = lo
@@ -452,7 +437,7 @@ func (e *Engine) advance(n int) {
 
 	// Response: calibrated moments, scaled by the model's response ratio
 	// between the current and calibrated operating points. The ratio is
-	// clamped — a probe never more than ProbeEvery ticks old cannot
+	// clamped — a probe never more than probeEvery ticks old cannot
 	// plausibly be off by 4×, and a wild monitored-Tm transient must not
 	// poison the window.
 	ratio := 1.0

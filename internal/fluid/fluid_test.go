@@ -75,7 +75,7 @@ func runFake(t *testing.T, seed uint64, ticks int, change func(s *sim.Sim, fl *f
 	s := sim.New()
 	col := metrics.NewCollector(0.25)
 	fl := &fakeFleet{m: 5, k: 2, tm: 0.1}
-	eng := New(Config{}, fl, col, 0.25)
+	eng := New(fl, col, 0.25)
 	src := &fakeSource{fleet: fl}
 	served := uint64(0)
 	emit := func(q workload.Request) {
@@ -159,12 +159,22 @@ func TestEngineProbesAfterFleetChange(t *testing.T) {
 
 // Probe windows that capture too few completions must not become the
 // calibration — the engine keeps probing instead of extrapolating noise.
+// The fleet serves one request in ten and rejects the rest, so each
+// 550–650-request window captures 55–65 completions, below
+// minCalibration.
 func TestEngineMinCalibrationKeepsProbing(t *testing.T) {
 	s := sim.New()
 	col := metrics.NewCollector(0.25)
 	fl := &fakeFleet{m: 5, k: 2, tm: 0.1}
-	eng := New(Config{MinCalibration: 10_000}, fl, col, 0.25)
+	eng := New(fl, col, 0.25)
+	emitted := 0
 	emit := func(q workload.Request) {
+		emitted++
+		if emitted%10 != 0 {
+			col.Reject(q)
+			fl.onRejected(q)
+			return
+		}
 		col.Complete(q, q.Arrival, q.Arrival+0.1)
 		fl.onServed(0, q, q.Arrival, q.Arrival+0.1)
 	}

@@ -3,9 +3,10 @@ package mpc
 import "vmprov/internal/sim"
 
 // Exhaustive is the reference for Controller's branch-and-bound search:
-// the same knobs, defaults and candidate set, but every candidate runs to
-// the full horizon in one RunUntil before the cheapest is committed, ties
-// going to the smaller fleet. Pruning must never change what it commits.
+// the same knobs, defaults, objective and candidate set, but every
+// candidate runs to the full horizon in one RunUntil before the cheapest
+// is committed, ties going to the smaller fleet. Pruning must never
+// change what it commits.
 type Exhaustive struct{ Controller }
 
 // Attach implements provision.Controller.
@@ -34,14 +35,14 @@ func (e *Exhaustive) runCycle() {
 		c.s.RunUntil(t + c.Horizon)
 		v1, r1, l1, vm1 := c.world.Objective(t + c.Horizon)
 		c.world.Restore()
-		score := c.CostPerVMSecond*(vm1-vm0) +
-			c.ViolationPenalty*float64((v1-v0)+(r1-r0)+(l1-l0)) +
-			c.BootPenalty*float64(max(0, m-base))
+		score := (vm1 - vm0) +
+			float64((v1-v0)+(r1-r0)+(l1-l0)) +
+			c.bootDelay*float64(max(0, m-base))
 		if i == 0 || score < bestScore || score == bestScore && m < best {
 			best, bestScore = m, score
 		}
 	}
 	c.world.Release()
 	c.p.SetTarget(best)
-	c.s.AtFunc(t+c.Cycle, fireExhaustive, e)
+	c.s.AtFunc(t+c.Horizon/2, fireExhaustive, e)
 }

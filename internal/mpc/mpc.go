@@ -93,16 +93,17 @@ type WorldBinder interface {
 	BindWorld(w World, lookahead *stats.RNG)
 }
 
-// Controller sizes the fleet by receding-horizon co-simulation.
-// Zero-valued knobs are resolved to defaults at Attach.
+// Controller sizes the fleet by receding-horizon co-simulation. It
+// decides every Horizon/2 seconds, so consecutive lookaheads overlap by
+// half, and scores a candidate as the VM-seconds its lookahead accrues,
+// plus one VM-second per QoS violation, rejection or crash-lost request,
+// plus the provisioner's boot delay for each instance it would boot above
+// the committed fleet: a scale-up risks arriving after the burst it
+// answers, so one spin-up is priced at one idle VM for one boot.
 type Controller struct {
 	// Horizon is how far ahead each candidate future is simulated,
 	// in seconds. Required (panics at Attach if <= 0).
 	Horizon float64
-
-	// Cycle is the interval between sizing decisions. Default Horizon/2,
-	// giving consecutive lookaheads 50% overlap.
-	Cycle float64
 
 	// Candidates caps how many fleet sizes are tried per cycle. The set
 	// spreads geometrically around the currently committed size:
@@ -113,25 +114,12 @@ type Controller struct {
 	// win has no final score.
 	Candidates int
 
-	// CostPerVMSecond weighs capacity cost in the objective. Default 1.
-	CostPerVMSecond float64
-
-	// ViolationPenalty is the cost, in VM-seconds, charged per QoS
-	// violation, rejection, or crash-lost request accrued over the
-	// lookahead. Default 1.
-	ViolationPenalty float64
-
-	// BootPenalty is the cost, in VM-seconds, charged per instance a
-	// candidate would boot above the committed fleet — scale-ups risk
-	// arriving after the burst they answer. Default is the provisioner's
-	// boot delay, pricing one spin-up at one idle VM for one boot.
-	BootPenalty float64
-
-	world World
-	la    *stats.RNG
-	s     *sim.Sim
-	p     *provision.Provisioner
-	cands []int
+	bootDelay float64 // the provisioner's boot delay, the price of one boot
+	world     World
+	la        *stats.RNG
+	s         *sim.Sim
+	p         *provision.Provisioner
+	cands     []int
 
 	// inSim marks lookahead execution. The next cycle is scheduled only
 	// after the final restore, so no controller event can fire inside a
@@ -151,35 +139,24 @@ func (c *Controller) BindWorld(w World, lookahead *stats.RNG) {
 	c.la = lookahead
 }
 
-// Attach implements provision.Controller: it resolves defaults and
-// schedules the first sizing cycle at time zero.
+// Attach implements provision.Controller: it resolves the default
+// candidate count and schedules the first sizing cycle at time zero.
 func (c *Controller) Attach(s *sim.Sim, p *Provisioner) {
 	c.bind(s, p)
 	s.AtFunc(0, fireCycle, c)
 }
 
-// bind resolves zero-valued knobs to their defaults and wires the
+// bind resolves a zero candidate count to its default and wires the
 // controller to the run's simulator and provisioner.
 func (c *Controller) bind(s *sim.Sim, p *Provisioner) {
 	if c.Horizon <= 0 {
 		panic("mpc: Controller.Horizon must be positive")
 	}
-	if c.Cycle <= 0 {
-		c.Cycle = c.Horizon / 2
-	}
 	if c.Candidates <= 0 {
 		c.Candidates = 5
 	}
-	if c.CostPerVMSecond <= 0 {
-		c.CostPerVMSecond = 1
-	}
-	if c.ViolationPenalty <= 0 {
-		c.ViolationPenalty = 1
-	}
-	if c.BootPenalty <= 0 {
-		c.BootPenalty = p.Config().BootDelay
-	}
 	c.s, c.p = s, p
+	c.bootDelay = p.Config().BootDelay
 }
 
 // Provisioner aliases provision.Provisioner so Attach matches the
@@ -251,7 +228,7 @@ func (c *Controller) runCycle() {
 	// Scheduled only now, after the final restore: during lookaheads the
 	// queue must hold no controller event, or a lookahead would recurse
 	// into its own sizing cycles.
-	c.s.AtFunc(t+c.Cycle, fireCycle, c)
+	c.s.AtFunc(t+c.Horizon/2, fireCycle, c)
 }
 
 // lookahead runs candidate m, already committed at cycle start t, to
@@ -261,7 +238,7 @@ func (c *Controller) runCycle() {
 func (c *Controller) lookahead(o0 objective, t float64, m, boot, best int, bestScore float64) (score float64, done bool) {
 	end := t + c.Horizon
 	floor := float64(c.p.CommittedFloor())
-	margin := floorMargin * (c.CostPerVMSecond*o0.vmSeconds + 2*bestScore)
+	margin := floorMargin * (o0.vmSeconds + 2*bestScore)
 	tau := t
 	for k := 1; ; k++ {
 		score = c.partialScore(o0, tau, boot)
@@ -269,7 +246,7 @@ func (c *Controller) lookahead(o0 objective, t float64, m, boot, best int, bestS
 			return score, true
 		}
 		if score > bestScore || score == bestScore && m > best ||
-			score+c.CostPerVMSecond*floor*(end-tau)-margin > bestScore {
+			score+floor*(end-tau)-margin > bestScore {
 			return score, false
 		}
 		tau = end
@@ -281,14 +258,16 @@ func (c *Controller) lookahead(o0 objective, t float64, m, boot, best int, bestS
 }
 
 // partialScore is the objective a candidate accrued from the cycle start
-// (o0) through tau, with a penalty for the boot instances it launched
-// above the committed fleet. At tau = t+Horizon it is the candidate's
-// score; before that it is a lower bound on it (see the package doc).
+// (o0) through tau — VM-seconds plus one per violation, rejection and
+// lost request — with the boot delay charged for each of the boot
+// instances it launched above the committed fleet. At tau = t+Horizon it
+// is the candidate's score; before that it is a lower bound on it (see
+// the package doc).
 func (c *Controller) partialScore(o0 objective, tau float64, boot int) float64 {
 	v, r, l, vm := c.world.Objective(tau)
-	return c.CostPerVMSecond*(vm-o0.vmSeconds) +
-		c.ViolationPenalty*float64((v-o0.violated)+(r-o0.rejected)+(l-o0.lost)) +
-		c.BootPenalty*float64(boot)
+	return (vm - o0.vmSeconds) +
+		float64((v-o0.violated)+(r-o0.rejected)+(l-o0.lost)) +
+		c.bootDelay*float64(boot)
 }
 
 // candidates fills c.cands with up to c.Candidates fleet sizes spread

@@ -20,7 +20,9 @@ type Controller interface {
 // Adaptive is the paper's policy: the workload analyzer alerts with a
 // predicted arrival rate, the load predictor and performance modeler run
 // Algorithm 1 with the monitored execution time, and the application
-// provisioner applies the resulting fleet size.
+// provisioner applies the resulting fleet size. With a tracer set on the
+// provisioner (SetTracer), every sizing decision records one KindPredict
+// event (Value = λ̂, Count = resulting m).
 type Adaptive struct {
 	Analyzer workload.Analyzer
 
@@ -30,10 +32,6 @@ type Adaptive struct {
 	// mechanism "runs continuously"; its experiments only needed the
 	// alert-driven path, which is the default (0).
 	Reevaluate float64
-
-	// Tracer, when set, records one KindPredict event per sizing
-	// decision (Value = λ̂, Count = resulting m).
-	Tracer trace.Recorder
 
 	lastLambda float64
 }
@@ -54,8 +52,8 @@ func (a *Adaptive) Attach(s *sim.Sim, p *Provisioner) {
 			MaxVMs:  p.Config().MaxVMs,
 			QoS:     p.Config().QoS,
 		})
-		if a.Tracer != nil {
-			a.Tracer.Record(trace.Event{
+		if p.tracer != nil {
+			p.tracer.Record(trace.Event{
 				T: s.Now(), Kind: trace.KindPredict, Value: lambda, Count: m,
 			})
 		}

@@ -41,7 +41,10 @@ func TestProvisionerTracing(t *testing.T) {
 
 func TestAdaptivePredictTracing(t *testing.T) {
 	r := newRig(t, testCfg())
-	ring := trace.NewRing(100)
+	// The ring must also hold every lifecycle event the provisioner
+	// records around the two predictions.
+	ring := trace.NewRing(1 << 16)
+	r.p.SetTracer(ring)
 	src := &workload.StepSource{
 		Times:   []float64{0, 500},
 		Rates:   []float64{2, 8},
@@ -50,7 +53,6 @@ func TestAdaptivePredictTracing(t *testing.T) {
 	}
 	ctrl := &Adaptive{
 		Analyzer: &workload.OracleAnalyzer{Source: src, Times: []float64{500}},
-		Tracer:   ring,
 	}
 	ctrl.Attach(r.sim, r.p)
 	src.Start(r.sim, stats.NewRNG(1), r.p.Submit)

@@ -138,8 +138,29 @@ func TestReleaseDropsReferences(t *testing.T) {
 	big := make([]byte, 1<<20)
 	s.ScheduleFunc(1, func(any) {}, big)
 	s.Run()
-	if s.nodes[0].arg != nil || s.nodes[0].fn != nil || s.nodes[0].afn != nil {
+	if s.nodes[0].arg != nil || s.nodes[0].fn != nil {
 		t.Fatal("released slot still references its callback or arg")
+	}
+}
+
+// TestClosureEventsAllocateNothing: Schedule and At carry their closure
+// as the event's arg, and a func value is pointer-shaped, so once the
+// arena and heap have grown, scheduling and firing a pre-built closure
+// allocates nothing.
+func TestClosureEventsAllocateNothing(t *testing.T) {
+	s := New()
+	fired := 0
+	fn := func() { fired++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Schedule(1, fn)
+		s.At(s.Now()+2, fn)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("closure events allocate %v times per run, want 0", allocs)
+	}
+	if fired != 2*101 {
+		t.Fatalf("fired %d closures, want %d", fired, 2*101)
 	}
 }
 

@@ -52,8 +52,7 @@ const noEvent = -1
 // time the slot is released, invalidating outstanding handles.
 type node struct {
 	time float64
-	fn   func()    // closure form (nil when afn is used)
-	afn  func(any) // arg-taking form, shared across events
+	fn   func(any) // shared callback; Schedule/At closures run through callClosure
 	arg  any
 	gen  uint32
 	pos  int32 // index in the heap; noEvent when not pending
@@ -204,7 +203,7 @@ func (s *Sim) Restore(snap *Snapshot) {
 	free := snap.free
 	for i := len(s.nodes) - 1; i >= n; i-- {
 		nd := &s.nodes[i]
-		nd.fn, nd.afn, nd.arg = nil, nil, nil
+		nd.fn, nd.arg = nil, nil
 		nd.gen++
 		nd.pos = noEvent
 		nd.next = free
@@ -263,14 +262,19 @@ func (s *Sim) Schedule(delay float64, fn func()) Event {
 	if !(delay >= 0) || math.IsInf(delay, 1) {
 		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", delay, s.now))
 	}
-	return s.insert(s.now+delay, fn, nil, nil)
+	return s.insert(s.now+delay, callClosure, fn)
 }
 
 // At runs fn at absolute virtual time t, which must not precede the
 // current time and must be finite.
 func (s *Sim) At(t float64, fn func()) Event {
-	return s.insert(t, fn, nil, nil)
+	return s.insert(t, callClosure, fn)
 }
+
+// callClosure runs a Schedule/At closure carried as its event's arg. A
+// func value is pointer-shaped, so boxing it in the arg allocates
+// nothing beyond the closure itself.
+func callClosure(a any) { a.(func())() }
 
 // ScheduleFunc is the allocation-free variant of Schedule: fn is a shared
 // (typically package-level) function and arg its per-event state. Because
@@ -280,12 +284,12 @@ func (s *Sim) ScheduleFunc(delay float64, fn func(any), arg any) Event {
 	if !(delay >= 0) || math.IsInf(delay, 1) {
 		panic(fmt.Sprintf("sim: ScheduleFunc with invalid delay %v at t=%v", delay, s.now))
 	}
-	return s.insert(s.now+delay, nil, fn, arg)
+	return s.insert(s.now+delay, fn, arg)
 }
 
 // AtFunc is the allocation-free variant of At.
 func (s *Sim) AtFunc(t float64, fn func(any), arg any) Event {
-	return s.insert(t, nil, fn, arg)
+	return s.insert(t, fn, arg)
 }
 
 // RegisterFire interns a (callback, arg) pair for use with ScheduleFire
@@ -406,8 +410,7 @@ func (s *Sim) InlineFire(t float64, seq uint64) {
 
 // insert allocates an arena slot (reusing the free list when possible)
 // and pushes it onto the pending heap under a fresh sequence number.
-// Exactly one of fn/afn is non-nil.
-func (s *Sim) insert(t float64, fn func(), afn func(any), arg any) Event {
+func (s *Sim) insert(t float64, fn func(any), arg any) Event {
 	seq := s.seq
 	s.seq++
 	// !(t >= now) rejects NaN and past times; IsInf rejects +Inf (-Inf is
@@ -426,7 +429,6 @@ func (s *Sim) insert(t float64, fn func(), afn func(any), arg any) Event {
 	n := &s.nodes[id]
 	n.time = t
 	n.fn = fn
-	n.afn = afn
 	n.arg = arg
 	e := heapEntry{time: t, seq: seq, id: id}
 	s.heap = append(s.heap, e)
@@ -440,7 +442,6 @@ func (s *Sim) insert(t float64, fn func(), afn func(any), arg any) Event {
 func (s *Sim) release(id int32) {
 	n := &s.nodes[id]
 	n.fn = nil
-	n.afn = nil
 	n.arg = nil
 	n.gen++
 	n.pos = noEvent
@@ -544,13 +545,9 @@ func (s *Sim) fire() {
 		return
 	}
 	n := &s.nodes[top.id]
-	fn, afn, arg := n.fn, n.afn, n.arg
+	fn, arg := n.fn, n.arg
 	s.release(top.id)
-	if afn != nil {
-		afn(arg)
-	} else {
-		fn()
-	}
+	fn(arg)
 }
 
 // Every schedules fn to run now+delay and then every interval seconds until

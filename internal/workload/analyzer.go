@@ -1,11 +1,6 @@
 package workload
 
-import (
-	"math"
-
-	"vmprov/internal/sim"
-	"vmprov/internal/stats"
-)
+import "vmprov/internal/sim"
 
 // SciAnalyzer reproduces the paper's scientific-workload analyzer
 // (Section V-B2). For peak time it estimates the arrival rate from the
@@ -48,34 +43,33 @@ func (a *SciAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
 		horizon = Day
 	}
 	alert(a.OffPeakEstimate())
-	st := &sciAlertState{a: a, alert: alert}
+	peak := &alerter{s: s, alert: alert, estimate: func(float64) float64 { return a.PeakEstimate() }}
+	offPeak := &alerter{s: s, alert: alert, estimate: func(float64) float64 { return a.OffPeakEstimate() }}
 	for day := 0; float64(day)*Day < horizon; day++ {
 		base := float64(day) * Day
 		if t := base + a.Model.PeakStart; t > 0 && t <= horizon {
-			s.AtFunc(t, firePeakAlert, st)
+			s.AtFunc(t, fireAlert, peak)
 		}
 		if t := base + a.Model.PeakEnd; t > 0 && t <= horizon {
-			s.AtFunc(t, fireOffPeakAlert, st)
+			s.AtFunc(t, fireAlert, offPeak)
 		}
 	}
 }
 
-// sciAlertState carries the analyzer and its sink to the shared
-// window-boundary callbacks, so a horizon of N days schedules 2N alert
-// events off one allocation.
-type sciAlertState struct {
-	a     *SciAnalyzer
-	alert func(lambda float64)
+// alerter carries a model analyzer's estimate and its sink to the shared
+// fireAlert callback, so a schedule of N alerts costs one allocation per
+// estimate function instead of one per alert.
+type alerter struct {
+	s        *sim.Sim
+	alert    func(lambda float64)
+	estimate func(t float64) float64
 }
 
-func firePeakAlert(arg any) {
-	st := arg.(*sciAlertState)
-	st.alert(st.a.PeakEstimate())
-}
-
-func fireOffPeakAlert(arg any) {
-	st := arg.(*sciAlertState)
-	st.alert(st.a.OffPeakEstimate())
+// fireAlert hands the estimate for the current instant to the sink; the
+// fire time is read back from the kernel, which stores it exactly.
+func fireAlert(arg any) {
+	a := arg.(*alerter)
+	a.alert(a.estimate(a.s.Now()))
 }
 
 // WindowAnalyzer is an empirical analyzer (an instance of the paper's
@@ -131,145 +125,27 @@ func (w *WindowAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
 	}
 }
 
-// rateHistorySnap is the shared snapshot store of the empirical analyzers
-// (an in-progress window count plus a recent-rate history).
-type rateHistorySnap struct {
+// windowSnap holds one captured WindowAnalyzer state: the in-progress
+// window count and the recent-rate history.
+type windowSnap struct {
 	count   int
 	history []float64
-}
-
-// capture fills sn from the analyzer state, reusing sn's buffer.
-func (sn *rateHistorySnap) capture(count int, history []float64) {
-	sn.count = count
-	sn.history = append(sn.history[:0], history...)
-}
-
-// snapshotRateHistory implements Snapshot for the empirical analyzers.
-func snapshotRateHistory(store any, count int, history []float64) any {
-	sn, _ := store.(*rateHistorySnap)
-	if sn == nil {
-		sn = new(rateHistorySnap)
-	}
-	sn.capture(count, history)
-	return sn
 }
 
 // Snapshot implements Rewindable.
 func (w *WindowAnalyzer) Snapshot(store any) any {
-	return snapshotRateHistory(store, w.count, w.history)
+	sn, _ := store.(*windowSnap)
+	if sn == nil {
+		sn = new(windowSnap)
+	}
+	sn.count = w.count
+	sn.history = append(sn.history[:0], w.history...)
+	return sn
 }
 
 // Restore implements Rewindable.
 func (w *WindowAnalyzer) Restore(store any) {
-	sn := store.(*rateHistorySnap)
+	sn := store.(*windowSnap)
 	w.count = sn.count
 	w.history = append(w.history[:0], sn.history...)
-}
-
-// ARAnalyzer is an autoregressive empirical analyzer: it fits an AR(p)
-// model to the sequence of per-window observed arrival rates by ordinary
-// least squares and predicts the next window's rate, inflated by Safety.
-// This is a stdlib-only stand-in for the ARMAX-class predictors the paper
-// lists as future work.
-type ARAnalyzer struct {
-	Interval float64 // observation window length (s)
-	Order    int     // AR order p (≥ 1)
-	Fit      int     // number of recent windows used for fitting (≥ 2p+2)
-	Safety   float64 // multiplicative safety margin
-	Horizon  float64 // stop alerting after this time (0 = run forever)
-
-	count   int
-	history []float64
-}
-
-// Observe records one arrival.
-func (a *ARAnalyzer) Observe(float64) { a.count++ }
-
-// Start closes each window, refits the AR model, and alerts with the
-// one-step-ahead forecast. While fewer than Fit windows are available it
-// falls back to the most recent window's rate.
-func (a *ARAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
-	if a.Interval <= 0 {
-		panic("workload: ARAnalyzer needs a positive Interval")
-	}
-	if a.Order < 1 {
-		a.Order = 1
-	}
-	if a.Fit < 2*a.Order+2 {
-		a.Fit = 2*a.Order + 2
-	}
-	if a.Safety == 0 {
-		a.Safety = 1
-	}
-	tk := s.Every(a.Interval, a.Interval, func(now float64) {
-		rate := float64(a.count) / a.Interval
-		a.count = 0
-		a.history = append(a.history, rate)
-		if len(a.history) > a.Fit {
-			a.history = a.history[len(a.history)-a.Fit:]
-		}
-		pred := a.forecast()
-		if pred < 0 {
-			pred = 0
-		}
-		alert(a.Safety * pred)
-	})
-	if a.Horizon > 0 {
-		s.At(a.Horizon, tk.Stop)
-	}
-}
-
-// Snapshot implements Rewindable.
-func (a *ARAnalyzer) Snapshot(store any) any {
-	return snapshotRateHistory(store, a.count, a.history)
-}
-
-// Restore implements Rewindable.
-func (a *ARAnalyzer) Restore(store any) {
-	sn := store.(*rateHistorySnap)
-	a.count = sn.count
-	a.history = append(a.history[:0], sn.history...)
-}
-
-// forecast returns the one-step AR(p) prediction from the current history,
-// or the last observation when the fit is under-determined or singular.
-func (a *ARAnalyzer) forecast() float64 {
-	h := a.history
-	n := len(h)
-	p := a.Order
-	if n < p+2 {
-		return h[n-1]
-	}
-	// Build the regression y_t = c + Σ φ_i y_{t-i} over the available rows.
-	cols := p + 1 // intercept + p lags
-	xtx := make([][]float64, cols)
-	for i := range xtx {
-		xtx[i] = make([]float64, cols)
-	}
-	xty := make([]float64, cols)
-	for t := p; t < n; t++ {
-		row := make([]float64, cols)
-		row[0] = 1
-		for i := 1; i <= p; i++ {
-			row[i] = h[t-i]
-		}
-		for i := 0; i < cols; i++ {
-			for j := 0; j < cols; j++ {
-				xtx[i][j] += row[i] * row[j]
-			}
-			xty[i] += row[i] * h[t]
-		}
-	}
-	beta, ok := stats.SolveLinear(xtx, xty)
-	if !ok {
-		return h[n-1]
-	}
-	pred := beta[0]
-	for i := 1; i <= p; i++ {
-		pred += beta[i] * h[n-i]
-	}
-	if math.IsNaN(pred) || math.IsInf(pred, 0) {
-		return h[n-1]
-	}
-	return pred
 }

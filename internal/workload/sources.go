@@ -184,25 +184,11 @@ type OracleAnalyzer struct {
 // Start emits MeanRate at time zero and at each change point.
 func (o *OracleAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
 	alert(o.Source.MeanRate(0))
-	st := &oracleAlertState{o: o, s: s, alert: alert}
+	al := &alerter{s: s, alert: alert, estimate: o.Source.MeanRate}
 	for _, t := range o.Times {
 		if t <= 0 {
 			continue
 		}
-		s.AtFunc(t, fireOracleAlert, st)
+		s.AtFunc(t, fireAlert, al)
 	}
-}
-
-// oracleAlertState carries the analyzer and its sink to the shared
-// change-point callback; the fire time is read back from the kernel,
-// which stores it exactly.
-type oracleAlertState struct {
-	o     *OracleAnalyzer
-	s     *sim.Sim
-	alert func(lambda float64)
-}
-
-func fireOracleAlert(arg any) {
-	st := arg.(*oracleAlertState)
-	st.alert(st.o.Source.MeanRate(st.s.Now()))
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vmprov/internal/forecast"
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
 )
@@ -200,8 +201,9 @@ func TestWindowAnalyzer(t *testing.T) {
 	}
 }
 
+// The AR analyzer is a ForecastAnalyzer over forecast.AR.
 func TestARAnalyzerTracksRamp(t *testing.T) {
-	ar := &ARAnalyzer{Interval: 10, Order: 1, Fit: 12, Safety: 1}
+	ar := &ForecastAnalyzer{Interval: 10, Forecaster: &forecast.AR{Order: 1, Fit: 12}, Safety: 1}
 	s := sim.New()
 	var alerts []float64
 	ar.Start(s, func(l float64) { alerts = append(alerts, l) })
@@ -230,7 +232,7 @@ func TestARAnalyzerTracksRamp(t *testing.T) {
 }
 
 func TestARAnalyzerConstantSeries(t *testing.T) {
-	ar := &ARAnalyzer{Interval: 10, Order: 2, Safety: 1}
+	ar := &ForecastAnalyzer{Interval: 10, Forecaster: &forecast.AR{Order: 2}, Safety: 1}
 	s := sim.New()
 	var alerts []float64
 	ar.Start(s, func(l float64) { alerts = append(alerts, l) })

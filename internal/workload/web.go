@@ -180,7 +180,7 @@ func (tk *webTicker) Emit(now float64, n int) {
 	}
 	batch := tk.wk.batch[:0]
 	// Fused counting: bucket occupancy is tallied while sampling, so
-	// startUniform skips its counting pass over the batch.
+	// startUniform needs no counting pass over the batch.
 	counts, scale := tk.wk.precount(n, w.Interval)
 	for i := 0; i < n; i++ {
 		at := now + tk.arr.Float64()*w.Interval
@@ -207,14 +207,13 @@ func (tk *webTicker) Emit(now float64, n int) {
 // tasks. The batch, scratch, and bucket-count slices are reused across
 // batches, so steady-state generation allocates nothing.
 type batchWalker struct {
-	s          *sim.Sim
-	fire       sim.FireID // interned walkBatch callback for this walker
-	emit       func(Request)
-	batch      []Request
-	idx        int
-	scratch    []Request // bucket-sort output buffer, swapped with batch
-	counts     []int32   // bucket occupancy / offset buffer
-	precounted bool      // counts already hold the next batch's occupancy
+	s       *sim.Sim
+	fire    sim.FireID // interned walkBatch callback for this walker
+	emit    func(Request)
+	batch   []Request
+	idx     int
+	scratch []Request // bucket-sort output buffer, swapped with batch
+	counts  []int32   // bucket occupancy / offset buffer
 }
 
 // newBatchWalker creates a walker with its deferred-slot callback
@@ -226,8 +225,8 @@ func newBatchWalker(s *sim.Sim, emit func(Request)) *batchWalker {
 }
 
 // precount returns the zeroed bucket-occupancy buffer and bucket scale
-// for an n-element uniform batch, letting the generator tally occupancy
-// while it samples instead of startUniform re-reading the whole batch.
+// for an n-element uniform batch; the generator tallies occupancy into it
+// while it samples, so startUniform never re-reads the whole batch.
 // Returns nil when the batch will take the comparison-sort path.
 func (wk *batchWalker) precount(n int, width float64) ([]int32, float64) {
 	if n < 32 || !(width > 0) {
@@ -238,7 +237,6 @@ func (wk *batchWalker) precount(n int, width float64) ([]int32, float64) {
 	}
 	counts := wk.counts[:n]
 	clear(counts)
-	wk.precounted = true
 	return counts, float64(n) / width
 }
 
@@ -263,12 +261,11 @@ func (wk *batchWalker) snapshot(sn *walkerSnap) {
 // restore rewinds the captured walker: the remnant is copied back with
 // the cursor renumbered to zero, which the pending walkBatch event (if
 // the walker was active) indexes correctly because the event carries no
-// cursor of its own. precounted is always false at event boundaries.
+// cursor of its own.
 func (sn *walkerSnap) restore() {
 	wk := sn.wk
 	wk.batch = append(wk.batch[:0], sn.remnant...)
 	wk.idx = 0
-	wk.precounted = false
 }
 
 // requestCmp is the firing order: (arrival time, ID). IDs ascend in
@@ -304,6 +301,10 @@ func (wk *batchWalker) start(batch []Request) {
 // O(n log n) comparison calls; this is the generator's dominant cost at
 // scale. The scatter is stable and the repair breaks arrival ties by ID,
 // so the permutation is identical to the comparison sort's.
+//
+// The caller must have tallied the batch's bucket occupancy into the
+// buffer precount(len(batch), width) returned, binning each arrival at
+// int((Arrival-lo)·scale) clamped to [0, n-1] as this scatter does.
 func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 	n := len(batch)
 	if n < 32 || !(width > 0) {
@@ -311,9 +312,6 @@ func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 		return
 	}
 	nb := n
-	if cap(wk.counts) < nb {
-		wk.counts = make([]int32, nb)
-	}
 	counts := wk.counts[:nb]
 	if cap(wk.scratch) < n {
 		wk.scratch = make([]Request, n)
@@ -325,21 +323,6 @@ func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
 	// starts as generation order (ascending ID) thanks to the stable
 	// scatter.
 	scale := float64(nb) / width
-	if wk.precounted {
-		// The generator already tallied occupancy while sampling.
-		wk.precounted = false
-	} else {
-		clear(counts)
-		for i := range batch {
-			b := int((batch[i].Arrival - lo) * scale)
-			if b >= nb {
-				b = nb - 1
-			} else if b < 0 {
-				b = 0
-			}
-			counts[b]++
-		}
-	}
 	// Occupancy → start offsets.
 	var sum int32
 	for b := range counts {
@@ -521,7 +504,7 @@ func (a *WebAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
 	}
 	// Initial estimate for the period containing t=0.
 	alert(a.estimateAt(0))
-	st := &webAlertState{a: a, s: s, alert: alert}
+	al := &alerter{s: s, alert: alert, estimate: a.estimateAt}
 	for day := 0; ; day++ {
 		base := float64(day) * Day
 		if base > horizon {
@@ -532,23 +515,9 @@ func (a *WebAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
 			if t <= 0 || t > horizon {
 				continue
 			}
-			s.AtFunc(t, fireWebAlert, st)
+			s.AtFunc(t, fireAlert, al)
 		}
 	}
-}
-
-// webAlertState carries the analyzer and its sink to the shared
-// period-boundary callback; the boundary time is read back from the
-// kernel, which stores it exactly.
-type webAlertState struct {
-	a     *WebAnalyzer
-	s     *sim.Sim
-	alert func(lambda float64)
-}
-
-func fireWebAlert(arg any) {
-	st := arg.(*webAlertState)
-	st.alert(st.a.estimateAt(st.s.Now()))
 }
 
 // estimateAt returns the predicted rate for the period containing time t:

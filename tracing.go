@@ -77,5 +77,7 @@ func RecordTrace(sc Scenario, seed uint64, w io.Writer) (int, error) {
 	return experiment.RecordTrace(sc, seed, w)
 }
 
-// Trace enables structured tracing on the deployment's provisioner.
+// Trace enables structured tracing on the deployment's provisioner: the
+// request lifecycle, scaling and, under UseAdaptive, one predict event
+// per sizing decision.
 func (d *Deployment) Trace(tr TraceRecorder) { d.Provisioner.SetTracer(tr) }

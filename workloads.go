@@ -22,9 +22,6 @@ type (
 	OracleAnalyzer = workload.OracleAnalyzer
 	// WindowAnalyzer predicts from recent observed window rates.
 	WindowAnalyzer = workload.WindowAnalyzer
-	// ARAnalyzer predicts with a least-squares AR(p) model — the
-	// ARMAX-style future-work direction of the paper.
-	ARAnalyzer = workload.ARAnalyzer
 	// MMPPSource is a two-state Markov-modulated Poisson process for
 	// burstiness studies.
 	MMPPSource = workload.MMPPSource
