@@ -7,6 +7,7 @@
 GO        ?= go
 FUZZTIME  ?= 10s
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
+TRACETMP  ?= /tmp/vmprov_trace_smoke.jsonl
 
 .PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test bench golden
 
@@ -107,9 +108,11 @@ spec-roundtrip:
 # Hybrid fast-forward smoke: the hybrid engine's unit and equivalence
 # tests — every policy of the hybrid panel within
 # metrics.HybridTolerance, determinism across worker counts, bit-exact
-# -mode=exact.
+# -mode=exact, the pinned hybrid golden, a traced hybrid run equal to
+# the untraced one — then one traced hybrid CLI replication.
 ff-smoke:
 	$(GO) test -count=1 ./internal/fluid ./internal/experiment -run 'TestEngine|TestHybrid|TestMode'
+	$(GO) run ./cmd/vmprovsim -scenario web -scale 0.05 -horizon 3600 -mode hybrid -trace $(TRACETMP)
 
 # Snapshot/restore smoke: the bit-identity property suite (exact +
 # hybrid + fault-enabled + MPC, nested stacks, checkpoint forks, worker

@@ -20,6 +20,7 @@ import (
 	"vmprov/internal/provision"
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
+	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
 
@@ -98,13 +99,7 @@ func New(s *sim.Sim, dc cloud.Provider, tsTotal float64, stages []Stage) *Pipeli
 			}
 		}
 		st.Controller.Attach(s, prov)
-		i := i
-		prov.SetOnServed(func(_ int, req workload.Request, _, finish float64) {
-			p.advance(i, req, finish)
-		})
-		prov.SetOnRejected(func(req workload.Request) {
-			p.terminate(i, req)
-		})
+		prov.SetTracer(stageRecorder{p: p, i: i})
 		p.stages = append(p.stages, rt)
 	}
 	return p
@@ -147,19 +142,36 @@ func (p *Pipeline) enter(i int, id uint64) {
 	rt.prov.Submit(req)
 }
 
-// advance moves a request that finished stage i to stage i+1, or retires
-// it with end-to-end accounting after the last stage.
-func (p *Pipeline) advance(i int, req workload.Request, finish float64) {
-	fl, ok := p.inflight[req.ID]
+// stageRecorder is the pipeline's observer on stage i's provisioner: a
+// completion moves the request on, a rejection drops it.
+type stageRecorder struct {
+	p *Pipeline
+	i int
+}
+
+// Record implements trace.Recorder.
+func (r stageRecorder) Record(e trace.Event) {
+	switch e.Kind {
+	case trace.KindComplete:
+		r.p.advance(r.i, e.Req, e.T)
+	case trace.KindReject:
+		r.p.terminate(r.i, e.Req)
+	}
+}
+
+// advance moves request id, which finished stage i, to stage i+1, or
+// retires it with end-to-end accounting after the last stage.
+func (p *Pipeline) advance(i int, id uint64, finish float64) {
+	fl, ok := p.inflight[id]
 	if !ok || fl.stage != i {
 		return // a stage-local synthetic request, not pipeline-managed
 	}
 	if i+1 < len(p.stages) {
 		fl.stage = i + 1
-		p.enter(i+1, req.ID)
+		p.enter(i+1, id)
 		return
 	}
-	delete(p.inflight, req.ID)
+	delete(p.inflight, id)
 	p.served++
 	resp := finish - fl.arrival
 	p.e2e.Add(resp)
@@ -168,16 +180,17 @@ func (p *Pipeline) advance(i int, req workload.Request, finish float64) {
 	}
 }
 
-// terminate drops a request rejected at stage i.
-func (p *Pipeline) terminate(i int, req workload.Request) {
-	if _, ok := p.inflight[req.ID]; !ok {
+// terminate drops request id, rejected at stage i.
+func (p *Pipeline) terminate(i int, id uint64) {
+	if _, ok := p.inflight[id]; !ok {
 		return
 	}
-	delete(p.inflight, req.ID)
+	delete(p.inflight, id)
 	p.stages[i].drop++
 }
 
-// Stage exposes a stage's provisioner, e.g. to inspect fleet sizes.
+// Stage exposes a stage's provisioner, e.g. to inspect fleet sizes or to
+// attach a trace recorder next to the pipeline's own.
 func (p *Pipeline) Stage(i int) *provision.Provisioner { return p.stages[i].prov }
 
 // Result summarizes a finished pipeline run.

@@ -8,6 +8,7 @@ import (
 	"vmprov/internal/queueing"
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
+	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
 
@@ -76,6 +77,42 @@ func inFlightOrDropped(r Result) uint64 {
 		drops += d
 	}
 	return drops + (r.Offered - r.Served - drops)
+}
+
+// A recorder attached to a stage joins the pipeline's own observer
+// instead of replacing it: the ring sees the stage's lifecycle, and the
+// pipeline still chains and drops exactly as it does untraced.
+func TestStageTracerKeepsPipeline(t *testing.T) {
+	run := func(ring *trace.Ring) Result {
+		s := sim.New()
+		p := New(s, nil, 10, []Stage{
+			{Name: "front", Cfg: stageCfg(2, 1, 50), Controller: &provision.Static{M: 20}},
+			{Name: "storage", Cfg: stageCfg(4, 2, 50), Controller: &provision.Static{M: 2}},
+		})
+		if ring != nil {
+			p.Stage(0).SetTracer(ring)
+		}
+		drive(s, p, 4, []float64{1, 2}, 3000, 2)
+		return p.Finish(5000)
+	}
+	plain := run(nil)
+	ring := trace.NewRing(1 << 16)
+	traced := run(ring)
+	if traced.Served != plain.Served || traced.StageDrops[0] != plain.StageDrops[0] ||
+		traced.StageDrops[1] != plain.StageDrops[1] {
+		t.Fatalf("stage tracer changed the pipeline: served %d vs %d, drops %v vs %v",
+			traced.Served, plain.Served, traced.StageDrops, plain.StageDrops)
+	}
+	if plain.Served == 0 || plain.StageDrops[1] == 0 {
+		t.Fatalf("rig exercises neither chaining nor drops: %+v", plain)
+	}
+	// The front stage drains well before the horizon: every request it
+	// dispatched has completed.
+	front := traced.Stages[0]
+	accepts, completes := len(ring.Filter(trace.KindAccept)), len(ring.Filter(trace.KindComplete))
+	if uint64(accepts) != front.Accepted || uint64(completes) != front.Accepted {
+		t.Fatalf("ring saw %d accepts and %d completions, stage 0 served %d", accepts, completes, front.Accepted)
+	}
 }
 
 func TestBottleneckStageDropsAndShields(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vmprov/internal/metrics"
+	"vmprov/internal/trace"
 )
 
 // hybridWeb returns a reduced web scenario in both modes: six hours at
@@ -62,6 +63,38 @@ func TestModeExactIsDefault(t *testing.T) {
 	}
 }
 
+// kindCount tallies trace events by kind.
+type kindCount map[trace.Kind]uint64
+
+func (c kindCount) Record(e trace.Event) { c[e.Kind]++ }
+
+// Attaching a tracer leaves a hybrid run hybrid and bit-identical: the
+// tracer shares the provisioner's recorder seam with the fluid engine, so
+// it sees the probe ticks' requests and every fleet transition without
+// changing what the run computes. The second case moves the fleet and
+// injects faults.
+func TestHybridTracedMatchesUntraced(t *testing.T) {
+	_, web := hybridWeb(t)
+	faulty := Web(0.1)
+	faulty.Horizon = 3 * 3600
+	faulty.Mode = ModeHybrid
+	faulty.Fault = hybridGoldenFault
+	for _, hy := range []Scenario{web, faulty} {
+		plain, _ := RunOnce(hy, AdaptivePolicy(), 3, RunOptions{})
+		seen := kindCount{}
+		traced, _ := RunOnce(hy, AdaptivePolicy(), 3, RunOptions{Tracer: seen})
+		if !metrics.Equal(plain, traced) {
+			t.Fatalf("tracing changed a hybrid run:\nuntraced %+v\ntraced   %+v", plain, traced)
+		}
+		if n := seen[trace.KindComplete]; n == 0 || n >= traced.Accepted {
+			t.Fatalf("%d complete events for %d accepted requests: want probe ticks only", n, traced.Accepted)
+		}
+		if seen[trace.KindFleet] == 0 || seen[trace.KindScale] == 0 {
+			t.Fatalf("tracer missed the fleet transitions: %v", seen)
+		}
+	}
+}
+
 // Hybrid replications are pure functions of (scenario, policy, seed):
 // the sweep worker count must not leak into results.
 func TestHybridDeterministicAcrossWorkers(t *testing.T) {
@@ -101,6 +134,28 @@ func TestHybridPooledContextReuse(t *testing.T) {
 	pooled, _ := rc.Run(hy, AdaptivePolicy(), 5, RunOptions{})
 	if !metrics.Equal(fresh, pooled) {
 		t.Fatalf("pooled hybrid run differs from fresh context:\nfresh  %+v\npooled %+v", fresh, pooled)
+	}
+}
+
+// Hybrid mode refuses degraded-mode shedding: fluid ticks never shed, so
+// a hybrid run would undercount rejections (web scale 0.1, 6 h, 30 min
+// MTTF, two shed classes: Adaptive rejects 14.5% against the exact run's
+// 19.5%, averaged over seeds 1–3). Exact mode keeps it.
+func TestHybridRejectsShedding(t *testing.T) {
+	sp := WebSpec(0.1)
+	sp.Config.Shed.Classes = 2
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("exact mode with shedding: %v", err)
+	}
+	sp.Mode = ModeHybrid
+	if err := sp.Validate(); err == nil {
+		t.Fatal("hybrid spec with shedding validated")
+	}
+	sc := Web(0.1)
+	sc.Mode = ModeHybrid
+	sc.Cfg.Shed.Classes = 2
+	if err := sc.Validate(); err == nil {
+		t.Fatal("hybrid scenario with shedding validated")
 	}
 }
 

@@ -30,9 +30,11 @@ const (
 	// the internal/fluid engine, probing with exact simulation around
 	// fleet transitions and on a periodic calibration schedule. Results
 	// match exact runs within metrics.HybridTolerance, not bit-exactly.
-	// Scenarios whose workload or options the engine cannot serve
-	// (non-tick sources, observing analyzers, tracing) silently run
-	// exact.
+	// Scenarios whose workload the engine cannot serve (non-tick
+	// sources, observing analyzers) silently run exact; failure-domain
+	// faults and degraded-mode shedding fail validation. A tracer leaves
+	// the run hybrid and unchanged; its per-request events cover the
+	// probe ticks only.
 	ModeHybrid Mode = "hybrid"
 )
 
@@ -147,6 +149,11 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Mode == ModeHybrid && !sc.Fault.Domains.IsZero() {
 		return fmt.Errorf("experiment: scenario %q: hybrid mode cannot fast-forward failure-domain faults; use exact mode", sc.Name)
+	}
+	// Fluid ticks never shed, so a hybrid run would undercount the
+	// rejections degraded-mode admission adds.
+	if sc.Mode == ModeHybrid && sc.Cfg.Shed.Classes > 0 {
+		return fmt.Errorf("experiment: scenario %q: hybrid mode cannot fast-forward degraded-mode shedding; use exact mode", sc.Name)
 	}
 	return sc.Cfg.Validate()
 }

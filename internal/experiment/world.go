@@ -119,9 +119,7 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 		w.inj.StartDomains(s)
 	}
 
-	if opts.Tracer != nil {
-		p.SetTracer(opts.Tracer)
-	}
+	p.SetTracer(opts.Tracer)
 	src := sc.NewSource()
 	ctrl, analyzer := pol.Build(sc, src)
 	ctrl.Attach(s, p)
@@ -138,12 +136,11 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 	}
 	// Hybrid fast-forward replaces the source's event schedule with the
 	// fluid engine's probe/fluid tick loop when the run qualifies: the
-	// source must be tick-structured, and nothing may need to see every
-	// individual request (an observing analyzer learns from the arrival
-	// stream, a tracer records request lifecycles — both fall back to
-	// exact simulation).
-	if fsrc, ok := src.(workload.FluidSource); ok &&
-		sc.Mode == ModeHybrid && !observing && opts.Tracer == nil {
+	// source must be tick-structured, and no analyzer may need to see
+	// every individual request (an observing analyzer learns from the
+	// arrival stream, so it falls back to exact simulation). A tracer
+	// rides along: its per-request events cover the probe ticks.
+	if fsrc, ok := src.(workload.FluidSource); ok && sc.Mode == ModeHybrid && !observing {
 		eng := fluid.New(p, col, sc.Cfg.QoS.Ts)
 		eng.Start(s, fsrc, rng, emit)
 		w.eng = eng

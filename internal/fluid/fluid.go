@@ -6,13 +6,14 @@
 //
 // The engine drives a tick-structured workload (workload.FluidSource)
 // one interval at a time. Each tick is either a probe — the tick's
-// requests are injected as real discrete events and the run's hooks
-// capture what the fleet actually did with them — or fluid: the tick
-// still draws its realized request count from the workload's rate
-// process (the arrival stream is the same stochastic object either way),
-// but instead of simulating the requests it folds one bulk
-// metrics.FluidWindow into the collector, extrapolated from the most
-// recent calibration through the queueing.Fleet closed forms:
+// requests are injected as real discrete events and the engine, a trace
+// recorder on the provisioner, captures what the fleet actually did with
+// them from its complete and reject events — or fluid: the tick still
+// draws its realized request count from the workload's rate process (the
+// arrival stream is the same stochastic object either way), but instead
+// of simulating the requests it folds one bulk metrics.FluidWindow into
+// the collector, extrapolated from the most recent calibration through
+// the queueing.Fleet closed forms:
 //
 //	reject(λ, m) = clamp01( rf_cal · (P(λ, m) / P(λ_cal, m_cal))^γ )
 //	resp(λ, m)   = resp_cal · T(λ, m) / T(λ_cal, m_cal)
@@ -31,9 +32,8 @@
 //   - while no calibration is valid (start of run, or the fleet changed
 //     during every recent probe), every tick probes;
 //   - after any fleet transition — scaling decision, activation, crash,
-//     retirement, reported through the provisioner's fleet-change hook —
-//     the next probeOnChange (2) ticks probe, re-measuring the new
-//     regime;
+//     heal, retirement, reported as a fleet trace event — the next
+//     probeOnChange (2) ticks probe, re-measuring the new regime;
 //   - otherwise one tick in probeEvery (8) probes, bounding drift
 //     between the model and the exact dynamics.
 //
@@ -51,6 +51,7 @@ import (
 	"vmprov/internal/queueing"
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
+	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
 
@@ -77,15 +78,13 @@ const (
 )
 
 // Fleet is the engine's view of the application provisioner: the current
-// operating point of the closed-form model plus the observation hooks the
-// probe windows calibrate from. *provision.Provisioner satisfies it.
+// operating point of the closed-form model plus the trace seam the probe
+// windows calibrate from. *provision.Provisioner satisfies it.
 type Fleet interface {
 	Committed() int
 	K() int
 	MonitoredTm() float64
-	SetOnServed(fn func(inst int, req workload.Request, start, finish float64))
-	SetOnRejected(fn func(req workload.Request))
-	SetOnFleetChange(fn func())
+	SetTracer(trace.Recorder)
 }
 
 // calibration is one closed probe window's measurement of the fleet:
@@ -143,49 +142,43 @@ func New(fleet Fleet, col *metrics.Collector, ts float64) *Engine {
 	return &Engine{fleet: fleet, col: col, ts: ts}
 }
 
-// Start schedules the hybrid tick loop, replacing src.Start. It
-// registers the engine's observation hooks on the fleet, so it must run
-// after any scaling controller is attached and must be the hooks' only
-// user for the run.
+// Start schedules the hybrid tick loop, replacing src.Start, and attaches
+// the engine to the fleet as a trace recorder (alongside any other).
 func (e *Engine) Start(s *sim.Sim, src workload.FluidSource, r *stats.RNG, emit func(workload.Request)) {
 	e.interval = src.TickInterval()
 	e.tick = src.NewTicker(s, r, emit)
 	e.res = r.Split("fluid/residual")
-	e.fleet.SetOnServed(e.onServed)
-	e.fleet.SetOnRejected(e.onRejected)
-	e.fleet.SetOnFleetChange(e.onFleetChange)
+	e.fleet.SetTracer(e)
 	s.Every(0, e.interval, e.onTick)
 }
 
-// onServed captures a completion into the open probe window.
-func (e *Engine) onServed(_ int, req workload.Request, start, finish float64) {
-	if !e.probing {
-		return
-	}
-	resp := finish - req.Arrival
-	e.capAcc++
-	e.capResp.Add(resp)
-	e.capShape.Add(resp)
-	e.capExec += finish - start
-	if resp > e.ts {
-		e.capViol++
-	}
-}
-
-// onRejected captures an admission rejection into the open probe window.
-func (e *Engine) onRejected(workload.Request) {
-	if e.probing {
-		e.capRej++
-	}
-}
-
-// onFleetChange reacts to a fleet transition: the model's operating
-// point moved, so the next ticks must re-measure, and a capture spanning
-// the transition would mix two regimes, so it is discarded.
-func (e *Engine) onFleetChange() {
-	e.postChange = probeOnChange
-	if e.probing {
-		e.capDirty = true
+// Record implements trace.Recorder. A completion or a rejection is
+// captured into the open probe window. A fleet transition moved the
+// model's operating point, so the next ticks must re-measure, and a
+// capture spanning the transition would mix two regimes, so it is
+// discarded.
+func (e *Engine) Record(ev trace.Event) {
+	switch ev.Kind {
+	case trace.KindComplete:
+		if !e.probing {
+			return
+		}
+		e.capAcc++
+		e.capResp.Add(ev.Response)
+		e.capShape.Add(ev.Response)
+		e.capExec += ev.Value
+		if ev.Response > e.ts {
+			e.capViol++
+		}
+	case trace.KindReject:
+		if e.probing {
+			e.capRej++
+		}
+	case trace.KindFleet:
+		e.postChange = probeOnChange
+		if e.probing {
+			e.capDirty = true
+		}
 	}
 }
 

@@ -7,28 +7,37 @@ import (
 	"vmprov/internal/metrics"
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
+	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
 
-// fakeFleet is a fixed operating point whose hook registrations the test
-// drives by hand: every 20th emitted request is rejected, the rest are
-// served instantly with a 100 ms response.
+// fakeFleet is a fixed operating point whose trace events the test
+// records by hand, the way the provisioner would: every 20th emitted
+// request is rejected, the rest are served instantly with a 100 ms
+// response.
 type fakeFleet struct {
-	m, k          int
-	tm            float64
-	onServed      func(int, workload.Request, float64, float64)
-	onRejected    func(workload.Request)
-	onFleetChange func()
+	m, k int
+	tm   float64
+	rec  trace.Recorder
 }
 
-func (f *fakeFleet) Committed() int       { return f.m }
-func (f *fakeFleet) K() int               { return f.k }
-func (f *fakeFleet) MonitoredTm() float64 { return f.tm }
-func (f *fakeFleet) SetOnServed(fn func(int, workload.Request, float64, float64)) {
-	f.onServed = fn
+func (f *fakeFleet) Committed() int               { return f.m }
+func (f *fakeFleet) K() int                       { return f.k }
+func (f *fakeFleet) MonitoredTm() float64         { return f.tm }
+func (f *fakeFleet) SetTracer(rec trace.Recorder) { f.rec = rec }
+
+// serve records q's completion after service over [start, finish].
+func (f *fakeFleet) serve(q workload.Request, start, finish float64) {
+	f.rec.Record(trace.Event{
+		T: finish, Kind: trace.KindComplete, Req: q.ID,
+		Value: finish - start, Response: finish - q.Arrival,
+	})
 }
-func (f *fakeFleet) SetOnRejected(fn func(workload.Request)) { f.onRejected = fn }
-func (f *fakeFleet) SetOnFleetChange(fn func())              { f.onFleetChange = fn }
+
+// reject records q's rejection.
+func (f *fakeFleet) reject(q workload.Request) {
+	f.rec.Record(trace.Event{T: q.Arrival, Kind: trace.KindReject, Req: q.ID})
+}
 
 // fakeSource ticks every 60 s with 550–650 requests per tick, drawn from
 // the run's seeded stream like a real source.
@@ -82,11 +91,11 @@ func runFake(t *testing.T, seed uint64, ticks int, change func(s *sim.Sim, fl *f
 		served++
 		if served%20 == 0 {
 			col.Reject(q)
-			fl.onRejected(q)
+			fl.reject(q)
 			return
 		}
 		col.Complete(q, q.Arrival, q.Arrival+0.1)
-		fl.onServed(0, q, q.Arrival, q.Arrival+0.1)
+		fl.serve(q, q.Arrival, q.Arrival+0.1)
 	}
 	eng.Start(s, src, stats.NewRNG(seed), emit)
 	if change != nil {
@@ -149,7 +158,7 @@ func TestEngineProbesAfterFleetChange(t *testing.T) {
 		// Mid-window transition during a fluid stretch.
 		s.ScheduleFunc(20*60+30, func(any) {
 			fl.m = 6
-			fl.onFleetChange()
+			fl.rec.Record(trace.Event{T: s.Now(), Kind: trace.KindFleet, Count: fl.m})
 		}, nil)
 	})
 	if changed.ProbeTicks < base.ProbeTicks+1 {
@@ -172,11 +181,11 @@ func TestEngineMinCalibrationKeepsProbing(t *testing.T) {
 		emitted++
 		if emitted%10 != 0 {
 			col.Reject(q)
-			fl.onRejected(q)
+			fl.reject(q)
 			return
 		}
 		col.Complete(q, q.Arrival, q.Arrival+0.1)
-		fl.onServed(0, q, q.Arrival, q.Arrival+0.1)
+		fl.serve(q, q.Arrival, q.Arrival+0.1)
 	}
 	eng.Start(s, &fakeSource{fleet: fl}, stats.NewRNG(1), emit)
 	s.RunUntil(20 * 60)

@@ -111,7 +111,7 @@ func TestRetryRecoversAfterCapacityFrees(t *testing.T) {
 	if res.Retries == 0 {
 		t.Fatal("no retries recorded")
 	}
-	if r.p.CapacityShortfalls == 0 {
+	if res.CapacityShortfalls == 0 {
 		t.Fatal("capacity shortfalls not recorded for ErrNoCapacity")
 	}
 	if res.Availability >= 1 {

@@ -101,9 +101,10 @@ func TestCommittedFloor(t *testing.T) {
 		// the backoff retries then heal the pool to its target.
 		r.sim.At(100, func() { gp.failUntil = 130 })
 		run := stepFloor(t, r.sim, r.p, r.col, 100, 7, 300)
-		if run.floor != 3 || r.p.CapacityShortfalls == 0 || run.final != 7 {
+		shortfalls := r.col.Result("x", r.sim.Now()).CapacityShortfalls
+		if run.floor != 3 || shortfalls == 0 || run.final != 7 {
 			t.Fatalf("shortfall not exercised: floor %d, shortfalls %d, final committed %d",
-				run.floor, r.p.CapacityShortfalls, run.final)
+				run.floor, shortfalls, run.final)
 		}
 	})
 }

@@ -191,10 +191,6 @@ type Provisioner struct {
 	scratchIdle []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
 	scratchBusy []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
 
-	// CapacityShortfalls counts scale-up attempts the data center could
-	// not satisfy (ErrNoCapacity or the MaxVMs ceiling).
-	CapacityShortfalls int
-
 	// Self-healing state. fm is the injected fault environment (nil = a
 	// perfectly reliable IaaS). retry is the resolved backoff policy; one
 	// pending retry event at a time re-attempts failed provisions with
@@ -221,18 +217,9 @@ type Provisioner struct {
 	// scratchVictims is reused across correlated-crash sweeps.
 	scratchVictims []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt every sweep
 
-	// onServed, when set, observes every completion after the built-in
-	// accounting — the hook composite pipelines chain stages with.
-	onServed func(app.Completion) //vmprov:ephemeral -- observer wiring set before the run, not replication state
-	// onRejected, when set, observes every request terminated by
-	// admission control or displacement.
-	onRejected func(workload.Request) //vmprov:ephemeral -- observer wiring set before the run, not replication state
-	// onFleetChange, when set, is notified after every fleet transition —
-	// scaling decisions, activations, crashes, retirements. The hybrid
-	// fast-forward engine uses it to fall back to exact simulation around
-	// transitions.
-	onFleetChange func() //vmprov:ephemeral -- observer wiring set before the run, not replication state
-	// tracer, when set, receives structured lifecycle events.
+	// tracer, when set, receives structured lifecycle events: it is the
+	// provisioner's only observer (trace sinks, the hybrid fluid engine,
+	// composite pipelines).
 	tracer trace.Recorder //vmprov:ephemeral -- observer wiring set before the run, not replication state
 }
 
@@ -314,33 +301,28 @@ func (p *Provisioner) CommittedFloor() int {
 // Target returns the size most recently requested via SetTarget.
 func (p *Provisioner) Target() int { return p.target }
 
-// SetOnServed registers a completion observer invoked after the built-in
-// metrics and monitoring. Composite pipelines use it to forward finished
-// requests to the next stage.
-func (p *Provisioner) SetOnServed(fn func(inst int, req workload.Request, start, finish float64)) {
-	p.onServed = func(c app.Completion) { fn(c.Inst.VM.ID, c.Req, c.Start, c.Finish) }
-}
-
-// SetOnRejected registers an observer for requests terminated by
-// admission control or displacement.
-func (p *Provisioner) SetOnRejected(fn func(req workload.Request)) { p.onRejected = fn }
-
-// SetOnFleetChange registers an observer invoked after every fleet
-// transition: a scaling decision (even a no-op one), an instance
-// activation, a crash, or a retirement. The committed size, the active
-// serving capacity, or the scaling target may have changed when it fires.
-func (p *Provisioner) SetOnFleetChange(fn func()) { p.onFleetChange = fn }
-
-// fleetChanged fires the fleet-transition observer, if any.
+// fleetChanged records a fleet event after every fleet transition: a
+// scaling decision (even a no-op one), an instance activation, a crash,
+// a heal, or a retirement. The committed size, the active serving
+// capacity, or the scaling target may have changed when it fires.
 func (p *Provisioner) fleetChanged() {
-	if p.onFleetChange != nil {
-		p.onFleetChange()
+	if p.tracer != nil {
+		p.tracer.Record(trace.Event{T: p.sim.Now(), Kind: trace.KindFleet, Count: p.Committed()})
 	}
 }
 
-// SetTracer enables structured event tracing (request lifecycle, scaling
-// decisions, instance churn). Pass nil to disable.
-func (p *Provisioner) SetTracer(tr trace.Recorder) { p.tracer = tr }
+// SetTracer attaches a structured event recorder (request lifecycle,
+// scaling decisions, instance churn). A second recorder joins the first
+// through trace.Multi rather than replacing it, so a user tracer cannot
+// unhook the fluid engine or a composite pipeline; nil adds nothing.
+func (p *Provisioner) SetTracer(tr trace.Recorder) {
+	switch {
+	case p.tracer == nil:
+		p.tracer = tr
+	case tr != nil:
+		p.tracer = trace.Multi{p.tracer, tr}
+	}
+}
 
 // Submit runs one fresh arrival through admission control and dispatch.
 // The admission controller rejects a request only when every active
@@ -406,9 +388,6 @@ func (p *Provisioner) submit(req workload.Request) {
 		return
 	}
 	p.col.Reject(req)
-	if p.onRejected != nil {
-		p.onRejected(req)
-	}
 	if p.tracer != nil {
 		p.tracer.Record(trace.Event{
 			T: p.sim.Now(), Kind: trace.KindReject, Req: req.ID, Class: req.Class,
@@ -442,15 +421,20 @@ func (p *Provisioner) displaceFor(req workload.Request) bool {
 	}
 	evicted := victim.EvictWaiting(victimIdx)
 	p.col.Displace(evicted)
-	if p.onRejected != nil {
-		p.onRejected(evicted)
+	if p.tracer != nil {
+		p.tracer.Record(trace.Event{
+			T: p.sim.Now(), Kind: trace.KindReject, Req: evicted.ID, Class: evicted.Class,
+			Detail: trace.DetailDisplaced,
+		})
 	}
 	victim.Accept(req)
 	return true
 }
 
 // onComplete handles every service completion: metrics, the Tm monitor,
-// and the deferred destruction of drained instances.
+// and the deferred destruction of drained instances. The complete event
+// follows the retirement, so a recorder that submits the request onward
+// (a composite pipeline) sees the fleet after it.
 func (p *Provisioner) onComplete(c app.Completion) {
 	// A completion frees one slot; Len()==k-1 now means the instance held
 	// exactly k before, i.e. this completion took it from full to free.
@@ -459,18 +443,15 @@ func (p *Provisioner) onComplete(c app.Completion) {
 	}
 	p.col.Complete(c.Req, c.Start, c.Finish)
 	p.monitor.Add(c.Finish - c.Start)
+	if c.Drained {
+		p.retire(c.Inst)
+	}
 	if p.tracer != nil {
 		p.tracer.Record(trace.Event{
 			T: c.Finish, Kind: trace.KindComplete,
 			Req: c.Req.ID, Class: c.Req.Class, Inst: c.Inst.VM.ID,
-			Response: c.Finish - c.Req.Arrival,
+			Value: c.Finish - c.Start, Response: c.Finish - c.Req.Arrival,
 		})
-	}
-	if c.Drained {
-		p.retire(c.Inst)
-	}
-	if p.onServed != nil {
-		p.onServed(c)
 	}
 }
 
@@ -632,7 +613,6 @@ func (p *Provisioner) scaleUp(need int) {
 // MaxVMs contract ceiling (a hard limit no retry can lift).
 func (p *Provisioner) provisionOne() (ok, retryable bool) {
 	if len(p.instances) >= p.cfg.MaxVMs {
-		p.CapacityShortfalls++
 		p.col.CapacityShortfall()
 		return false, false
 	}
@@ -654,7 +634,6 @@ func (p *Provisioner) provisionOne() (ok, retryable bool) {
 		if errors.Is(err, cloud.ErrTransient) {
 			p.col.FaultAt(p.sim.Now())
 		} else {
-			p.CapacityShortfalls++
 			p.col.CapacityShortfall()
 		}
 		return false, true
@@ -950,8 +929,6 @@ type PSnap struct {
 	numDraining int
 	activeFree  int
 
-	shortfalls int
-
 	retryEv      sim.Event
 	retryBackoff float64
 	retryFails   int
@@ -980,7 +957,6 @@ func (p *Provisioner) Snapshot(snap *PSnap) {
 	snap.numActive = p.numActive
 	snap.numDraining = p.numDraining
 	snap.activeFree = p.activeFree
-	snap.shortfalls = p.CapacityShortfalls
 	snap.retryEv = p.retryEv
 	snap.retryBackoff = p.retryBackoff
 	snap.retryFails = p.retryFails
@@ -1006,7 +982,6 @@ func (p *Provisioner) Restore(snap *PSnap) {
 	p.numActive = snap.numActive
 	p.numDraining = snap.numDraining
 	p.activeFree = snap.activeFree
-	p.CapacityShortfalls = snap.shortfalls
 	p.retryEv = snap.retryEv
 	p.retryBackoff = snap.retryBackoff
 	p.retryFails = snap.retryFails

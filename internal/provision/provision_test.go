@@ -190,7 +190,7 @@ func TestCapacityShortfallCounted(t *testing.T) {
 	if p.Running() != 2 {
 		t.Fatalf("running = %d, want 2", p.Running())
 	}
-	if p.CapacityShortfalls == 0 {
+	if col.Result("x", s.Now()).CapacityShortfalls == 0 {
 		t.Fatal("capacity shortfall not recorded")
 	}
 }

@@ -196,9 +196,6 @@ func (p *Provisioner) shedCutoff() int {
 // shedReq terminates a request under degraded-mode admission.
 func (p *Provisioner) shedReq(req workload.Request) {
 	p.col.Shed(req)
-	if p.onRejected != nil {
-		p.onRejected(req)
-	}
 	if p.tracer != nil {
 		p.tracer.Record(trace.Event{
 			T: p.sim.Now(), Kind: trace.KindReject, Req: req.ID, Class: req.Class,

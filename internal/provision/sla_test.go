@@ -3,6 +3,7 @@ package provision
 import (
 	"testing"
 
+	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
 
@@ -37,6 +38,34 @@ func TestPriorityDisplacement(t *testing.T) {
 	}
 	if classes[1].Displaced != 1 || classes[1].Accepted != 1 {
 		t.Fatalf("low class stats wrong: %+v", classes[1])
+	}
+}
+
+// The displaced waiter is a reject event with detail "displaced", so the
+// trace's reject events account for every rejection the collector counts.
+func TestDisplacementTraced(t *testing.T) {
+	r := newRig(t, slaCfg())
+	ring := trace.NewRing(64)
+	r.p.SetTracer(ring)
+	r.p.SetTarget(1)
+	r.p.Submit(workload.Request{ID: 1, Service: 100, Class: 0})
+	r.p.Submit(workload.Request{ID: 2, Service: 100, Class: 0})
+	r.p.Submit(workload.Request{ID: 3, Service: 100, Class: 1})
+	r.p.Submit(workload.Request{ID: 4, Service: 100, Class: 0}) // full, nothing lower to displace
+	r.sim.Run()
+	res := r.col.Result("x", r.sim.Now())
+	rejects := ring.Filter(trace.KindReject)
+	if uint64(len(rejects)) != res.Rejected {
+		t.Fatalf("%d reject events, collector counted %d rejections: %+v", len(rejects), res.Rejected, rejects)
+	}
+	var displaced []trace.Event
+	for _, e := range rejects {
+		if e.Detail == trace.DetailDisplaced {
+			displaced = append(displaced, e)
+		}
+	}
+	if len(displaced) != 1 || displaced[0].Req != 2 || displaced[0].Class != 0 {
+		t.Fatalf("displaced events %+v, want one for request 2", displaced)
 	}
 }
 
@@ -79,10 +108,8 @@ func TestPriorityServiceOrder(t *testing.T) {
 	cfg.QoS.Ts = 5 // k = 5: deep queue to observe ordering
 	r := newRig(t, cfg)
 	r.p.SetTarget(1)
-	var order []uint64
-	r.p.SetOnServed(func(_ int, q workload.Request, _, _ float64) {
-		order = append(order, q.ID)
-	})
+	ring := trace.NewRing(64)
+	r.p.SetTracer(ring)
 	r.sim.At(0, func() {
 		r.p.Submit(workload.Request{ID: 1, Service: 1, Class: 0}) // starts service
 		r.p.Submit(workload.Request{ID: 2, Service: 1, Class: 0})
@@ -90,6 +117,10 @@ func TestPriorityServiceOrder(t *testing.T) {
 		r.p.Submit(workload.Request{ID: 4, Service: 1, Class: 1})
 	})
 	r.sim.Run()
+	var order []uint64
+	for _, e := range ring.Filter(trace.KindComplete) {
+		order = append(order, e.Req)
+	}
 	want := []uint64{1, 3, 4, 2} // in-service first, then by class, FIFO within class
 	if len(order) != 4 {
 		t.Fatalf("served %d requests", len(order))
@@ -132,15 +163,19 @@ func TestDeadlineAwareDispatch(t *testing.T) {
 func TestOnServedHook(t *testing.T) {
 	r := newRig(t, testCfg())
 	r.p.SetTarget(1)
-	var got []uint64
-	r.p.SetOnServed(func(inst int, q workload.Request, start, finish float64) {
-		if finish <= start {
-			t.Fatalf("bad completion times %v..%v", start, finish)
-		}
-		got = append(got, q.ID)
-	})
+	ring := trace.NewRing(64)
+	r.p.SetTracer(ring)
 	r.p.Submit(workload.Request{ID: 9, Service: 2})
 	r.sim.Run()
+	var got []uint64
+	for _, e := range ring.Filter(trace.KindComplete) {
+		// A complete event carries the finish time and the execution
+		// seconds, so its service started at T − Value.
+		if start, finish := e.T-e.Value, e.T; finish <= start {
+			t.Fatalf("bad completion times %v..%v", start, finish)
+		}
+		got = append(got, e.Req)
+	}
 	if len(got) != 1 || got[0] != 9 {
 		t.Fatalf("hook observed %v", got)
 	}

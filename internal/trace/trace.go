@@ -2,6 +2,18 @@
 // lifecycle, scaling decisions, instance churn — as JSON Lines, giving
 // runs an audit trail that can be replayed into external analysis tools.
 // Tracing is opt-in and zero-cost when disabled.
+//
+// A Recorder is the application provisioner's only observer: the hybrid
+// fluid engine and the composite pipeline read the same events a JSONL
+// writer does. Besides T (simulated seconds) and Kind, each kind sets:
+//
+//	accept    Req, Class, Inst (the instance dispatched to)
+//	reject    Req, Class; Detail "displaced" for an evicted waiter
+//	complete  Req, Class, Inst, Response (finish − arrival), Value (finish − start)
+//	scale     Count (requested fleet size), Value (live instances after it)
+//	fleet     Count (committed instances after a fleet transition)
+//	crash     Inst, Count (waiting requests re-queued)
+//	predict   Value (predicted arrival rate λ̂), Count (the size Algorithm 1 chose)
 package trace
 
 import (
@@ -14,18 +26,20 @@ import (
 // Kind labels an event.
 type Kind string
 
-// Event kinds emitted by the instrumented components.
+// Event kinds; the package documentation lists the fields each sets.
 const (
-	KindArrival   Kind = "arrival"
-	KindAccept    Kind = "accept"
-	KindReject    Kind = "reject"
-	KindComplete  Kind = "complete"
-	KindScale     Kind = "scale"
-	KindInstance  Kind = "instance"
-	KindCrash     Kind = "crash"
-	KindPredict   Kind = "predict"
-	KindUserNoted Kind = "note"
+	KindAccept   Kind = "accept"
+	KindReject   Kind = "reject"
+	KindComplete Kind = "complete"
+	KindScale    Kind = "scale"
+	KindFleet    Kind = "fleet"
+	KindCrash    Kind = "crash"
+	KindPredict  Kind = "predict"
 )
+
+// DetailDisplaced marks a reject event for a waiting request evicted by
+// a higher-class arrival.
+const DetailDisplaced = "displaced"
 
 // Event is one structured trace record. Fields are omitted from the JSON
 // encoding when irrelevant to the kind.

@@ -35,11 +35,12 @@ type (
 
 // Trace event kinds.
 const (
-	TraceArrival  = trace.KindArrival
 	TraceAccept   = trace.KindAccept
 	TraceReject   = trace.KindReject
 	TraceComplete = trace.KindComplete
 	TraceScale    = trace.KindScale
+	TraceFleet    = trace.KindFleet
+	TraceCrash    = trace.KindCrash
 	TracePredict  = trace.KindPredict
 )
 
@@ -77,7 +78,8 @@ func RecordTrace(sc Scenario, seed uint64, w io.Writer) (int, error) {
 	return experiment.RecordTrace(sc, seed, w)
 }
 
-// Trace enables structured tracing on the deployment's provisioner: the
-// request lifecycle, scaling and, under UseAdaptive, one predict event
-// per sizing decision.
+// Trace adds a structured event recorder to the deployment's
+// provisioner: the request lifecycle, scaling, fleet transitions and,
+// under UseAdaptive, one predict event per sizing decision. A second call
+// adds a second recorder; both receive every event.
 func (d *Deployment) Trace(tr TraceRecorder) { d.Provisioner.SetTracer(tr) }
