@@ -115,13 +115,18 @@ ff-smoke:
 	$(GO) run ./cmd/vmprovsim -scenario web -scale 0.05 -horizon 3600 -mode hybrid -trace $(TRACETMP)
 
 # Snapshot/restore smoke: the bit-identity property suite (exact +
-# hybrid + fault-enabled + MPC, nested stacks, checkpoint forks, worker
-# counts 1/4/8 with pooled contexts) under the race detector, including
-# TestMPCGolden (the MPC controller's decisions, pinned bit for bit) and
-# TestMPCBeatsWorstBaseline (the MPC policy must not lose to every
-# baseline on its own objective), and the federation snapshot tests.
+# hybrid + fault-enabled + MPC + a window analyzer stopping its ticker
+# mid-run, nested stacks, checkpoint forks, worker counts 1/4/8 with
+# pooled contexts) and the FuzzSnapshotRestore seeds under the race
+# detector, including TestMPCGolden (the MPC controller's decisions,
+# pinned bit for bit) and TestMPCBeatsWorstBaseline (the MPC policy must
+# not lose to every baseline on its own objective); then the per-layer
+# rewind tests of the kernel (tickers, zero snapshot), the collector
+# (zero snapshot) and the federation.
 snapshot-smoke:
-	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC'
+	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC|FuzzSnapshotRestore'
+	$(GO) test -race -count=1 ./internal/sim -run 'TestTicker|TestResetMatchesNew'
+	$(GO) test -race -count=1 ./internal/metrics -run 'ZeroSnapshot'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
 
 # Run every example program end to end with its default flags (a few

@@ -57,8 +57,18 @@ type Instance struct {
 	VM cloud.VM
 	K  int // queue capacity counting the request in service (Equation 1)
 
-	state State
+	instState
 	queue []workload.Request // waiting requests, excluding the one in service
+
+	sim        *sim.Sim
+	fire       sim.FireID // interned completion callback for this instance
+	onComplete func(Completion)
+}
+
+// instState is an instance's scalar state. Snapshot and Restore copy it
+// whole; the queue is copied beside it.
+type instState struct {
+	state State
 	busy  bool
 	cur   workload.Request
 	curAt float64 // service start of cur
@@ -75,10 +85,7 @@ type Instance struct {
 	// can cancel it without a side table. The zero Event is inert.
 	CrashEv sim.Event
 
-	epoch      uint32 // bumped at every Destroy/Crash; guards stale events
-	sim        *sim.Sim
-	fire       sim.FireID // interned completion callback for this instance
-	onComplete func(Completion)
+	epoch uint32 // bumped at every Destroy/Crash; guards stale events
 }
 
 // NewInstance creates an instance in the Booting state; call Activate to
@@ -94,8 +101,7 @@ func NewInstance(s *sim.Sim, vm cloud.VM, k int, onComplete func(Completion)) *I
 	in := &Instance{
 		VM:         vm,
 		K:          k,
-		state:      Booting,
-		CreatedAt:  s.Now(),
+		instState:  instState{state: Booting, CreatedAt: s.Now()},
 		sim:        s,
 		onComplete: onComplete,
 	}
@@ -310,48 +316,29 @@ func (in *Instance) complete() {
 	in.onComplete(done)
 }
 
-// InstSnap holds one captured Instance state. Snapshots restore in place
-// on the same *Instance: pending heap events and interned fire callbacks
-// reference instances by pointer, so identity must survive a restore.
+// InstSnap holds one captured Instance state: its scalar state plus a copy
+// of the queue. Snapshots restore in place on the same *Instance: pending
+// heap events and interned fire callbacks reference instances by
+// pointer, so identity must survive a restore.
 type InstSnap struct {
-	state       State
-	queue       []workload.Request
-	queueNil    bool // distinguishes a crashed (nil) queue from an empty one
-	busy        bool
-	cur         workload.Request
-	curAt       float64
-	createdAt   float64
-	activatedAt float64
-	destroyedAt float64
-	busyTime    float64
-	served      uint64
-	crashEv     sim.Event
-	epoch       uint32
+	instState
+	queue    []workload.Request
+	queueNil bool // distinguishes a crashed (nil) queue from an empty one
 }
 
 // Snapshot captures the instance's mutable state into snap, reusing
 // snap's queue buffer. Cost is O(queued requests).
 func (in *Instance) Snapshot(snap *InstSnap) {
-	snap.state = in.state
+	snap.instState = in.instState
 	snap.queue = append(snap.queue[:0], in.queue...)
 	snap.queueNil = in.queue == nil
-	snap.busy = in.busy
-	snap.cur = in.cur
-	snap.curAt = in.curAt
-	snap.createdAt = in.CreatedAt
-	snap.activatedAt = in.ActivatedAt
-	snap.destroyedAt = in.DestroyedAt
-	snap.busyTime = in.BusyTime
-	snap.served = in.Served
-	snap.crashEv = in.CrashEv
-	snap.epoch = in.epoch
 }
 
 // Restore rewinds the instance to a captured state. The queue's backing
 // array is reused when large enough; a queue that was handed off by Crash
 // since the snapshot is rebuilt.
 func (in *Instance) Restore(snap *InstSnap) {
-	in.state = snap.state
+	in.instState = snap.instState
 	if snap.queueNil {
 		in.queue = nil
 	} else {
@@ -360,16 +347,6 @@ func (in *Instance) Restore(snap *InstSnap) {
 		}
 		in.queue = append(in.queue[:0], snap.queue...)
 	}
-	in.busy = snap.busy
-	in.cur = snap.cur
-	in.curAt = snap.curAt
-	in.CreatedAt = snap.createdAt
-	in.ActivatedAt = snap.activatedAt
-	in.DestroyedAt = snap.destroyedAt
-	in.BusyTime = snap.busyTime
-	in.Served = snap.served
-	in.CrashEv = snap.crashEv
-	in.epoch = snap.epoch
 }
 
 // BusyNow returns the busy time accumulated through time now, including

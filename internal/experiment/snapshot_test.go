@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"vmprov/internal/metrics"
+	"vmprov/internal/workload"
 )
 
 // snapshotCase is one (scenario, policy) pair the snapshot protocol is
 // property-tested on. The set spans the stateful surface: exact DES,
 // fault injection, the hybrid fluid engine, the model-predictive
 // controller (which itself snapshots inside the run being snapshotted),
-// and the scientific generator's day planner and task walker.
+// the scientific generator's day planner and task walker, and a window
+// analyzer whose ticker stops at mid-run, inside the divergent future.
 type snapshotCase struct {
 	name string
 	sc   Scenario
@@ -41,7 +43,19 @@ func snapshotCases(t testing.TB) []snapshotCase {
 		{"exact-mpc", web, mpcPol},
 		{"sci-adaptive", smallSci(), AdaptivePolicy()},
 		{"sci-mpc", smallSci(), mpcPol},
+		{"window-horizon", web, windowHorizonPolicy()},
 	}
+}
+
+// windowHorizonPolicy runs Adaptive over a window analyzer that stops
+// alerting at half the scenario horizon. The analyzer stops its ticker
+// with an ordinary event, so a divergent future that crosses the half
+// stops a ticker the restore must start again.
+func windowHorizonPolicy() Policy {
+	return AdaptiveWithAnalyzer("Adaptive-Window-Horizon",
+		func(sc Scenario, _ workload.Source) workload.Analyzer {
+			return &workload.WindowAnalyzer{Interval: 60, Windows: 5, Safety: 1.2, Horizon: sc.Horizon / 2}
+		})
 }
 
 // smallSci is the scientific scenario at scale 0.1 over its first 12 h:
@@ -235,6 +249,19 @@ func TestCheckpointFork(t *testing.T) {
 	if !metrics.Equal(replain, want) {
 		t.Fatalf("nil-adjust fork after adjusted forks differs from reference")
 	}
+
+	// Each fork runs past the analyzer's horizon, where it stops its
+	// ticker; the next fork must find the ticker running again.
+	hpol := windowHorizonPolicy()
+	hwant, _ := RunOnce(web, hpol, 21, RunOptions{})
+	hcp := NewRunContext().Checkpoint(web, hpol, 21, 1200, RunOptions{})
+	defer hcp.Close()
+	for i := 0; i < 2; i++ {
+		got, _ := hcp.Fork(nil)
+		if !metrics.Equal(got, hwant) {
+			t.Fatalf("nil-adjust fork %d of a horizon-bounded window analyzer differs from the uninterrupted run:\ngot:  %+v\nwant: %+v", i, got, hwant)
+		}
+	}
 }
 
 // TestMPCDeterministic: the model-predictive policy — which exercises
@@ -346,14 +373,19 @@ func TestMPCBeatsWorstBaseline(t *testing.T) {
 // (exact / hybrid / fault-enabled) on a small web scenario, or on the
 // small scientific scenario when sci is set (faulty then has no effect,
 // and hybrid mode runs exact: the scientific source is not tick-shaped).
+// window swaps Adaptive's model analyzer for a window analyzer that
+// stops its ticker at half the horizon (an observing analyzer, so the
+// run is exact even when hybrid is set).
 func FuzzSnapshotRestore(f *testing.F) {
-	f.Add(uint64(1), uint8(85), uint8(170), false, false, false)
-	f.Add(uint64(7), uint8(32), uint8(200), true, false, false)
-	f.Add(uint64(42), uint8(128), uint8(64), false, true, false)
-	f.Add(uint64(3), uint8(250), uint8(5), true, true, false)
-	f.Add(uint64(5), uint8(80), uint8(120), false, false, true)
-	f.Add(uint64(11), uint8(230), uint8(30), false, false, true)
-	f.Add(uint64(13), uint8(10), uint8(250), true, false, true)
+	f.Add(uint64(1), uint8(85), uint8(170), false, false, false, false)
+	f.Add(uint64(7), uint8(32), uint8(200), true, false, false, false)
+	f.Add(uint64(42), uint8(128), uint8(64), false, true, false, false)
+	f.Add(uint64(3), uint8(250), uint8(5), true, true, false, false)
+	f.Add(uint64(5), uint8(80), uint8(120), false, false, true, false)
+	f.Add(uint64(11), uint8(230), uint8(30), false, false, true, false)
+	f.Add(uint64(13), uint8(10), uint8(250), true, false, true, false)
+	f.Add(uint64(17), uint8(100), uint8(100), false, false, false, true)
+	f.Add(uint64(19), uint8(60), uint8(200), false, true, false, true)
 	faultSp := func() Scenario {
 		sp := tinyFaultPanel(f, 1).Scenarios[0]
 		sp.Horizon = 900
@@ -364,7 +396,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		return sc
 	}()
-	f.Fuzz(func(t *testing.T, seed uint64, snapAt, divLen uint8, hybrid, faulty, sci bool) {
+	f.Fuzz(func(t *testing.T, seed uint64, snapAt, divLen uint8, hybrid, faulty, sci, window bool) {
 		sc := Web(0.02)
 		sc.Horizon = 900
 		if faulty {
@@ -379,6 +411,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 			sc.Mode = ModeExact
 		}
 		pol := AdaptivePolicy()
+		if window {
+			pol = windowHorizonPolicy()
+		}
 		want, _ := RunOnce(sc, pol, seed, RunOptions{})
 
 		at := sc.Horizon * (1 + float64(snapAt)) / 300
@@ -390,8 +425,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		w.RunUntil(sc.Horizon)
 		got, _ := w.Finish()
 		if !metrics.Equal(got, want) {
-			t.Fatalf("seed=%d at=%v until=%v hybrid=%v faulty=%v sci=%v: interrupted run differs:\ngot:  %+v\nwant: %+v",
-				seed, at, until, hybrid, faulty, sci, got, want)
+			t.Fatalf("seed=%d at=%v until=%v hybrid=%v faulty=%v sci=%v window=%v: interrupted run differs:\ngot:  %+v\nwant: %+v",
+				seed, at, until, hybrid, faulty, sci, window, got, want)
 		}
 	})
 }

@@ -120,8 +120,7 @@ type Injector struct {
 	spec  Spec
 	rng   *stats.RNG
 
-	injectedProvisionErrs uint64
-	injectedReleaseErrs   uint64
+	injState
 
 	// Failure-domain state (see domains.go). Substreams are derived only
 	// for enabled domains, so disabled ones draw nothing — ever.
@@ -132,9 +131,17 @@ type Injector struct {
 	stormRNG    *stats.RNG
 	zoneDown    []bool
 	downSince   []float64
-	brownout    bool
-	brownouts   uint64
-	storms      uint64
+}
+
+// injState is the injector's scalar state: the error counters and the
+// brownout and storm bookkeeping. Snapshot and Restore copy it whole; the
+// per-zone slices are copied beside it.
+type injState struct {
+	injectedProvisionErrs uint64
+	injectedReleaseErrs   uint64
+	brownout              bool
+	brownouts             uint64
+	storms                uint64
 }
 
 // New wraps inner with fault injection per sp, drawing all randomness
@@ -260,44 +267,31 @@ func (inj *Injector) Boot(base float64) (delay float64, fail bool) {
 	return delay, fail
 }
 
-// InjSnap holds one captured Injector state: the error counters plus the
-// failure-domain state (which zones are dark, since when, whether a
-// brownout window is open). The injector's RNGs are substreams of the
-// replication's root stream, so they are captured by the root
-// stream-tree snapshot, not here; pending domain events live in the
-// kernel snapshot.
+// InjSnap holds one captured Injector state: the scalar state plus the
+// per-zone failure-domain state (which zones are dark, since when). The
+// injector's RNGs are substreams of the replication's root stream, so
+// they are captured by the root stream-tree snapshot, not here; pending
+// domain events live in the kernel snapshot.
 type InjSnap struct {
-	provisionErrs uint64
-	releaseErrs   uint64
-	zoneDown      []bool
-	downSince     []float64
-	brownout      bool
-	brownouts     uint64
-	storms        uint64
+	injState
+	zoneDown  []bool
+	downSince []float64
 }
 
 // Snapshot captures the injector's error counters and domain state into
 // snap, reusing snap's buffers.
 func (inj *Injector) Snapshot(snap *InjSnap) {
-	snap.provisionErrs = inj.injectedProvisionErrs
-	snap.releaseErrs = inj.injectedReleaseErrs
+	snap.injState = inj.injState
 	snap.zoneDown = append(snap.zoneDown[:0], inj.zoneDown...)
 	snap.downSince = append(snap.downSince[:0], inj.downSince...)
-	snap.brownout = inj.brownout
-	snap.brownouts = inj.brownouts
-	snap.storms = inj.storms
 }
 
 // Restore rewinds the injector's error counters and domain state to a
 // captured state.
 func (inj *Injector) Restore(snap *InjSnap) {
-	inj.injectedProvisionErrs = snap.provisionErrs
-	inj.injectedReleaseErrs = snap.releaseErrs
+	inj.injState = snap.injState
 	copy(inj.zoneDown, snap.zoneDown)
 	copy(inj.downSince, snap.downSince)
-	inj.brownout = snap.brownout
-	inj.brownouts = snap.brownouts
-	inj.storms = snap.storms
 }
 
 // InjectedErrors reports how many transient Provision and Release errors

@@ -113,6 +113,13 @@ type Engine struct {
 	// res is the Bernoulli residual-rounding stream.
 	res *stats.RNG //vmprov:ephemeral -- substream state is captured by the root RNG stream-tree snapshot
 
+	estate
+}
+
+// estate is the engine's scalar state. Snapshot and Restore copy it
+// whole, which keeps the capShape and cal.shape pointers; the contents of
+// the two histograms behind them are copied beside it.
+type estate struct {
 	probing      bool
 	probeOffered int  // requests emitted into the open probe window
 	capDirty     bool // fleet changed mid-window; discard its capture
@@ -263,76 +270,38 @@ func (e *Engine) closeProbe() {
 	}, e.cal.shape // swap buffers: the retiring calibration's histogram becomes the next capture buffer
 }
 
-// EngineSnap holds one captured Engine state. The capture and
-// calibration histograms are saved as pointer identity plus deep-copied
-// contents: closeProbe swaps the two buffers, so a restore must put the
-// right contents back behind the right pointer. The residual RNG is a
-// substream of the run's root stream, captured by the root stream-tree
-// snapshot.
+// EngineSnap holds one captured Engine state: the scalar state plus
+// deep copies of the capture and calibration histograms. closeProbe swaps
+// the two buffers, so a restore must put the right contents back behind
+// the right pointer; the state copy restores the pointers. The residual
+// RNG is a substream of the run's root stream, captured by the root
+// stream-tree snapshot.
 type EngineSnap struct {
-	probing      bool
-	probeOffered int
-	capDirty     bool
-	sinceProbe   int
-	postChange   int
-
-	capAcc      uint64
-	capRej      uint64
-	capViol     uint64
-	capResp     stats.Welford
-	capExec     float64
-	capShapePtr *stats.Histogram
-	capShape    stats.HistSnap
-
-	cal      calibration // value copy; cal.shape pointer identity
-	calShape stats.HistSnap
-
-	probeTicks int
-	fluidTicks int
+	estate
+	capHist stats.HistSnap
+	calHist stats.HistSnap
 }
 
 // Snapshot captures the engine into snap, reusing its buffers.
 func (e *Engine) Snapshot(snap *EngineSnap) {
-	snap.probing = e.probing
-	snap.probeOffered = e.probeOffered
-	snap.capDirty = e.capDirty
-	snap.sinceProbe = e.sinceProbe
-	snap.postChange = e.postChange
-	snap.capAcc, snap.capRej, snap.capViol = e.capAcc, e.capRej, e.capViol
-	snap.capResp = e.capResp
-	snap.capExec = e.capExec
-	snap.capShapePtr = e.capShape
+	snap.estate = e.estate
 	if e.capShape != nil {
-		e.capShape.Snapshot(&snap.capShape)
+		e.capShape.Snapshot(&snap.capHist)
 	}
-	snap.cal = e.cal
 	if e.cal.shape != nil {
-		e.cal.shape.Snapshot(&snap.calShape)
+		e.cal.shape.Snapshot(&snap.calHist)
 	}
-	snap.probeTicks = e.ProbeTicks
-	snap.fluidTicks = e.FluidTicks
 }
 
 // Restore rewinds the engine to a captured state.
 func (e *Engine) Restore(snap *EngineSnap) {
-	e.probing = snap.probing
-	e.probeOffered = snap.probeOffered
-	e.capDirty = snap.capDirty
-	e.sinceProbe = snap.sinceProbe
-	e.postChange = snap.postChange
-	e.capAcc, e.capRej, e.capViol = snap.capAcc, snap.capRej, snap.capViol
-	e.capResp = snap.capResp
-	e.capExec = snap.capExec
-	e.capShape = snap.capShapePtr
+	e.estate = snap.estate
 	if e.capShape != nil {
-		e.capShape.Restore(&snap.capShape)
+		e.capShape.Restore(&snap.capHist)
 	}
-	e.cal = snap.cal
 	if e.cal.shape != nil {
-		e.cal.shape.Restore(&snap.calShape)
+		e.cal.shape.Restore(&snap.calHist)
 	}
-	e.ProbeTicks = snap.probeTicks
-	e.FluidTicks = snap.fluidTicks
 }
 
 // rejectFrac extrapolates the probed rejection behavior to the current

@@ -30,11 +30,20 @@ import (
 // mandatory reason:
 //
 //	//vmprov:ephemeral -- <reason>
+//
+// A type may instead group its scalar state in an embedded struct that
+// its snapshot type embeds too, so each side copies it in one assignment
+// and completeness holds by construction. What such a copy can still get
+// wrong is sharing: a slice or map inside the embedded struct would be
+// aliased between the component and its snapshot rather than copied. So
+// an embedded struct of a type with a Snapshot/Restore pair must hold no
+// slice or map, searching nested structs and arrays; pointers are
+// identities and pass.
 var SnapshotFieldAnalyzer = &Analyzer{
 	Name: "snapshotfield",
 	Doc: "require every mutated struct field of a type with a Snapshot/Restore pair to be covered by " +
-		"both sides (opt out per field with //vmprov:ephemeral -- <reason>); incomplete snapshots " +
-		"corrupt restored runs silently",
+		"both sides (opt out per field with //vmprov:ephemeral -- <reason>), and its embedded state " +
+		"structs to hold no slice or map; incomplete or aliased snapshots corrupt restored runs silently",
 	AppliesTo: pathGate("sim", "app", "cloud", "provision", "metrics", "fault",
 		"fluid", "mpc", "stats", "workload", "forecast"),
 	SkipTestFiles: true,
@@ -80,6 +89,17 @@ func runSnapshotField(pass *Pass) {
 			if ephemeralField(field) {
 				continue
 			}
+			if len(field.Names) == 0 {
+				if t := pass.TypesInfo.TypeOf(field.Type); t != nil {
+					name := types.ExprString(field.Type)
+					if path, kind, ok := valueBuffer(t, name); ok {
+						pass.Reportf(field.Pos(), "embedded state %s of %s holds a %s (%s): a whole-value copy "+
+							"shares it between the component and its snapshot — keep it beside the state and "+
+							"copy it explicitly", name, n, kind, path)
+					}
+				}
+				continue
+			}
 			for _, id := range field.Names {
 				if id.Name == "_" {
 					continue
@@ -101,6 +121,28 @@ func runSnapshotField(pass *Pass) {
 			}
 		}
 	}
+}
+
+// valueBuffer finds the first slice or map held by value in t — through
+// nested structs and arrays, not through pointers — and returns its
+// selector path from root and its kind.
+func valueBuffer(t types.Type, root string) (path, kind string, ok bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return root, "slice", true
+	case *types.Map:
+		return root, "map", true
+	case *types.Array:
+		return valueBuffer(u.Elem(), root+"[i]")
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if path, kind, ok := valueBuffer(f.Type(), root+"."+f.Name()); ok {
+				return path, kind, true
+			}
+		}
+	}
+	return "", "", false
 }
 
 // constructorDecls returns the plain constructor functions for a type:

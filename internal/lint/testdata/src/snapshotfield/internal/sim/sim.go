@@ -106,3 +106,43 @@ func (a *Allowed) Bump()             { a.n++; a.m++ }
 func (a *Allowed) Snapshot(s *int)   { *s = a.n }
 func (a *Allowed) Restore(s *int)    { a.n = *s }
 func (a *Allowed) Count() (int, int) { return a.n, a.m }
+
+// Gauge groups its scalar state in an embedded struct that Snapshot and
+// Restore copy whole: ints, an array and a pointer share nothing the
+// copy could alias.
+type Gauge struct {
+	gaugeState
+}
+
+type gaugeState struct {
+	n    int
+	last [4]float64
+	kid  *Gauge
+}
+
+func (g *Gauge) Set(v float64) {
+	g.last[g.n%4] = v
+	g.n++
+}
+
+func (g *Gauge) Snapshot(s *gaugeState) { *s = g.gaugeState }
+func (g *Gauge) Restore(s *gaugeState)  { g.gaugeState = *s }
+
+// Queue embeds state that holds a slice inside a nested array of
+// structs: the whole-value copy would share its backing array.
+type Queue struct {
+	queueState // want `embedded state queueState of Queue holds a slice \(queueState\.pending\[i\]\.items\)`
+}
+
+type queueState struct {
+	n       int
+	pending [2]struct{ items []int }
+}
+
+func (q *Queue) Push(v int) {
+	q.pending[q.n%2].items = append(q.pending[q.n%2].items, v)
+	q.n++
+}
+
+func (q *Queue) Snapshot(s *queueState) { *s = q.queueState }
+func (q *Queue) Restore(s *queueState)  { q.queueState = *s }

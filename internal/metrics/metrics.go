@@ -22,19 +22,29 @@ import (
 type Collector struct {
 	ts float64 // QoS response-time target for violation counting
 
-	responses stats.Welford    // response times (finish − arrival) of accepted requests
-	respHist  *stats.Histogram // response-time distribution for percentiles
-	execSum   float64          // Σ execution times (finish − start); only the mean is reported
-	waitSum   float64          // Σ queueing delays (start − arrival); only the mean is reported
+	tally
+	respHist *stats.Histogram        // response-time distribution for percentiles
+	classes  map[int]*classStats     // accounting for non-zero priority classes
+	clients  map[string]*clientStats // per-client accounting; touched only for tagged requests
+
+	// Optional time series of the running-instance count, for plotting.
+	TrackSeries bool
+	Series      []SeriesPoint
+}
+
+// tally is the collector's scalar accumulators. Snapshot and Restore copy
+// it whole; the histogram, the class and client maps and the series are
+// copied beside it.
+type tally struct {
+	responses stats.Welford // response times (finish − arrival) of accepted requests
+	execSum   float64       // Σ execution times (finish − start); only the mean is reported
+	waitSum   float64       // Σ queueing delays (start − arrival); only the mean is reported
 	accepted  uint64
 	rejected  uint64
 	violated  uint64
 	missed    uint64 // deadline misses (SLA extension)
 
-	class0  classStats          // inline stats for the default class, avoiding a map op per request
-	classes map[int]*classStats // accounting for non-zero priority classes
-
-	clients map[string]*clientStats // per-client accounting; touched only for tagged requests
+	class0 classStats // inline stats for the default class, avoiding a map op per request
 
 	instances   stats.TimeWeighted // running-instance count over time
 	everScaled  bool
@@ -69,10 +79,6 @@ type Collector struct {
 	lastFaultT        float64 // time of the last disruption
 	inDeficit         bool    // the deficit signal is currently positive
 	healedAt          float64 // time the deficit last returned to zero
-
-	// Optional time series of the running-instance count, for plotting.
-	TrackSeries bool
-	Series      []SeriesPoint
 }
 
 // SeriesPoint is one step of the running-instance count signal.
@@ -156,52 +162,20 @@ func (c *Collector) class(class int) *classStats {
 	return cs
 }
 
-// CollectorSnap holds one captured Collector state (see Snapshot). The
-// zero value is ready to use; buffers and maps are reused across
-// captures, so a pooled snapshot costs O(live state). The QoS target
-// and histogram range are construction-time config and are not
-// captured, so restoring the zero CollectorSnap rewinds the collector to
-// its just-constructed state, keeping the histogram buckets, the series
-// buffer and the class map for reuse.
+// CollectorSnap holds one captured Collector state (see Snapshot): the
+// scalar accumulators plus copies of the histogram, the class and client
+// maps and the series bookkeeping. The zero value is ready to use;
+// buffers and maps are reused across captures, so a pooled snapshot
+// costs O(live state). The QoS target and histogram range are
+// construction-time config and are not captured, so restoring the zero
+// CollectorSnap rewinds the collector to its just-constructed state,
+// keeping the histogram buckets, the series buffer and the class map for
+// reuse.
 type CollectorSnap struct {
-	responses   stats.Welford
+	tally
 	respHist    stats.HistSnap
-	execSum     float64
-	waitSum     float64
-	accepted    uint64
-	rejected    uint64
-	violated    uint64
-	missed      uint64
-	class0      classStats
 	classes     map[int]classStats
 	clients     map[string]clientStats
-	instances   stats.TimeWeighted
-	everScaled  bool
-	vmSeconds   float64
-	busySeconds float64
-	crashes     uint64
-	retries     uint64
-	lost        uint64
-	requeued    uint64
-	shortfalls  uint64
-	repairs     uint64
-	repairSum   float64
-	deficit     stats.TimeWeighted
-	deficitSeen bool
-
-	arrived           uint64
-	inFlight          uint64
-	shed              uint64
-	zoneOutages       uint64
-	zoneDownSum       float64
-	zonesDown         int
-	breakerTrips      uint64
-	breakerRecoveries uint64
-	faultSeen         bool
-	lastFaultT        float64
-	inDeficit         bool
-	healedAt          float64
-
 	trackSeries bool
 	seriesLen   int
 }
@@ -210,11 +184,8 @@ type CollectorSnap struct {
 // snap, reusing snap's buffers. The series is captured as a length — it
 // is append-only, so a restore truncates instead of copying history.
 func (c *Collector) Snapshot(snap *CollectorSnap) {
-	snap.responses = c.responses
+	snap.tally = c.tally
 	c.respHist.Snapshot(&snap.respHist)
-	snap.execSum, snap.waitSum = c.execSum, c.waitSum
-	snap.accepted, snap.rejected, snap.violated, snap.missed = c.accepted, c.rejected, c.violated, c.missed
-	snap.class0 = c.class0
 	if snap.classes == nil {
 		snap.classes = make(map[int]classStats)
 	} else {
@@ -231,18 +202,6 @@ func (c *Collector) Snapshot(snap *CollectorSnap) {
 	for k, cs := range c.clients {
 		snap.clients[k] = *cs
 	}
-	snap.instances = c.instances
-	snap.everScaled = c.everScaled
-	snap.vmSeconds, snap.busySeconds = c.vmSeconds, c.busySeconds
-	snap.crashes, snap.retries, snap.lost, snap.requeued, snap.shortfalls = c.crashes, c.retries, c.lost, c.requeued, c.shortfalls
-	snap.repairs, snap.repairSum = c.repairs, c.repairSum
-	snap.deficit = c.deficit
-	snap.deficitSeen = c.deficitSeen
-	snap.arrived, snap.inFlight, snap.shed = c.arrived, c.inFlight, c.shed
-	snap.zoneOutages, snap.zoneDownSum, snap.zonesDown = c.zoneOutages, c.zoneDownSum, c.zonesDown
-	snap.breakerTrips, snap.breakerRecoveries = c.breakerTrips, c.breakerRecoveries
-	snap.faultSeen, snap.lastFaultT = c.faultSeen, c.lastFaultT
-	snap.inDeficit, snap.healedAt = c.inDeficit, c.healedAt
 	snap.trackSeries = c.TrackSeries
 	snap.seriesLen = len(c.Series)
 }
@@ -251,11 +210,8 @@ func (c *Collector) Snapshot(snap *CollectorSnap) {
 // and per-client accumulators are restored in place where possible so
 // the common restore path does not allocate.
 func (c *Collector) Restore(snap *CollectorSnap) {
-	c.responses = snap.responses
+	c.tally = snap.tally
 	c.respHist.Restore(&snap.respHist)
-	c.execSum, c.waitSum = snap.execSum, snap.waitSum
-	c.accepted, c.rejected, c.violated, c.missed = snap.accepted, snap.rejected, snap.violated, snap.missed
-	c.class0 = snap.class0
 	//vmprov:allow maporder -- per-key delete of absent keys; no cross-key state
 	for k := range c.classes {
 		if _, ok := snap.classes[k]; !ok {
@@ -286,18 +242,6 @@ func (c *Collector) Restore(snap *CollectorSnap) {
 		}
 		*cs = v
 	}
-	c.instances = snap.instances
-	c.everScaled = snap.everScaled
-	c.vmSeconds, c.busySeconds = snap.vmSeconds, snap.busySeconds
-	c.crashes, c.retries, c.lost, c.requeued, c.shortfalls = snap.crashes, snap.retries, snap.lost, snap.requeued, snap.shortfalls
-	c.repairs, c.repairSum = snap.repairs, snap.repairSum
-	c.deficit = snap.deficit
-	c.deficitSeen = snap.deficitSeen
-	c.arrived, c.inFlight, c.shed = snap.arrived, snap.inFlight, snap.shed
-	c.zoneOutages, c.zoneDownSum, c.zonesDown = snap.zoneOutages, snap.zoneDownSum, snap.zonesDown
-	c.breakerTrips, c.breakerRecoveries = snap.breakerTrips, snap.breakerRecoveries
-	c.faultSeen, c.lastFaultT = snap.faultSeen, snap.lastFaultT
-	c.inDeficit, c.healedAt = snap.inDeficit, snap.healedAt
 	c.TrackSeries = snap.trackSeries
 	c.Series = c.Series[:snap.seriesLen]
 }

@@ -172,10 +172,46 @@ type Provisioner struct {
 	k   int
 	col *metrics.Collector
 
+	pstate
 	monitor   *stats.Window
 	instances []*app.Instance // all live (booting/active/draining) instances
-	rr        int             // round-robin cursor
-	target    int             // last requested committed size
+
+	// Scratch buffers reused across scale-down decisions.
+	scratchIdle []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
+	scratchBusy []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
+
+	// Self-healing state. fm is the injected fault environment (nil = a
+	// perfectly reliable IaaS). retry is the resolved backoff policy.
+	// repairT holds the open crash-repair episodes (crash times awaiting
+	// a replacement activation) feeding the MTTR metric.
+	fm      FaultModel //vmprov:ephemeral -- environment wiring set before the run via SetFaultModel; the injector snapshots its own state
+	retry   RetryPolicy
+	repairT []float64
+
+	// Zone-aware failover state (multi-zone providers only; see
+	// resilience.go). zp is the provider's zone view, breakers holds one
+	// circuit breaker per zone, and shedClasses enables degraded-mode
+	// admission.
+	zp          cloud.ZonedProvider
+	zones       int
+	breakers    []breaker
+	brk         BreakerPolicy
+	shedClasses int
+	// scratchVictims is reused across correlated-crash sweeps.
+	scratchVictims []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt every sweep
+
+	// tracer, when set, receives structured lifecycle events: it is the
+	// provisioner's only observer (trace sinks, the hybrid fluid engine,
+	// composite pipelines).
+	tracer trace.Recorder //vmprov:ephemeral -- observer wiring set before the run, not replication state
+}
+
+// pstate is the provisioner's scalar state. Snapshot and Restore copy it
+// whole; the monitor window, the roster, the repair episodes and the
+// breakers are copied beside it.
+type pstate struct {
+	rr     int // round-robin cursor
+	target int // last requested committed size
 
 	// Incrementally maintained state counters, updated at every instance
 	// transition so Committed() and the admission-control reject path are
@@ -187,40 +223,13 @@ type Provisioner struct {
 	numDraining int
 	activeFree  int
 
-	// Scratch buffers reused across scale-down decisions.
-	scratchIdle []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
-	scratchBusy []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
-
-	// Self-healing state. fm is the injected fault environment (nil = a
-	// perfectly reliable IaaS). retry is the resolved backoff policy; one
-	// pending retry event at a time re-attempts failed provisions with
-	// capped exponential backoff. repairT holds the open crash-repair
-	// episodes (crash times awaiting a replacement activation) feeding
-	// the MTTR metric.
-	fm           FaultModel //vmprov:ephemeral -- environment wiring set before the run via SetFaultModel; the injector snapshots its own state
-	retry        RetryPolicy
+	// One pending retry event at a time re-attempts failed provisions
+	// with capped exponential backoff.
 	retryEv      sim.Event
 	retryBackoff float64
 	retryFails   int
-	repairT      []float64
 
-	// Zone-aware failover state (multi-zone providers only; see
-	// resilience.go). zp is the provider's zone view, breakers holds one
-	// circuit breaker per zone, zoneCur rotates placement across healthy
-	// zones, and shedClasses enables degraded-mode admission.
-	zp          cloud.ZonedProvider
-	zones       int
-	zoneCur     int
-	breakers    []breaker
-	brk         BreakerPolicy
-	shedClasses int
-	// scratchVictims is reused across correlated-crash sweeps.
-	scratchVictims []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt every sweep
-
-	// tracer, when set, receives structured lifecycle events: it is the
-	// provisioner's only observer (trace sinks, the hybrid fluid engine,
-	// composite pipelines).
-	tracer trace.Recorder //vmprov:ephemeral -- observer wiring set before the run, not replication state
+	zoneCur int // rotates placement across healthy zones
 }
 
 // NewProvisioner wires a provisioner to a simulator, a VM provider (a
@@ -910,36 +919,25 @@ func (p *Provisioner) Shutdown(end float64) {
 	p.col.SetInFlight(uint64(inFlight))
 }
 
-// PSnap holds one captured Provisioner state: the fleet roster (instance
-// identities plus each instance's rewound state), the dispatch and
-// scaling cursors, and the self-healing bookkeeping. The scratch buffers
-// are excluded — they carry no state across events — and the monitor
-// window and repair episodes reuse the snap's buffers, so a capture costs
-// O(live fleet), not O(history).
+// PSnap holds one captured Provisioner state: the scalar state (dispatch
+// and scaling cursors, fleet counters, retry loop) plus the fleet roster
+// (instance identities plus each instance's rewound state), the monitor
+// window, the repair episodes and the breakers. The scratch buffers are
+// excluded — they carry no state across events — and every buffer is
+// reused across captures, so a capture costs O(live fleet), not
+// O(history).
 type PSnap struct {
+	pstate
 	monitor   stats.WindowSnap
 	instances []*app.Instance
 	instSnaps []app.InstSnap
-
-	rr     int
-	target int
-
-	numBooting  int
-	numActive   int
-	numDraining int
-	activeFree  int
-
-	retryEv      sim.Event
-	retryBackoff float64
-	retryFails   int
-	repairT      []float64
-
-	zoneCur  int
-	breakers []breaker
+	repairT   []float64
+	breakers  []breaker
 }
 
 // Snapshot captures the provisioner into snap, reusing its buffers.
 func (p *Provisioner) Snapshot(snap *PSnap) {
+	snap.pstate = p.pstate
 	p.monitor.Snapshot(&snap.monitor)
 	snap.instances = append(snap.instances[:0], p.instances...)
 	if cap(snap.instSnaps) < len(p.instances) {
@@ -951,17 +949,7 @@ func (p *Provisioner) Snapshot(snap *PSnap) {
 	for i, in := range p.instances {
 		in.Snapshot(&snap.instSnaps[i])
 	}
-	snap.rr = p.rr
-	snap.target = p.target
-	snap.numBooting = p.numBooting
-	snap.numActive = p.numActive
-	snap.numDraining = p.numDraining
-	snap.activeFree = p.activeFree
-	snap.retryEv = p.retryEv
-	snap.retryBackoff = p.retryBackoff
-	snap.retryFails = p.retryFails
 	snap.repairT = append(snap.repairT[:0], p.repairT...)
-	snap.zoneCur = p.zoneCur
 	snap.breakers = append(snap.breakers[:0], p.breakers...)
 }
 
@@ -971,21 +959,12 @@ func (p *Provisioner) Snapshot(snap *PSnap) {
 // and instances created afterwards fall out of the roster, their events
 // already gone with the kernel restore.
 func (p *Provisioner) Restore(snap *PSnap) {
+	p.pstate = snap.pstate
 	p.monitor.Restore(&snap.monitor)
 	p.instances = append(p.instances[:0], snap.instances...)
 	for i, in := range p.instances {
 		in.Restore(&snap.instSnaps[i])
 	}
-	p.rr = snap.rr
-	p.target = snap.target
-	p.numBooting = snap.numBooting
-	p.numActive = snap.numActive
-	p.numDraining = snap.numDraining
-	p.activeFree = snap.activeFree
-	p.retryEv = snap.retryEv
-	p.retryBackoff = snap.retryBackoff
-	p.retryFails = snap.retryFails
 	p.repairT = append(p.repairT[:0], snap.repairT...)
-	p.zoneCur = snap.zoneCur
 	copy(p.breakers, snap.breakers)
 }

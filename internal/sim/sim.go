@@ -125,15 +125,22 @@ func (e Event) Canceled() bool {
 // Sim is a discrete-event simulator. The zero value is not usable; create
 // one with New.
 type Sim struct {
+	state
+	nodes   []node      // event arena
+	heap    []heapEntry // 4-ary min-heap ordered by (time, seq)
+	fires   []fireRef   // interned fire-and-forget callbacks
+	tickers []*Ticker   // every ticker started by Every, in start order
+	until   float64     //vmprov:ephemeral -- run-loop bound, saved and restored by RunUntil itself
+}
+
+// state is the simulator's scalar state. Snapshot and Restore copy it
+// whole; the arena, heap, fire registry and tickers are copied beside it.
+type state struct {
 	now       float64
 	seq       uint64
-	nodes     []node      // event arena
-	heap      []heapEntry // 4-ary min-heap ordered by (time, seq)
-	fires     []fireRef   // interned fire-and-forget callbacks
-	free      int32       // head of the free list of arena slots
+	free      int32 // head of the free list of arena slots
 	stopped   bool
 	processed uint64
-	until     float64 //vmprov:ephemeral -- run-loop bound, saved and restored by RunUntil itself
 
 	// The deferred slot: a one-element fast lane beside the heap for the
 	// single next event of a batched source (DeferReserved). The dispatch
@@ -147,38 +154,35 @@ type Sim struct {
 
 // New creates an empty simulator with the clock at zero.
 func New() *Sim {
-	return &Sim{free: noEvent, until: math.Inf(1)}
+	return &Sim{state: state{free: noEvent}, until: math.Inf(1)}
 }
 
 // Reset rewinds the simulator to its initial state — clock at zero, no
 // pending events, counters cleared — by restoring an empty Snapshot: the
 // zero value but for its free-list head, which must read "no free slot".
 // The arena and heap keep the capacity grown by previous runs.
-func (s *Sim) Reset() { s.Restore(&Snapshot{free: noEvent}) }
+func (s *Sim) Reset() { s.Restore(&Snapshot{state: state{free: noEvent}}) }
 
 // Snapshot captures the simulator's complete state — clock, sequence and
 // processed counters, arena (including generation counters and the free
-// list threaded through it), pending heap, fire registry, and the
-// deferred slot — into snap, reusing snap's buffers. The cost is O(arena
-// size), which is bounded by the peak number of concurrently pending
-// events, not by how many events have ever fired. Snapshot schedules
-// nothing and never mutates s, so taking one mid-run is invisible to the
-// event order.
+// list threaded through it), pending heap, fire registry, the deferred
+// slot, and each ticker's pending event and stop flag — into snap,
+// reusing snap's buffers. The cost is O(arena size), which is bounded by
+// the peak number of concurrently pending events, not by how many events
+// have ever fired. Snapshot schedules nothing and never mutates s, so
+// taking one mid-run is invisible to the event order.
 func (s *Sim) Snapshot(snap *Snapshot) {
-	snap.now = s.now
-	snap.seq = s.seq
-	snap.processed = s.processed
-	snap.free = s.free
-	snap.stopped = s.stopped
-	snap.slotT = s.slotT
-	snap.slotSeq = s.slotSeq
-	snap.slotFire = s.slotFire
-	snap.slotSet = s.slotSet
+	snap.state = s.state
 	clear(snap.nodes) // drop closure/arg refs pinned by a previous use
 	snap.nodes = append(snap.nodes[:0], s.nodes...)
 	snap.heap = append(snap.heap[:0], s.heap...)
 	clear(snap.fires)
 	snap.fires = append(snap.fires[:0], s.fires...)
+	clear(snap.tickers)
+	snap.tickers = snap.tickers[:0]
+	for _, tk := range s.tickers {
+		snap.tickers = append(snap.tickers, tickerSnap{tk: tk, ev: tk.ev, stopped: tk.stopped})
+	}
 }
 
 // Restore rewinds the simulator to a state previously captured from this
@@ -189,16 +193,11 @@ func (s *Sim) Snapshot(snap *Snapshot) {
 // the snapshot are invalidated and returned to the free list rather than
 // truncated, so a stale handle held by a discarded future — e.g. a
 // ticker's last reschedule during a co-simulated lookahead — indexes a
-// live slot and cancels as a harmless no-op.
+// live slot and cancels as a harmless no-op. Tickers are rewound too: one
+// stopped after the snapshot runs again, and one started after it is
+// forgotten, its pending event gone with the arena.
 func (s *Sim) Restore(snap *Snapshot) {
-	s.now = snap.now
-	s.seq = snap.seq
-	s.processed = snap.processed
-	s.stopped = snap.stopped
-	s.slotT = snap.slotT
-	s.slotSeq = snap.slotSeq
-	s.slotFire = snap.slotFire
-	s.slotSet = snap.slotSet
+	s.state = snap.state
 	n := copy(s.nodes, snap.nodes)
 	free := snap.free
 	for i := len(s.nodes) - 1; i >= n; i-- {
@@ -213,25 +212,35 @@ func (s *Sim) Restore(snap *Snapshot) {
 	s.heap = append(s.heap[:0], snap.heap...)
 	clear(s.fires)
 	s.fires = append(s.fires[:0], snap.fires...)
+	clear(s.tickers)
+	s.tickers = s.tickers[:0]
+	for _, ts := range snap.tickers {
+		ts.tk.ev, ts.tk.stopped = ts.ev, ts.stopped
+		s.tickers = append(s.tickers, ts.tk)
+	}
 }
 
-// Snapshot holds one captured simulator state (see Sim.Snapshot). The
-// zero value is ready to use; its buffers are reused across captures, so
-// a pooled Snapshot allocates only when the arena or heap outgrow every
-// previous capture.
+// Snapshot holds one captured simulator state (see Sim.Snapshot): the
+// scalar state plus copies of the arena, heap, fire registry and
+// tickers. The zero value is ready to use; its buffers are reused across
+// captures, so a pooled Snapshot allocates only when the arena or heap
+// outgrow every previous capture.
 type Snapshot struct {
-	now       float64
-	seq       uint64
-	processed uint64
-	free      int32
-	stopped   bool
-	slotT     float64
-	slotSeq   uint64
-	slotFire  FireID
-	slotSet   bool
-	nodes     []node
-	heap      []heapEntry
-	fires     []fireRef
+	state
+	nodes   []node
+	heap    []heapEntry
+	fires   []fireRef
+	tickers []tickerSnap
+}
+
+// tickerSnap is one ticker's mutable part at a snapshot. A ticker is the
+// one event payload that changes between schedule and fire — each firing
+// replaces its pending event, and Stop sets its flag — so the arena copy
+// alone cannot rewind it.
+type tickerSnap struct {
+	tk      *Ticker
+	ev      Event
+	stopped bool
 }
 
 // Now returns the current virtual time in seconds.
@@ -552,13 +561,15 @@ func (s *Sim) fire() {
 
 // Every schedules fn to run now+delay and then every interval seconds until
 // the returned Ticker is stopped or until (exclusive) the simulation stops
-// producing events. fn receives the firing time.
+// producing events. fn receives the firing time. The ticker is registered
+// on s, so Snapshot and Restore rewind its pending event and stop flag.
 func (s *Sim) Every(delay, interval float64, fn func(t float64)) *Ticker {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: Every with non-positive interval %v", interval))
 	}
 	tk := &Ticker{sim: s, interval: interval, fn: fn}
 	tk.ev = s.ScheduleFunc(delay, tickerFire, tk)
+	s.tickers = append(s.tickers, tk)
 	return tk
 }
 

@@ -267,6 +267,46 @@ func TestTickerStopInsideCallback(t *testing.T) {
 	}
 }
 
+// TestTickerRewindsAcrossStop: a ticker stopped in a future that Restore
+// discards — the way an analyzer stops its own ticker at its horizon —
+// ticks again after the restore, at the same instants as in a simulator
+// that never saw that future, and a ticker started in the discarded
+// future never fires again.
+func TestTickerRewindsAcrossStop(t *testing.T) {
+	var want []float64
+	ref := New()
+	rtk := ref.Every(1, 2, func(now float64) { want = append(want, now) })
+	ref.At(20, rtk.Stop)
+	ref.RunUntil(40)
+
+	s := New()
+	var got []float64
+	tk := s.Every(1, 2, func(now float64) { got = append(got, now) })
+	s.At(20, tk.Stop)
+	s.RunUntil(6)
+	var snap Snapshot
+	s.Snapshot(&snap)
+	mark := len(got)
+	late := 0
+	s.Every(0, 1, func(float64) { late++ })
+	s.RunUntil(30) // the discarded future crosses the stop
+	s.Restore(&snap)
+	got = got[:mark]
+	lateAtRestore := late
+	s.RunUntil(40)
+
+	if !slices.Equal(got, want) {
+		t.Fatalf("after restore the ticker fired at %v, uninterrupted at %v", got, want)
+	}
+	if late != lateAtRestore {
+		t.Fatalf("a ticker started after the snapshot fired %d times after restore", late-lateAtRestore)
+	}
+	if s.Processed() != ref.Processed() || s.Pending() != ref.Pending() {
+		t.Fatalf("after restore processed=%d pending=%d, uninterrupted processed=%d pending=%d",
+			s.Processed(), s.Pending(), ref.Processed(), ref.Pending())
+	}
+}
+
 func TestEveryBadIntervalPanics(t *testing.T) {
 	s := New()
 	defer func() {
