@@ -79,11 +79,13 @@ chaos-smoke:
 	$(GO) run ./cmd/vmprovsim -chaos -scale 0.02 -reps 1 -horizon 3600 > /dev/null
 
 # Short fuzzing of the kernel's heap/arena against the reference
-# scheduler, the fault-schedule determinism fuzzer, and the strict v2
-# trace decoder (decode/re-encode round-trip). The seed corpora also run
-# on every plain `go test`.
+# scheduler, the fast Weibull Pow against math.Pow (bit for bit), the
+# fault-schedule determinism fuzzer, and the strict v2 trace decoder
+# (decode/re-encode round-trip). The seed corpora also run on every
+# plain `go test`.
 fuzz:
 	$(GO) test ./internal/sim -run FuzzSimHeap -fuzz FuzzSimHeap -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stats -run FuzzPow -fuzz FuzzPow -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment -run FuzzFaultSchedule -fuzz FuzzFaultSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment -run FuzzChaosSchedule -fuzz FuzzChaosSchedule -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/experiment -run FuzzSnapshotRestore -fuzz FuzzSnapshotRestore -fuzztime $(FUZZTIME)

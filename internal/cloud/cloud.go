@@ -282,6 +282,8 @@ func (dc *Datacenter) pick(spec VMSpec) int {
 		}
 		return -1
 	default: // LeastLoaded
+		// The scan stops at the first fitting host with no VMs: no host
+		// holds fewer, and ties go to the lowest index.
 		best := -1
 		for i := range dc.hosts {
 			h := &dc.hosts[i]
@@ -290,6 +292,9 @@ func (dc *Datacenter) pick(spec VMSpec) int {
 			}
 			if best == -1 || h.vms < dc.hosts[best].vms {
 				best = i
+				if h.vms == 0 {
+					break
+				}
 			}
 		}
 		return best

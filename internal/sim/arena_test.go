@@ -20,6 +20,10 @@ func TestInfiniteTimesRejected(t *testing.T) {
 		{"ScheduleFunc(+Inf)", func(s *Sim) { s.ScheduleFunc(math.Inf(1), func(any) {}, nil) }},
 		{"AtFunc(NaN)", func(s *Sim) { s.AtFunc(math.NaN(), func(any) {}, nil) }},
 		{"ScheduleFunc(-1)", func(s *Sim) { s.ScheduleFunc(-1, func(any) {}, nil) }},
+		{"ScheduleFire(+Inf)", func(s *Sim) { s.ScheduleFire(math.Inf(1), s.RegisterFire(func(any) {}, nil)) }},
+		{"AtFire(+Inf)", func(s *Sim) { s.AtFire(math.Inf(1), s.RegisterFire(func(any) {}, nil)) }},
+		{"AtFire(NaN)", func(s *Sim) { s.AtFire(math.NaN(), s.RegisterFire(func(any) {}, nil)) }},
+		{"AtFire(-1)", func(s *Sim) { s.AtFire(-1, s.RegisterFire(func(any) {}, nil)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

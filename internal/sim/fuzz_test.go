@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vmprov/internal/stats"
@@ -9,8 +10,8 @@ import (
 
 // This file checks the arena-backed 4-ary heap kernel against a naive
 // sorted-slice reference scheduler: random interleavings of At/Schedule/
-// Cancel/RunUntil/Step must produce identical firing orders, clock
-// values, pending counts, and cancel results. The reference has no arena,
+// ScheduleFire/AtFire/Cancel/RunUntil/Step must produce identical firing
+// orders, clock values, pending counts, and cancel results. The reference has no arena,
 // no free list, and no heap — just a linear-scan minimum over (time,
 // seq) — so any disagreement implicates the kernel's clever parts,
 // including cancel-then-reuse aliasing of pooled event slots.
@@ -145,6 +146,11 @@ func checkModel(t *testing.T, data []byte) {
 			}
 		}
 	}
+	// interned registers a fire-and-forget event that runs fireFn(id):
+	// it has no cancel handle, but spawns its child like any other.
+	interned := func(id int) FireID {
+		return s.RegisterFire(func(any) { fireFn(id)() }, nil)
+	}
 
 	sync := func(op int) {
 		if s.Now() != ref.now {
@@ -166,7 +172,7 @@ func checkModel(t *testing.T, data []byte) {
 
 	nextID := 1
 	for op := 0; op+2 < len(data); op += 3 {
-		code, x, y := data[op]%8, float64(data[op+1]), int(data[op+2])
+		code, x, y := data[op]%10, float64(data[op+1]), int(data[op+2])
 		switch code {
 		case 0, 1: // schedule a fresh event at now + x/8
 			id := nextID
@@ -205,6 +211,25 @@ func checkModel(t *testing.T, data []byte) {
 			at := s.Now() + 1000 + x
 			handles = append(handles, s.At(at, fireFn(id)))
 			refSeqs = append(refSeqs, ref.insert(at, id))
+		case 8: // interned event after a delay: x == 0 ties at now
+			id := nextID
+			nextID++
+			s.ScheduleFire(x/8, interned(id))
+			ref.insert(ref.now+x/8, id)
+		case 9: // absolute time, interned or arena by y; an odd y at time 0 passes −0
+			id := nextID
+			nextID++
+			at := s.Now() + x/8
+			if at == 0 && y%2 == 1 {
+				at = math.Copysign(0, -1)
+			}
+			if y%4 < 2 {
+				s.AtFire(at, interned(id))
+				ref.insert(at, id)
+			} else {
+				handles = append(handles, s.At(at, fireFn(id)))
+				refSeqs = append(refSeqs, ref.insert(at, id))
+			}
 		}
 		sync(op)
 	}
@@ -227,6 +252,12 @@ func FuzzSimHeap(f *testing.F) {
 	f.Add([]byte{7, 1, 0, 0, 8, 0, 5, 0, 0, 5, 0, 0, 6, 0, 1})       // step through, cancel far event
 	f.Add([]byte{0, 25, 0, 0, 25, 0, 0, 25, 0, 3, 0, 1, 4, 26, 0})   // cancel middle of equal times
 	f.Add([]byte{1, 5, 0, 4, 2, 0, 1, 5, 0, 4, 2, 0, 1, 5, 0, 4, 2}) // drain/refill cycles
+	// Six interned and arena events at one instant, then a drain: every
+	// pop sifts through a full level of four equal times.
+	f.Add([]byte{8, 0, 0, 9, 0, 0, 2, 0, 0, 8, 0, 0, 9, 0, 2, 8, 0, 0, 0, 8, 0, 9, 8, 0, 4, 255, 0})
+	// −0 at time 0, interned and arena, among seven events: the heap
+	// must order −0 as +0, ahead of every later time.
+	f.Add([]byte{0, 8, 0, 9, 0, 1, 8, 16, 0, 0, 24, 0, 9, 0, 3, 8, 4, 0, 0, 2, 0, 9, 0, 1, 5, 0, 0, 4, 255, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*400 {
 			t.Skip("cap op count: the reference is quadratic")
@@ -251,5 +282,89 @@ func TestHeapVsReferenceRandom(t *testing.T) {
 			data[i] = byte(r.Uint64())
 		}
 		checkModel(t, data)
+	}
+}
+
+// TestKeyBorrowMatchesEntryLess checks the branchless 128-bit key compare
+// that siftDown's tournament uses against entryLess, in both directions,
+// on the pairs where a bit-pattern compare could go wrong and on random
+// pairs of non-negative finite times.
+func TestKeyBorrowMatchesEntryLess(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	pairs := [][2]heapEntry{
+		{{time: 5, seq: 1}, {time: 5, seq: 2}},                                 // equal times
+		{{time: 5, seq: 2}, {time: 5, seq: 2}},                                 // equal keys
+		{{time: 1, seq: 9}, {time: math.Nextafter(1, 2), seq: 0}},              // adjacent floats
+		{{time: math.Nextafter(1, 0), seq: 9}, {time: 1, seq: 0}},              // adjacent across a binade
+		{{time: 0, seq: 9}, {time: tiny, seq: 0}},                              // 0 vs smallest subnormal
+		{{time: tiny, seq: 0}, {time: 2 * tiny, seq: 0}},                       // adjacent subnormals
+		{{time: 0x1p-1022, seq: 0}, {time: math.Nextafter(0x1p-1022, 0)}},      // normal vs largest subnormal
+		{{time: 3, seq: 1 << 63}, {time: 3, seq: 1<<63 - 1}},                   // seq 2⁶³ vs 2⁶³−1
+		{{time: 3, seq: math.MaxUint64}, {time: math.Nextafter(3, 4), seq: 0}}, // seq cannot carry into time
+		{{time: math.MaxFloat64, seq: 0}, {time: 1e300, seq: math.MaxUint64}},
+	}
+	check := func(a, b heapEntry) {
+		t.Helper()
+		want := uint64(0)
+		if entryLess(&a, &b) {
+			want = 1
+		}
+		if got := keyBorrow(&a, &b); got != want {
+			t.Fatalf("keyBorrow(%v/%d, %v/%d) = %d, entryLess says %d", a.time, a.seq, b.time, b.seq, got, want)
+		}
+	}
+	for _, p := range pairs {
+		check(p[0], p[1])
+		check(p[1], p[0])
+	}
+	r := stats.NewRNG(3)
+	finite := math.Float64bits(math.MaxFloat64) + 1 // non-negative finite patterns
+	for i := 0; i < 100_000; i++ {
+		a := heapEntry{time: math.Float64frombits(r.Uint64() % finite), seq: r.Uint64() % 4}
+		b := heapEntry{time: a.time, seq: r.Uint64() % 4} // ties are common
+		switch r.IntN(3) {
+		case 1:
+			b.time = math.Nextafter(a.time, 0)
+		case 2:
+			b.time = math.Float64frombits(r.Uint64() % finite)
+		}
+		check(a, b)
+		check(b, a)
+	}
+}
+
+// TestNegativeZeroOrdersAsZero: −0 is a legal time at t = 0 and must
+// order as +0 — ahead of every positive time and by sequence among
+// zeros — on the branchless full-level path of siftDown, not only on
+// the partial levels that compare floats.
+func TestNegativeZeroOrdersAsZero(t *testing.T) {
+	s := New()
+	var got []int
+	rec := func(id int) func() { return func() { got = append(got, id) } }
+	negZero := math.Copysign(0, -1)
+	s.At(negZero, rec(0))
+	for i := 1; i <= 6; i++ {
+		s.At(float64(i), rec(i))
+	}
+	s.AtFire(negZero, s.RegisterFire(func(any) { got = append(got, 7) }, nil))
+	s.At(negZero, rec(8))
+	s.At(0, rec(9))
+	if e := s.At(negZero, rec(10)); math.Float64bits(e.Time()) != 0 {
+		t.Fatalf("At(−0) is pending at %v, want +0", e.Time())
+	}
+	s.Run()
+	want := []int{0, 7, 8, 9, 10, 1, 2, 3, 4, 5, 6}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fire order %v, want %v", got, want)
+	}
+	if math.Signbit(s.Now()) {
+		t.Fatal("clock reads −0")
+	}
+	// A batched source consuming a −0 event inline leaves the clock at +0.
+	s = New()
+	s.InlineFire(negZero, s.ReserveSeq())
+	s.ScheduleFire(negZero, s.RegisterFire(func(any) {}, nil))
+	if math.Signbit(s.Now()) || !s.Step() || math.Signbit(s.Now()) {
+		t.Fatal("clock reads −0 after InlineFire(−0)")
 	}
 }

@@ -42,6 +42,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // noEvent marks the end of the free list and "no heap position".
@@ -323,10 +324,20 @@ func (s *Sim) ScheduleFire(delay float64, f FireID) {
 	if !(delay >= 0) || math.IsInf(delay, 1) {
 		panic(fmt.Sprintf("sim: ScheduleFire with invalid delay %v at t=%v", delay, s.now))
 	}
-	e := heapEntry{time: s.now + delay, seq: s.seq, id: noEvent, fire: f}
+	s.push(heapEntry{time: s.now + delay, seq: s.seq, id: noEvent, fire: f})
 	s.seq++
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap)-1, e)
+}
+
+// AtFire is ScheduleFire's absolute-time twin: it schedules the
+// registered callback f at time t, which must not precede the current
+// time and must be finite. A source that computes fire times rather than
+// delays needs it, because now + (t − now) need not round-trip to t.
+func (s *Sim) AtFire(t float64, f FireID) {
+	if !(t >= s.now) || math.IsInf(t, 1) {
+		panic(fmt.Sprintf("sim: AtFire with time %v before now %v or non-finite", t, s.now))
+	}
+	s.push(heapEntry{time: plusZero(t), seq: s.seq, id: noEvent, fire: f})
+	s.seq++
 }
 
 // ReserveSeq consumes and returns the next insertion sequence number
@@ -354,10 +365,9 @@ func (s *Sim) DeferReserved(t float64, seq uint64, f FireID) {
 	if !(t >= s.now) || math.IsInf(t, 1) {
 		panic(fmt.Sprintf("sim: DeferReserved with time %v before now %v or non-finite", t, s.now))
 	}
+	t = plusZero(t)
 	if s.slotSet {
-		e := heapEntry{time: t, seq: seq, id: noEvent, fire: f}
-		s.heap = append(s.heap, e)
-		s.siftUp(len(s.heap)-1, e)
+		s.push(heapEntry{time: t, seq: seq, id: noEvent, fire: f})
 		return
 	}
 	s.slotT = t
@@ -413,7 +423,7 @@ func (s *Sim) InlineFire(t float64, seq uint64) {
 	if pt, ps, _, ok := s.nextKey(); ok && (pt < t || (pt == t && ps < seq)) {
 		panic(fmt.Sprintf("sim: InlineFire(%v, %d) behind pending event (%v, %d)", t, seq, pt, ps))
 	}
-	s.now = t
+	s.now = plusZero(t)
 	s.processed++
 }
 
@@ -428,6 +438,7 @@ func (s *Sim) insert(t float64, fn func(any), arg any) Event {
 	if !(t >= s.now) || math.IsInf(t, 1) {
 		panic(fmt.Sprintf("sim: At with time %v before now %v or non-finite", t, s.now))
 	}
+	t = plusZero(t)
 	id := s.free
 	if id != noEvent {
 		s.free = s.nodes[id].next
@@ -439,10 +450,22 @@ func (s *Sim) insert(t float64, fn func(any), arg any) Event {
 	n.time = t
 	n.fn = fn
 	n.arg = arg
-	e := heapEntry{time: t, seq: seq, id: id}
-	s.heap = append(s.heap, e)
-	s.siftUp(len(s.heap)-1, e) // writes n.pos at the final position
+	s.push(heapEntry{time: t, seq: seq, id: id}) // writes n.pos at the final position
 	return Event{s: s, id: id, gen: n.gen}
+}
+
+// plusZero maps −0 to +0 and returns any other time unchanged. Every
+// absolute time enters the pending set, the deferred slot or the clock
+// through it, so siftDown may order times by their IEEE bit patterns:
+// for finite non-negative values other than −0 (whose sign bit would
+// sort it after every positive time) the patterns order exactly like the
+// values. Relative times need no mapping: now is never −0, and
+// now + delay is −0 only if both are.
+func plusZero(t float64) float64 {
+	if t == 0 {
+		return 0
+	}
+	return t
 }
 
 // release returns a slot to the free list and invalidates outstanding
@@ -609,6 +632,12 @@ func (tk *Ticker) Stop() {
 // updates one arena pos, and the moving entry is written exactly once at
 // its final position — roughly a third of the memory traffic of
 // swap-based sifting.
+//
+// siftDown, which every pop runs, picks the least of four children by a
+// three-comparison tournament computed with arithmetic rather than
+// branches: which child wins is close to a coin toss, so branches on it
+// mispredict about half the time. The comparison treats (time bits, seq)
+// as one 128-bit key and reads the borrow of its subtraction (keyBorrow).
 
 const heapArity = 4
 
@@ -617,6 +646,17 @@ func entryLess(a, b *heapEntry) bool {
 		return a.time < b.time
 	}
 	return a.seq < b.seq
+}
+
+// keyBorrow returns 1 if a orders before b and 0 otherwise, with no
+// branch: the borrow out of (a.time bits, a.seq) − (b.time bits, b.seq)
+// taken as 128-bit integers. It agrees with entryLess because pending
+// times are finite and never negative or −0 (see plusZero), and the bit
+// patterns of such floats order like their values.
+func keyBorrow(a, b *heapEntry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.time), math.Float64bits(b.time), borrow)
+	return borrow
 }
 
 // up re-sifts the entry currently at index i (cold paths: Cancel).
@@ -635,6 +675,13 @@ func (s *Sim) place(i int, e *heapEntry) {
 	}
 }
 
+// push appends entry e to the pending set. Its time must already have
+// been through plusZero.
+func (s *Sim) push(e heapEntry) {
+	s.heap = append(s.heap, e)
+	s.siftUp(len(s.heap)-1, e)
+}
+
 // siftUp places entry e, conceptually at hole index i, at its heap
 // position, shifting larger parents down through the hole.
 func (s *Sim) siftUp(i int, e heapEntry) {
@@ -651,30 +698,40 @@ func (s *Sim) siftUp(i int, e heapEntry) {
 }
 
 // siftDown places entry e, conceptually at hole index i, at its heap
-// position, shifting smaller children up through the hole.
+// position, shifting smaller children up through the hole. Full levels
+// take the branchless tournament; a partial last level, which has no
+// children below it, scans its one to three children.
 func (s *Sim) siftDown(i int, e heapEntry) {
-	n := len(s.heap)
+	h := s.heap
+	n := len(h)
 	for {
 		first := heapArity*i + 1
-		if first >= n {
+		if first+heapArity > n {
 			break
 		}
-		end := first + heapArity
-		if end > n {
-			end = n
+		c := h[first : first+heapArity : first+heapArity]
+		a := int(keyBorrow(&c[1], &c[0]))     // least of c[0], c[1]
+		b := 2 + int(keyBorrow(&c[3], &c[2])) // least of c[2], c[3]
+		m := a ^ (a^b)&-int(keyBorrow(&c[b&3], &c[a&3]))
+		sm := &c[m&3]
+		if keyBorrow(sm, &e) == 0 {
+			s.place(i, &e)
+			return
 		}
+		s.place(i, sm)
+		i = first + m&3
+	}
+	if first := heapArity*i + 1; first < n {
 		smallest := first
-		for c := first + 1; c < end; c++ {
-			if entryLess(&s.heap[c], &s.heap[smallest]) {
+		for c := first + 1; c < n; c++ {
+			if entryLess(&h[c], &h[smallest]) {
 				smallest = c
 			}
 		}
-		sm := &s.heap[smallest]
-		if !entryLess(sm, &e) {
-			break
+		if entryLess(&h[smallest], &e) {
+			s.place(i, &h[smallest])
+			i = smallest
 		}
-		s.place(i, sm)
-		i = smallest
 	}
 	s.place(i, &e)
 }

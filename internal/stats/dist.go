@@ -77,11 +77,11 @@ func (n TruncatedNormal) Mean() float64 { return n.Mu }
 type Weibull struct{ Shape, Scale float64 }
 
 // Sample draws a Weibull variate by inverse-CDF transform:
-// β·(−ln U)^{1/α}.
+// β·(−ln U)^{1/α}. It is exactly 0 when the exponential variate is:
+// math/rand/v2's ExpFloat64 returns 0 whenever its 32-bit ziggurat draw
+// is 0, with probability ≈2⁻³² per call.
 func (w Weibull) Sample(r *RNG) float64 {
-	// ExpFloat64 is −ln U with U uniform; it never returns 0, so the
-	// result is strictly positive.
-	return w.Scale * math.Pow(r.ExpFloat64(), 1/w.Shape)
+	return w.Scale * Pow(r.ExpFloat64(), 1/w.Shape)
 }
 
 // Mean returns β·Γ(1 + 1/α).

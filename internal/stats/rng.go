@@ -8,6 +8,16 @@
 // All samplers are deterministic functions of an explicit *RNG so that
 // simulation replications are reproducible from a single seed and
 // independent substreams can be derived per model component.
+//
+// Weibull draws, the scientific workload's every job gap, size and
+// off-peak count, go through Pow, which returns math.Pow's result bit
+// for bit in about half the time: for a normal positive x and an
+// exponent strictly between 0 and 1 other than 0.5, math.Pow always
+// takes the same Exp/Log path, and Pow computes that path without the
+// special-case dispatch and the power-of-two bookkeeping, which for
+// such arguments is exact. Every other argument goes to math.Pow. Pow's
+// doc comment gives the argument; TestPowMatchesMathPow and FuzzPow
+// check it.
 package stats
 
 import (

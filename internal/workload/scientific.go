@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"vmprov/internal/sim"
@@ -97,8 +96,14 @@ func (sc *Scientific) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 			S:      stats.Uniform{Min: 1, Max: 1 + sc.Jitter},
 			Factor: sc.BaseService,
 		},
-		wk: newBatchWalker(s, emit),
+		tasks: newTaskCounter(sc.Size),
+		ws:    newWalkerSet(s, emit),
 	}
+	run.planFire = s.RegisterFire(sciPlanDay, run)
+	run.periodFire = s.RegisterFire(sciPeriod, run)
+	run.peakFire = s.RegisterFire(sciStartPeak, run)
+	run.chainFire = s.RegisterFire(sciChain, run)
+	run.jobFire = s.RegisterFire(sciJob, run)
 	sc.run = run
 	run.planDay()
 }
@@ -107,22 +112,24 @@ func (sc *Scientific) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 type sciSnap struct {
 	ids counter
 	day int
-	wk  walkerSnap
+	ws  walkerSetSnap
 }
 
 // Snapshot implements Rewindable: the planner's cross-event state is the
-// ID counter, the next day to plan, and the task walker's undrained
-// remnant; everything else lives in the kernel and the RNG tree.
+// ID counter, the next day to plan, and the task walkers' undrained
+// remnants; everything else lives in the kernel and the RNG tree.
 func (sc *Scientific) Snapshot(store any) any {
 	sn, _ := store.(*sciSnap)
 	if sn == nil {
 		sn = new(sciSnap)
 	}
 	sn.ids = sc.ids
+	var ws *walkerSet
 	if sc.run != nil {
 		sn.day = sc.run.day
-		sc.run.wk.snapshot(&sn.wk)
+		ws = &sc.run.ws
 	}
+	ws.snapshot(&sn.ws)
 	return sn
 }
 
@@ -130,19 +137,19 @@ func (sc *Scientific) Snapshot(store any) any {
 func (sc *Scientific) Restore(store any) {
 	sn := store.(*sciSnap)
 	sc.ids = sn.ids
-	if sc.run != nil {
+	if sc.run != nil && sn.ws.cur.wk != nil {
 		sc.run.day = sn.day
-		sn.wk.restore()
+		sc.run.ws.restore(&sn.ws)
 	}
 }
 
 // sciRun is one replication's arrival-process state. The planner, the
-// off-peak batches, and the peak chain all schedule through package-level
-// callbacks sharing this single struct as their kernel arg, and each
-// job's tasks drain through one reused batch walker, so the arrival
-// machinery allocates nothing per event. Callbacks that used to capture
-// their fire time read s.Now() instead, which returns the stored event
-// time bit-exactly.
+// off-peak batches, and the peak chain are fire-and-forget kernel events
+// whose callbacks are interned once per run (sim.RegisterFire) with this
+// struct as their arg, and each job's tasks drain through a reused batch
+// walker, so the arrival machinery allocates nothing per event and
+// schedules no arena event. Callbacks read their fire time from s.Now(),
+// which returns the stored event time bit-exactly.
 type sciRun struct {
 	sc      *Scientific
 	s       *sim.Sim
@@ -150,28 +157,28 @@ type sciRun struct {
 	size    *stats.RNG
 	svc     *stats.RNG
 	service stats.Scaled
-	day     int          // next day to plan
-	wk      *batchWalker // emits the current job's tasks
+	tasks   taskCounter
+	day     int       // next day to plan
+	ws      walkerSet // emit the jobs' tasks
+
+	planFire, periodFire, peakFire, chainFire, jobFire sim.FireID
 }
 
 // emitJob samples a job's task count and service times and hands the
-// tasks, all arriving at time at, to the walker. No two jobs share an
-// instant and a job's tasks drain at its own, so the walker is idle
-// whenever a job fires.
+// tasks, all arriving at time at, to an idle walker. A job's tasks drain
+// at its own instant, so the previous job's walker is normally idle; it
+// still has tasks pending only when the two jobs share an instant, after
+// a peak gap of exactly 0 (a Weibull draw is 0 when its exponential
+// variate is), and then drains beside a fresh walker.
 func (r *sciRun) emitJob(at float64) {
-	if r.wk.active() {
-		panic(fmt.Sprintf("workload: scientific job at t=%v while the previous job's tasks are still pending", at))
-	}
+	wk := r.ws.idle()
 	// Truncate, don't round: the size class is the integer part of
 	// the Weibull variate (at least one task). This reproduces the
 	// paper's reported volume of ≈8286 requests per simulated day;
 	// rounding would inflate the daily volume by ≈17%.
-	tasks := int(r.sc.Size.Sample(r.size))
-	if tasks < 1 {
-		tasks = 1
-	}
+	tasks := r.tasks.count(r.size.ExpFloat64())
 	// IDs ascend at one arrival time: the batch is already in firing order.
-	batch := r.wk.batch[:0]
+	batch := wk.batch[:0]
 	for i := 0; i < tasks; i++ {
 		batch = append(batch, Request{
 			ID:      r.sc.ids.next(),
@@ -179,7 +186,60 @@ func (r *sciRun) emitJob(at float64) {
 			Service: r.service.Sample(r.svc),
 		})
 	}
-	r.wk.launch(batch)
+	wk.launch(batch)
+}
+
+// taskCounter computes a job's task count max(1, ⌊Size.Sample⌋) from
+// the exponential variate e that the Size draw transforms, mostly
+// without the draw's Pow. The Weibull variate Scale·e^{1/Shape} reaches
+// n exactly when e reaches the threshold (n/Scale)^Shape, so the count
+// is 1 plus the number of thresholds, n ≥ 2, that e reaches.
+//
+// Comparing e with a computed threshold is exact outside a relative band
+// of taskBand around it. Outside the band, the true variate is at least
+// taskBand/Shape relative (≥ 1e-11 for Shape ≤ 100) from any integer,
+// while the float variate Size.Sample computes is off by a few ulps
+// (≈1e-14 for Scale in [1e-3, 1e3]), so both have the same floor. Inside
+// a band, or beyond the last threshold, count computes the variate with
+// Size.Sample's own expression, bit for bit. Sizes outside those shape
+// and scale ranges get no thresholds and always take that path.
+type taskCounter struct {
+	size stats.Weibull
+	n    int                        // thresholds in use
+	band [taskThresholds][2]float64 // per n = 2, 3, …: the band around its threshold
+}
+
+const (
+	taskThresholds = 12   // enough that the paper's sizes leave the table with probability ≈1e-11
+	taskBand       = 1e-9 // relative half-width of the exact-path band
+)
+
+func newTaskCounter(size stats.Weibull) taskCounter {
+	tc := taskCounter{size: size}
+	if !(size.Shape > 0 && size.Shape <= 100 && size.Scale >= 1e-3 && size.Scale <= 1e3) {
+		return tc
+	}
+	for ; tc.n < taskThresholds; tc.n++ {
+		t := math.Pow(float64(tc.n+2)/size.Scale, size.Shape)
+		if t > math.MaxFloat64 {
+			break
+		}
+		tc.band[tc.n] = [2]float64{t * (1 - taskBand), t * (1 + taskBand)}
+	}
+	return tc
+}
+
+// count returns max(1, int(Size.Scale·stats.Pow(e, 1/Size.Shape))).
+func (tc *taskCounter) count(e float64) int {
+	for i := 0; i < tc.n; i++ {
+		if e < tc.band[i][0] {
+			return i + 1
+		}
+		if e <= tc.band[i][1] {
+			break
+		}
+	}
+	return max(1, int(tc.size.Scale*stats.Pow(e, 1/tc.size.Shape)))
 }
 
 // sciChain advances the peak-hours self-scheduling interarrival chain,
@@ -192,14 +252,14 @@ func sciChain(a any) {
 	}
 	r.emitJob(now)
 	gap := r.sc.Interarrival.Sample(r.arr) / r.sc.Scale
-	r.s.ScheduleFunc(gap, sciChain, r)
+	r.s.ScheduleFire(gap, r.chainFire)
 }
 
 // sciStartPeak opens a day's peak window: the first peak job arrives one
 // interarrival after the window opens.
 func sciStartPeak(a any) {
 	r := a.(*sciRun)
-	r.s.ScheduleFunc(r.sc.Interarrival.Sample(r.arr)/r.sc.Scale, sciChain, r)
+	r.s.ScheduleFire(r.sc.Interarrival.Sample(r.arr)/r.sc.Scale, r.chainFire)
 }
 
 // sciJob fires one off-peak job arrival at the current instant.
@@ -223,7 +283,7 @@ func (r *sciRun) offPeakPeriod(start float64) {
 	}
 	gap := r.sc.OffPeakPeriod / float64(n)
 	for i := 0; i < n; i++ {
-		r.s.AtFunc(start+float64(i)*gap, sciJob, r)
+		r.s.AtFire(start+float64(i)*gap, r.jobFire)
 	}
 }
 
@@ -246,10 +306,10 @@ func (r *sciRun) planDay() {
 		if t == 0 {
 			r.offPeakPeriod(0)
 		} else {
-			r.s.AtFunc(t, sciPeriod, r)
+			r.s.AtFire(t, r.periodFire)
 		}
 	}
-	r.s.AtFunc(dayBase+r.sc.PeakStart, sciStartPeak, r)
+	r.s.AtFire(dayBase+r.sc.PeakStart, r.peakFire)
 	r.day++
-	r.s.AtFunc(float64(r.day)*Day, sciPlanDay, r)
+	r.s.AtFire(float64(r.day)*Day, r.planFire)
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vmprov/internal/sim"
@@ -150,7 +151,7 @@ func TestScientificTasksFireAtArrival(t *testing.T) {
 			t.Fatalf("task %+v emitted after %+v", q, prev)
 		}
 		if n == 0 || q.Arrival != prev.Arrival {
-			jobs++ // no two jobs share an instant
+			jobs++ // jobs share an instant only after a zero peak gap
 		}
 		prev = q
 		n++
@@ -164,20 +165,176 @@ func TestScientificTasksFireAtArrival(t *testing.T) {
 	}
 }
 
-// TestScientificOverlappingJobsPanic: a job firing while the previous
-// job's tasks are still pending would overwrite the walker's batch, so
-// it panics instead.
-func TestScientificOverlappingJobsPanic(t *testing.T) {
+// TestScientificOverlappingJobsDrain: a job firing while the previous
+// job's tasks are still pending must not overwrite that walker's batch.
+// The old walker drains beside a fresh one, and every task of every job
+// at the instant is emitted exactly once, at its arrival.
+func TestScientificOverlappingJobsDrain(t *testing.T) {
 	sc := NewScientific(1)
 	s := sim.New()
-	sc.Start(s, stats.NewRNG(1), func(Request) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second job at one instant did not panic")
+	emitted := map[uint64]int{}
+	sc.Start(s, stats.NewRNG(1), func(q Request) {
+		if q.Arrival != s.Now() {
+			t.Fatalf("task %d emitted at t=%v, arrives at %v", q.ID, s.Now(), q.Arrival)
 		}
-	}()
+		emitted[q.ID]++
+	})
 	sc.run.emitJob(0)
 	sc.run.emitJob(0)
+	if len(sc.run.ws.prevs) != 1 {
+		t.Fatalf("second job at one instant left %d superseded walkers, want 1", len(sc.run.ws.prevs))
+	}
+	s.RunUntil(0)
+	if len(emitted) != int(sc.ids.n) {
+		t.Fatalf("emitted %d of the %d tasks issued at t=0", len(emitted), sc.ids.n)
+	}
+	for id, c := range emitted {
+		if c != 1 {
+			t.Fatalf("task %d emitted %d times", id, c)
+		}
+	}
+}
+
+// TestScientificZeroPeakGap: a peak interarrival can be exactly 0 (the
+// exponential variate under a Weibull draw is 0 with probability ≈2⁻³²),
+// which puts the next job at the instant of the previous one while that
+// job's tasks are still pending. Every gap is 0 here, so time stops at
+// the peak start and the run is bounded by Sim.Stop. The source used to
+// panic at t=28800 after 598 tasks.
+func TestScientificZeroPeakGap(t *testing.T) {
+	sc := NewScientific(1)
+	sc.Interarrival.Scale = 0
+	s := sim.New()
+	const limit = 5000
+	emitted := map[uint64]bool{}
+	var last float64
+	sc.Start(s, stats.NewRNG(1), func(q Request) {
+		if q.Arrival != s.Now() || q.Arrival < last {
+			t.Fatalf("task %d emitted at t=%v (previous at %v), arrives at %v", q.ID, s.Now(), last, q.Arrival)
+		}
+		if emitted[q.ID] {
+			t.Fatalf("task %d emitted twice", q.ID)
+		}
+		emitted[q.ID] = true
+		last = q.Arrival
+		if len(emitted) == limit {
+			s.Stop()
+		}
+	})
+	s.RunUntil(Day)
+	if len(emitted) < limit || last != sc.PeakStart {
+		t.Fatalf("emitted %d tasks up to t=%v, want ≥%d with time stuck at the peak start %v",
+			len(emitted), last, limit, sc.PeakStart)
+	}
+}
+
+// TestScientificZeroGapSnapshot: a snapshot taken while a superseded
+// walker is still draining rewinds that walker too, so the future after
+// Restore repeats the one after Snapshot task for task.
+func TestScientificZeroGapSnapshot(t *testing.T) {
+	sc := NewScientific(1)
+	sc.Interarrival.Scale = 0
+	s := sim.New()
+	r := stats.NewRNG(3)
+	var got []Request
+	sc.Start(s, r, func(q Request) {
+		got = append(got, q)
+		if len(got) == 1000 {
+			s.Stop()
+		}
+	})
+	s.RunUntil(Day)
+	draining := func() bool {
+		for _, pw := range sc.run.ws.prevs {
+			if pw.active() {
+				return true
+			}
+		}
+		return false
+	}
+	for !draining() {
+		if !s.Step() {
+			t.Fatal("ran out of events before a walker was superseded")
+		}
+	}
+	var ks sim.Snapshot
+	var rs stats.RNGSnap
+	s.Snapshot(&ks)
+	r.Snapshot(&rs)
+	ss := sc.Snapshot(nil)
+	mark := len(got)
+	for i := 0; i < 500; i++ {
+		s.Step()
+	}
+	want := append([]Request(nil), got[mark:]...)
+	s.Restore(&ks)
+	r.Restore(&rs)
+	sc.Restore(ss)
+	got = got[:mark]
+	for i := 0; i < 500; i++ {
+		s.Step()
+	}
+	if len(want) == 0 || !slices.Equal(want, got[mark:]) {
+		t.Fatalf("replay after Restore diverged: %d tasks before, %d after", len(want), len(got)-mark)
+	}
+}
+
+// TestTaskCounterMatchesSample: the threshold task counter returns
+// max(1, int(Size.Sample)) on the same variate — on 10 M draws of the
+// paper's size distribution, on fewer draws of sizes that stress the
+// table's edges, and on variates within 4 ulps of every threshold and
+// every band edge.
+func TestTaskCounterMatchesSample(t *testing.T) {
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 1_000_000
+	}
+	sizes := []stats.Weibull{
+		NewScientific(1).Size,
+		{Shape: 0.7, Scale: 3},      // heavy tail: draws beyond the table
+		{Shape: 4, Scale: 0.5},      // every draw passes several thresholds
+		{Shape: 60, Scale: 900},     // thresholds far below typical variates
+		{Shape: 1.76, Scale: 1e-3},  // thresholds far above them
+		{Shape: 200, Scale: 2.11},   // no table: every draw takes the exact path
+		{Shape: 1.76, Scale: 2e300}, // no table
+	}
+	for k, size := range sizes {
+		tc := newTaskCounter(size)
+		exact := func(e float64) int { return max(1, int(size.Scale*math.Pow(e, 1/size.Shape))) }
+		check := func(e float64) {
+			t.Helper()
+			if got, want := tc.count(e), exact(e); got != want {
+				t.Fatalf("size %+v: count(%v) = %d, want %d", size, e, got, want)
+			}
+		}
+		n := draws
+		if k > 0 {
+			n = draws / 20
+		}
+		a, b := stats.NewRNG(uint64(k+1)), stats.NewRNG(uint64(k+1))
+		for i := 0; i < n; i++ {
+			want := max(1, int(size.Sample(a)))
+			if got := tc.count(b.ExpFloat64()); got != want {
+				t.Fatalf("size %+v, draw %d: count = %d, Sample gives %d", size, i, got, want)
+			}
+		}
+		for i := 0; i < tc.n; i++ {
+			th := math.Pow(float64(i+2)/size.Scale, size.Shape)
+			for _, c := range []float64{th, tc.band[i][0], tc.band[i][1]} {
+				e := c
+				for j := 0; j < 4; j++ {
+					e = math.Nextafter(e, 0)
+				}
+				for j := -4; j <= 4; j++ {
+					check(e)
+					e = math.Nextafter(e, math.Inf(1))
+				}
+			}
+		}
+		check(0)
+		check(math.SmallestNonzeroFloat64)
+		check(50)
+	}
 }
 
 func TestSciAnalyzerEstimates(t *testing.T) {

@@ -111,19 +111,17 @@ func (w *Web) TickInterval() float64 { return w.Interval }
 
 // NewTicker builds the web generator's per-run tick state: the arrival
 // and service substreams (split from r in Start's order) and the pooled
-// batch walker.
+// batch walkers.
 func (w *Web) NewTicker(s *sim.Sim, r *stats.RNG, emit func(Request)) Ticker {
 	tk := &webTicker{
 		w:   w,
-		s:   s,
 		arr: r.Split("web/arrivals"),
 		svc: r.Split("web/service"),
 		service: stats.Scaled{
 			S:      stats.Uniform{Min: 1, Max: 1 + w.Jitter},
 			Factor: w.BaseService,
 		},
-		emit: emit,
-		wk:   newBatchWalker(s, emit),
+		ws: newWalkerSet(s, emit),
 	}
 	w.run = tk
 	return tk
@@ -132,18 +130,10 @@ func (w *Web) NewTicker(s *sim.Sim, r *stats.RNG, emit func(Request)) Ticker {
 // webTicker is one run's tick state for the web generator.
 type webTicker struct {
 	w       *Web
-	s       *sim.Sim
 	arr     *stats.RNG
 	svc     *stats.RNG
 	service stats.Scaled
-	emit    func(Request)
-	wk      *batchWalker
-
-	// prevs holds superseded walkers that are still draining (a batch can
-	// outlive its tick only when a sampled arrival rounded up to exactly
-	// the tick boundary); a snapshot must capture their cursors too.
-	// Almost always empty.
-	prevs []*batchWalker
+	ws      walkerSet
 }
 
 // SampleCount draws the tick's realized request count: the rate is
@@ -161,27 +151,13 @@ func (tk *webTicker) Emit(now float64, n int) {
 		return
 	}
 	w := tk.w
-	if len(tk.prevs) > 0 {
-		// Prune walkers that finished draining since the last tick.
-		live := tk.prevs[:0]
-		for _, pw := range tk.prevs {
-			if pw.active() {
-				live = append(live, pw)
-			}
-		}
-		tk.prevs = live
-	}
-	if tk.wk.active() {
-		// A prior batch is still draining — possible only when a
-		// sampled arrival rounded up to exactly the tick boundary.
-		// Leave the old walker to finish and start a fresh one.
-		tk.prevs = append(tk.prevs, tk.wk)
-		tk.wk = newBatchWalker(tk.s, tk.emit)
-	}
-	batch := tk.wk.batch[:0]
+	// A prior batch is still draining only when a sampled arrival
+	// rounded up to exactly the tick boundary.
+	wk := tk.ws.idle()
+	batch := wk.batch[:0]
 	// Fused counting: bucket occupancy is tallied while sampling, so
 	// startUniform needs no counting pass over the batch.
-	counts, scale := tk.wk.precount(n, w.Interval)
+	counts, scale := wk.precount(n, w.Interval)
 	for i := 0; i < n; i++ {
 		at := now + tk.arr.Float64()*w.Interval
 		if counts != nil {
@@ -199,7 +175,7 @@ func (tk *webTicker) Emit(now float64, n int) {
 			Service: tk.service.Sample(tk.svc),
 		})
 	}
-	tk.wk.startUniform(batch, now, w.Interval)
+	wk.startUniform(batch, now, w.Interval)
 }
 
 // batchWalker drains a pre-sampled batch of requests through one pooled
@@ -266,6 +242,87 @@ func (sn *walkerSnap) restore() {
 	wk := sn.wk
 	wk.batch = append(wk.batch[:0], sn.remnant...)
 	wk.idx = 0
+}
+
+// walkerSet is one run's batch walkers: the current one, plus any
+// superseded walkers still draining. A new batch supersedes a walker
+// that still has arrivals pending — a web batch whose sampled arrival
+// rounded up to exactly the tick boundary, or a scientific job arriving
+// at the instant of the previous one after a zero gap — and the old
+// walker finishes beside the fresh one. prevs is almost always empty.
+type walkerSet struct {
+	s     *sim.Sim
+	emit  func(Request)
+	cur   *batchWalker
+	prevs []*batchWalker
+}
+
+func newWalkerSet(s *sim.Sim, emit func(Request)) walkerSet {
+	return walkerSet{s: s, emit: emit, cur: newBatchWalker(s, emit)}
+}
+
+// idle returns a walker with no arrivals pending for the next batch: the
+// current one, or a fresh one when the current is still draining.
+func (ws *walkerSet) idle() *batchWalker {
+	if len(ws.prevs) > 0 {
+		// Prune walkers that finished draining since the last batch.
+		live := ws.prevs[:0]
+		for _, pw := range ws.prevs {
+			if pw.active() {
+				live = append(live, pw)
+			}
+		}
+		ws.prevs = live
+	}
+	if ws.cur.active() {
+		ws.prevs = append(ws.prevs, ws.cur)
+		ws.cur = newBatchWalker(ws.s, ws.emit)
+	}
+	return ws.cur
+}
+
+// walkerSetSnap holds one captured walker set: the identity and drain
+// state of the current walker (a later batch may replace it) and of
+// every superseded walker still draining. cur.wk is nil when the capture
+// saw no run.
+type walkerSetSnap struct {
+	cur   walkerSnap
+	prevs []walkerSnap
+}
+
+// snapshot captures ws into sn; a nil ws (no run started) captures as
+// empty.
+func (ws *walkerSet) snapshot(sn *walkerSetSnap) {
+	if ws == nil {
+		sn.cur.wk = nil
+		return
+	}
+	ws.cur.snapshot(&sn.cur)
+	sn.prevs = sn.prevs[:0]
+	for _, pw := range ws.prevs {
+		if !pw.active() {
+			continue
+		}
+		if len(sn.prevs) < cap(sn.prevs) {
+			sn.prevs = sn.prevs[:len(sn.prevs)+1]
+		} else {
+			sn.prevs = append(sn.prevs, walkerSnap{})
+		}
+		pw.snapshot(&sn.prevs[len(sn.prevs)-1])
+	}
+}
+
+// restore rewinds ws to sn. Walkers created after the capture are left
+// behind as garbage: the kernel restore already removed their events, so
+// they are inert.
+func (ws *walkerSet) restore(sn *walkerSetSnap) {
+	ws.cur = sn.cur.wk
+	sn.cur.restore()
+	ws.prevs = ws.prevs[:0]
+	for i := range sn.prevs {
+		sn.prevs[i].restore()
+		ws.prevs = append(ws.prevs, sn.prevs[i].wk)
+	}
 }
 
 // requestCmp is the firing order: (arrival time, ID). IDs ascend in
@@ -410,14 +467,11 @@ func walkBatch(a any) {
 	}
 }
 
-// webSnap holds one captured web-generator state: the ID counter, the
-// identity of the current walker (a later tick may have replaced it),
-// and the drain state of every walker that was live at the capture.
+// webSnap holds one captured web-generator state: the ID counter and
+// the walkers.
 type webSnap struct {
-	ids   counter
-	wk    *batchWalker
-	cur   walkerSnap
-	prevs []walkerSnap
+	ids counter
+	ws  walkerSetSnap
 }
 
 // Snapshot implements Rewindable.
@@ -427,44 +481,20 @@ func (w *Web) Snapshot(store any) any {
 		sn = new(webSnap)
 	}
 	sn.ids = w.ids
-	tk := w.run
-	if tk == nil {
-		sn.wk = nil
-		return sn
+	var ws *walkerSet
+	if w.run != nil {
+		ws = &w.run.ws
 	}
-	sn.wk = tk.wk
-	tk.wk.snapshot(&sn.cur)
-	sn.prevs = sn.prevs[:0]
-	for _, pw := range tk.prevs {
-		if !pw.active() {
-			continue
-		}
-		if len(sn.prevs) < cap(sn.prevs) {
-			sn.prevs = sn.prevs[:len(sn.prevs)+1]
-		} else {
-			sn.prevs = append(sn.prevs, walkerSnap{})
-		}
-		pw.snapshot(&sn.prevs[len(sn.prevs)-1])
-	}
+	ws.snapshot(&sn.ws)
 	return sn
 }
 
-// Restore implements Rewindable. Walkers created after the capture are
-// left behind as garbage: the kernel restore already removed their
-// events, so they are inert.
+// Restore implements Rewindable.
 func (w *Web) Restore(store any) {
 	sn := store.(*webSnap)
 	w.ids = sn.ids
-	tk := w.run
-	if tk == nil || sn.wk == nil {
-		return
-	}
-	tk.wk = sn.wk
-	sn.cur.restore()
-	tk.prevs = tk.prevs[:0]
-	for i := range sn.prevs {
-		sn.prevs[i].restore()
-		tk.prevs = append(tk.prevs, sn.prevs[i].wk)
+	if w.run != nil && sn.ws.cur.wk != nil {
+		w.run.ws.restore(&sn.ws)
 	}
 }
 
