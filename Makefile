@@ -26,8 +26,8 @@ vet:
 
 # vmprovlint v2: the project's determinism and correctness multichecker
 # — the five v1 per-package passes (simclock, seededrand, maporder,
-# errcmp, hotclosure), the four v2 whole-program invariant passes
-# (snapshotfield, splitkey, specstrict, registry), and the lite
+# errcmp, hotclosure), the five v2 whole-program passes (snapshotfield,
+# splitkey, specstrict, registry, deadcode), and the lite
 # nilness/shadow stock passes (lock copies are go vet's). One gate over
 # the whole tree; `make ci` fails on any finding that is neither
 # suppressed in source (`//vmprov:allow <analyzer> -- <reason>`) nor

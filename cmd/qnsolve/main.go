@@ -6,11 +6,15 @@
 //
 //	qnsolve -lambda 1200 -tm 0.105 -ts 0.250 -m 153        # evaluate a fleet
 //	qnsolve -size -lambda 1200 -tm 0.105 -ts 0.250 -util 0.8
+//
+// Invalid parameters exit 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -22,27 +26,39 @@ import (
 )
 
 func main() {
-	var (
-		lambda  = flag.Float64("lambda", 0, "aggregate arrival rate (req/s)")
-		tm      = flag.Float64("tm", 0, "mean request execution time (s)")
-		ts      = flag.Float64("ts", 0, "QoS maximum response time (s); with -tm it defines k")
-		k       = flag.Int("k", 0, "per-instance queue size (0 = derive from ts/tm)")
-		m       = flag.Int("m", 1, "number of instances to evaluate")
-		size    = flag.Bool("size", false, "run Algorithm 1 instead of evaluating a fixed m")
-		sweep   = flag.String("sweep", "", "capacity plan sweep: \"lo:hi:step\" arrival rates; prints m(λ) per Algorithm 1 and brute force")
-		rej     = flag.Float64("rej", 0, "QoS maximum rejection rate")
-		rejTol  = flag.Float64("rejtol", 1e-3, "modeling tolerance on the rejection target")
-		util    = flag.Float64("util", 0.8, "minimum utilization threshold")
-		maxVMs  = flag.Int("maxvms", 10000, "MaxVMs ceiling for Algorithm 1")
-		current = flag.Int("current", 1, "current fleet size for Algorithm 1")
-	)
-	flag.Parse()
-
-	if *lambda < 0 || *tm <= 0 || *ts <= 0 {
-		fmt.Fprintln(os.Stderr, "qnsolve: need -lambda ≥ 0, -tm > 0, -ts > 0")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "qnsolve:", err)
 		os.Exit(2)
 	}
+}
+
+// run parses the command line and prints the requested evaluation to w;
+// an error means the parameters describe no valid model.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("qnsolve", flag.ExitOnError)
+	var (
+		lambda  = fs.Float64("lambda", 0, "aggregate arrival rate (req/s)")
+		tm      = fs.Float64("tm", 0, "mean request execution time (s)")
+		ts      = fs.Float64("ts", 0, "QoS maximum response time (s); with -tm it defines k")
+		k       = fs.Int("k", 0, "per-instance queue size (0 = derive from ts/tm)")
+		m       = fs.Int("m", 1, "number of instances to evaluate")
+		size    = fs.Bool("size", false, "run Algorithm 1 instead of evaluating a fixed m")
+		sweep   = fs.String("sweep", "", "capacity plan sweep: \"lo:hi:step\" arrival rates; prints m(λ) per Algorithm 1 and brute force")
+		rej     = fs.Float64("rej", 0, "QoS maximum rejection rate")
+		rejTol  = fs.Float64("rejtol", 1e-3, "modeling tolerance on the rejection target")
+		util    = fs.Float64("util", 0.8, "minimum utilization threshold")
+		maxVMs  = fs.Int("maxvms", 10000, "MaxVMs ceiling for Algorithm 1")
+		current = fs.Int("current", 1, "current fleet size for Algorithm 1")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 itself
+
+	if !(*lambda >= 0 && *tm > 0 && *ts > 0) { // NaN fails too
+		return errors.New("need -lambda ≥ 0, -tm > 0, -ts > 0")
+	}
 	if *k <= 0 {
+		if *ts < *tm {
+			return fmt.Errorf("k = ⌊ts/tm⌋ = ⌊%v/%v⌋ < 1: -ts must be at least -tm, or every request misses it on arrival", *ts, *tm)
+		}
 		*k = queueing.QueueSize(*ts, *tm)
 	}
 	qos := vmprov.QoS{Ts: *ts, MaxRejection: *rej, RejectionTol: *rejTol, MinUtilization: *util}
@@ -50,22 +66,24 @@ func main() {
 	if *sweep != "" {
 		lo, hi, step, err := parseSweep(*sweep)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "qnsolve:", err)
-			os.Exit(2)
+			return err
 		}
-		fmt.Printf("k = %d; per-instance headroom ρ ≤ %.4f at rejection tol %.3g\n",
+		fmt.Fprintf(w, "k = %d; per-instance headroom ρ ≤ %.4f at rejection tol %.3g\n",
 			*k, queueing.RhoForBlocking(*k, math.Max(*rej+*rejTol, 1e-9)), *rej+*rejTol)
-		fmt.Printf("%12s %12s %12s %12s\n", "lambda", "m(Alg1)", "m(minimal)", "util@Alg1")
+		fmt.Fprintf(w, "%12s %12s %12s %12s\n", "lambda", "m(Alg1)", "m(minimal)", "util@Alg1")
 		current := *current
 		for l := lo; l <= hi+1e-12; l += step {
 			in := vmprov.SizingInput{Lambda: l, Tm: *tm, K: *k, Current: current, MaxVMs: *maxVMs, QoS: qos}
 			m := vmprov.Algorithm1(in)
-			opt := provision.OptimalSize(in)
+			minimal := "none"
+			if opt, ok := provision.OptimalSize(in); ok {
+				minimal = strconv.Itoa(opt)
+			}
 			f := queueing.Fleet{Lambda: l, Tm: *tm, K: *k, M: m}
-			fmt.Printf("%12.4g %12d %12d %12.4f\n", l, m, opt, f.OfferedUtilization())
+			fmt.Fprintf(w, "%12.4g %12d %12s %12.4f\n", l, m, minimal, f.OfferedUtilization())
 			current = m // the next step starts from the previous plan
 		}
-		return
+		return nil
 	}
 
 	if *size {
@@ -74,14 +92,23 @@ func main() {
 			Current: *current, MaxVMs: *maxVMs, QoS: qos,
 		}
 		got := vmprov.Algorithm1(in)
-		fmt.Printf("k = %d (Equation 1)\n", *k)
-		fmt.Printf("m = %d instances (Algorithm 1)\n", got)
-		fmt.Printf("smallest QoS-feasible m = %d (brute force)\n", provision.OptimalSize(in))
-		report(queueing.Fleet{Lambda: *lambda, Tm: *tm, K: *k, M: got})
-		return
+		fmt.Fprintf(w, "k = %d (Equation 1)\n", *k)
+		fmt.Fprintf(w, "m = %d instances (Algorithm 1)\n", got)
+		if opt, ok := provision.OptimalSize(in); ok {
+			fmt.Fprintf(w, "smallest QoS-feasible m = %d (brute force)\n", opt)
+		} else {
+			fmt.Fprintf(w, "no m ≤ %d meets QoS (brute force)\n", *maxVMs)
+		}
+		report(w, queueing.Fleet{Lambda: *lambda, Tm: *tm, K: *k, M: got})
+		return nil
 	}
-	fmt.Printf("k = %d (Equation 1)\n", *k)
-	report(queueing.Fleet{Lambda: *lambda, Tm: *tm, K: *k, M: *m})
+	f := queueing.Fleet{Lambda: *lambda, Tm: *tm, K: *k, M: *m}
+	if err := f.Validate(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "k = %d (Equation 1)\n", *k)
+	report(w, f)
+	return nil
 }
 
 // parseSweep parses "lo:hi:step".
@@ -96,6 +123,9 @@ func parseSweep(s string) (lo, hi, step float64, err error) {
 		if err != nil {
 			return 0, 0, 0, fmt.Errorf("sweep %q: %v", s, err)
 		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, 0, 0, fmt.Errorf("sweep %q: bounds and step must be finite", s)
+		}
 		vals[i] = v
 	}
 	if vals[2] <= 0 || vals[1] < vals[0] {
@@ -104,11 +134,11 @@ func parseSweep(s string) (lo, hi, step float64, err error) {
 	return vals[0], vals[1], vals[2], nil
 }
 
-func report(f queueing.Fleet) {
+func report(w io.Writer, f queueing.Fleet) {
 	st := f.Station()
-	fmt.Printf("per-instance: λ=%.6g req/s  ρ=%.4f  Pr(Sk)=%.6g\n",
+	fmt.Fprintf(w, "per-instance: λ=%.6g req/s  ρ=%.4f  Pr(Sk)=%.6g\n",
 		st.Lambda, st.Rho(), st.Blocking())
-	fmt.Printf("fleet: response=%.6gs  rejection=%.6g  offered util=%.4f  carried util=%.4f  throughput=%.6g req/s\n",
+	fmt.Fprintf(w, "fleet: response=%.6gs  rejection=%.6g  offered util=%.4f  carried util=%.4f  throughput=%.6g req/s\n",
 		f.ResponseTime(), f.SystemRejection(), f.OfferedUtilization(),
 		f.CarriedUtilization(), f.Throughput())
 }

@@ -5,8 +5,8 @@
 // contents feed output, errors.Is for sentinel comparisons, no closure
 // allocation on kernel scheduling fast paths), the v2 whole-program
 // passes (snapshot coverage, rng.Split substream discipline, spec
-// strictness, registry hygiene), plus local lite editions of the stock
-// nilness and shadow passes (lock copies are left to go vet).
+// strictness, registry hygiene, dead code), plus local lite editions of
+// the stock nilness and shadow passes (lock copies are left to go vet).
 //
 // Usage:
 //

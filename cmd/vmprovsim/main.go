@@ -23,11 +23,15 @@
 // panel file end to end and -dumpspec emits the built-in paper panels as
 // such files. -cpuprofile/-memprofile wrap any mode with pprof capture.
 // Throughput is measured by the separate bench/ harness (bench/README.md).
+//
+// Bad flags exit 2, in every mode: among them a -scale or -horizon that
+// is negative or not finite (0 picks the scenario default) and -reps < 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -62,6 +66,10 @@ func main() {
 		chaos      = flag.Bool("chaos", false, "run the chaos panel (fault-intensity ladder with per-replication invariant checks) and print per-tier resilience results; reads -scale, -reps, -horizon, -seed, -workers")
 	)
 	flag.Parse()
+	if err := checkRunFlags(*scale, *horizon, *reps); err != nil {
+		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		printRegistries(os.Stdout)
@@ -236,4 +244,19 @@ func main() {
 		fmt.Printf("rep %d: %s\n", i, r)
 	}
 	fmt.Printf("mean:  %s\n", agg)
+}
+
+// checkRunFlags rejects the flag values no run can mean, in every mode:
+// a scale or horizon that is negative or not finite (0 picks the
+// scenario default), or fewer than one replication.
+func checkRunFlags(scale, horizon float64, reps int) error {
+	switch {
+	case !(scale >= 0) || math.IsInf(scale, 1):
+		return fmt.Errorf("-scale %v: need a finite scale ≥ 0 (0 = scenario default)", scale)
+	case !(horizon >= 0) || math.IsInf(horizon, 1):
+		return fmt.Errorf("-horizon %v: need a finite horizon ≥ 0 (0 = scenario default)", horizon)
+	case reps < 1:
+		return fmt.Errorf("-reps %d: need at least one replication", reps)
+	}
+	return nil
 }

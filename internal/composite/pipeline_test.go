@@ -173,6 +173,43 @@ func TestPipelineAdaptiveStage(t *testing.T) {
 	}
 }
 
+// tandem is a series of fleets a request traverses in order — the
+// analytic reference the pipeline's simulated end-to-end response and
+// drop rate are checked against. Under the same independence
+// approximations as queueing.Fleet, the end-to-end response is the sum
+// of stage responses and a request survives only if every stage admits
+// it.
+type tandem []queueing.Fleet
+
+// ResponseTime returns the end-to-end expected response of a request
+// accepted at every stage.
+func (t tandem) ResponseTime() float64 {
+	var sum float64
+	for _, f := range t {
+		sum += f.ResponseTime()
+	}
+	return sum
+}
+
+// SystemRejection returns the probability a request is dropped at some
+// stage: 1 − Π(1 − rejᵢ).
+func (t tandem) SystemRejection() float64 {
+	surv := 1.0
+	for _, f := range t {
+		surv *= 1 - f.SystemRejection()
+	}
+	return 1 - surv
+}
+
+// Throughput returns the rate of requests surviving all stages, given the
+// first stage's offered rate.
+func (t tandem) Throughput() float64 {
+	if len(t) == 0 {
+		return 0
+	}
+	return t[0].Lambda * (1 - t.SystemRejection())
+}
+
 func TestTandemModelMatchesPipeline(t *testing.T) {
 	// Analytic tandem vs simulated pipeline at a comfortable operating
 	// point (exponential-ish service via jitter is close enough for a
@@ -185,7 +222,7 @@ func TestTandemModelMatchesPipeline(t *testing.T) {
 	drive(s, p, 5, []float64{1, 1}, 20000, 4)
 	res := p.Finish(21000)
 
-	model := queueing.Tandem{
+	model := tandem{
 		{Lambda: 5, Tm: 1.05, K: 2, M: 8},
 		{Lambda: 5, Tm: 1.05, K: 2, M: 8},
 	}
@@ -204,7 +241,7 @@ func TestTandemModelMatchesPipeline(t *testing.T) {
 func TestTandemAlgebra(t *testing.T) {
 	a := queueing.Fleet{Lambda: 10, Tm: 0.1, K: 2, M: 2}
 	b := queueing.Fleet{Lambda: 10, Tm: 0.1, K: 2, M: 2}
-	td := queueing.Tandem{a, b}
+	td := tandem{a, b}
 	if got, want := td.ResponseTime(), a.ResponseTime()+b.ResponseTime(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("tandem response %v, want %v", got, want)
 	}
@@ -215,7 +252,7 @@ func TestTandemAlgebra(t *testing.T) {
 	if got := td.Throughput(); math.Abs(got-10*(1-td.SystemRejection())) > 1e-12 {
 		t.Fatalf("tandem throughput %v", got)
 	}
-	if (queueing.Tandem{}).Throughput() != 0 {
+	if (tandem{}).Throughput() != 0 {
 		t.Fatal("empty tandem throughput should be 0")
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -223,14 +224,12 @@ func TestFigureTableFormat(t *testing.T) {
 	}
 }
 
+// TestMeanRateSeries checks the web source's analytic mean-rate curve
+// (Figure 3): Monday starts at 500 req/s and peaks at 1000 req/s at noon.
 func TestMeanRateSeries(t *testing.T) {
 	src := workload.NewWeb(1)
-	pts := MeanRateSeries(src, workload.Day, 3600)
-	if len(pts) != 25 {
-		t.Fatalf("series length %d, want 25", len(pts))
-	}
-	if pts[0].N != 500 || pts[12].N != 1000 {
-		t.Fatalf("Monday series endpoints wrong: t0=%d, noon=%d", pts[0].N, pts[12].N)
+	if t0, noon := src.MeanRate(0), src.MeanRate(12*3600); math.Round(t0) != 500 || math.Round(noon) != 1000 {
+		t.Fatalf("Monday series endpoints wrong: t0=%v, noon=%v", t0, noon)
 	}
 }
 
@@ -251,10 +250,6 @@ func TestObservedRateSeries(t *testing.T) {
 	}
 	if peakSum <= offSum {
 		t.Fatalf("peak bins should dominate: peak=%v off=%v", peakSum, offSum)
-	}
-	csv := SeriesCSV("t,n", MeanRateSeries(src, workload.Day, 3600))
-	if !strings.HasPrefix(csv, "t,n\n") {
-		t.Fatal("series CSV header missing")
 	}
 }
 

@@ -107,16 +107,6 @@ func anyClients(results []metrics.Result) bool {
 	return false
 }
 
-// MeanRateSeries samples a source's analytic mean arrival rate every step
-// seconds over [0, horizon] — the curves of the paper's Figures 3 and 4.
-func MeanRateSeries(src workload.Source, horizon, step float64) []metrics.SeriesPoint {
-	var pts []metrics.SeriesPoint
-	for t := 0.0; t <= horizon; t += step {
-		pts = append(pts, metrics.SeriesPoint{T: t, N: int(src.MeanRate(t) + 0.5)})
-	}
-	return pts
-}
-
 // ObservedRateSeries simulates the source once and bins actual arrivals,
 // returning arrivals-per-second averaged over each bin — the jagged
 // realized version of Figures 3 and 4.
@@ -135,14 +125,4 @@ func ObservedRateSeries(src workload.Source, seed uint64, horizon, bin float64) 
 		bins[i] /= bin
 	}
 	return bins
-}
-
-// SeriesCSV renders a rate or instance-count series as two-column CSV.
-func SeriesCSV(header string, pts []metrics.SeriesPoint) string {
-	var b strings.Builder
-	b.WriteString(header + "\n")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%.0f,%d\n", p.T, p.N)
-	}
-	return b.String()
 }

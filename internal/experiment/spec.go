@@ -27,7 +27,8 @@ type ScenarioSpec struct {
 	Workload string          `json:"workload"`
 	Params   json.RawMessage `json:"params,omitempty"`
 	// Scale is the display scale recorded in results and captions (the
-	// workload's own scale lives in Params). Zero means 1.
+	// workload's own scale lives in Params). Zero means 1; a negative or
+	// non-finite scale does not compile.
 	Scale   float64 `json:"scale,omitempty"`
 	Horizon float64 `json:"horizon"`
 	// Mode selects exact or hybrid fast-forward simulation; omitted
@@ -58,8 +59,11 @@ func (sp ScenarioSpec) Compile() (Scenario, error) {
 	if err != nil {
 		return Scenario{}, fmt.Errorf("experiment: scenario %q: %w", sp.Name, err)
 	}
+	if !workload.ValidScale(sp.Scale) {
+		return Scenario{}, fmt.Errorf("experiment: scenario %q: scale %v must be finite and non-negative (0 means 1)", sp.Name, sp.Scale)
+	}
 	scale := sp.Scale
-	if scale <= 0 {
+	if scale == 0 {
 		scale = 1
 	}
 	sc := Scenario{
@@ -135,7 +139,7 @@ func ScenarioNames() []string {
 
 // BuildScenarioSpec resolves a registered scenario by name at the given
 // scale (0 = the scenario's default scale). An unknown name lists the
-// registered ones.
+// registered ones; a negative or non-finite scale is an error.
 func BuildScenarioSpec(name string, scale float64) (ScenarioSpec, error) {
 	scenarioMu.RLock()
 	e, ok := scenarioReg[name]
@@ -143,6 +147,9 @@ func BuildScenarioSpec(name string, scale float64) (ScenarioSpec, error) {
 	if !ok {
 		return ScenarioSpec{}, fmt.Errorf("experiment: unknown scenario %q (registered: %s)",
 			name, strings.Join(ScenarioNames(), ", "))
+	}
+	if !workload.ValidScale(scale) {
+		return ScenarioSpec{}, fmt.Errorf("experiment: scenario %q: scale %v must be finite and non-negative (0 = the scenario default)", name, scale)
 	}
 	if scale == 0 {
 		scale = e.defaultScale

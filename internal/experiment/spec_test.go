@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -154,6 +155,20 @@ func TestScenarioSpecCompileErrors(t *testing.T) {
 	if err := badParams.Validate(); err == nil || !strings.Contains(err.Error(), "oops") {
 		t.Errorf("unknown workload params not rejected: %v", err)
 	}
+
+	// A scale that is negative or not finite is an error, not scale 1.
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+		badScale := base
+		badScale.Scale = scale
+		if err := badScale.Validate(); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v not rejected: %v", scale, err)
+		}
+	}
+	badParamScale := base
+	badParamScale.Params = json.RawMessage(`{"scale": -1}`)
+	if err := badParamScale.Validate(); err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Errorf("negative workload scale not rejected: %v", err)
+	}
 }
 
 func TestScenarioRegistry(t *testing.T) {
@@ -175,6 +190,13 @@ func TestScenarioRegistry(t *testing.T) {
 	sp, err = BuildScenarioSpec("sci", 0)
 	if err != nil || sp.Scale != 1 || sp.Name != "scientific" {
 		t.Fatalf("sci alias wrong: %+v, %v", sp, err)
+	}
+	// Only zero means the default: a negative or non-finite scale used
+	// to run at scale 1 (web -1 served exactly what web 1 did).
+	for _, scale := range []float64{-1, -0.02, math.NaN(), math.Inf(1)} {
+		if sp, err := BuildScenarioSpec("web", scale); err == nil {
+			t.Errorf("BuildScenarioSpec(web, %v) accepted, scale %v", scale, sp.Scale)
+		}
 	}
 }
 

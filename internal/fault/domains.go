@@ -236,7 +236,6 @@ func brownoutFlip(a any) {
 	inj.brownout = be.on
 	d := inj.spec.Domains.Brownout
 	if be.on {
-		inj.brownouts++
 		inj.sim.ScheduleFunc(inj.brownoutRNG.ExpFloat64()*d.Duration, brownoutFlip, &brownoutEvent{inj: inj, on: false})
 	} else {
 		inj.sim.ScheduleFunc(inj.brownoutRNG.ExpFloat64()*d.MTBF, brownoutFlip, &brownoutEvent{inj: inj, on: true})
@@ -247,7 +246,6 @@ func brownoutFlip(a any) {
 // per-instance kill coin drawn from the storm substream.
 func stormStrike(a any) {
 	inj := a.(*Injector)
-	inj.storms++
 	d := inj.spec.Domains.Storm
 	inj.sim.ScheduleFunc(inj.stormRNG.ExpFloat64()*d.MTBF, stormStrike, inj)
 	if inj.listener != nil {
@@ -258,6 +256,8 @@ func stormStrike(a any) {
 
 // ZonesDown reports how many zones are currently dark, for tests and the
 // mid-outage snapshot probes.
+//
+//vmprov:allow deadcode -- TestChaosSnapshotMidOutageBitIdentical (internal/experiment) probes for a dark zone with it
 func (inj *Injector) ZonesDown() int {
 	n := 0
 	for _, down := range inj.zoneDown {
@@ -266,10 +266,4 @@ func (inj *Injector) ZonesDown() int {
 		}
 	}
 	return n
-}
-
-// DomainCounts reports how many brownout windows and storm strikes have
-// fired, for tests.
-func (inj *Injector) DomainCounts() (brownouts, storms uint64) {
-	return inj.brownouts, inj.storms
 }

@@ -133,15 +133,13 @@ type Injector struct {
 	downSince   []float64
 }
 
-// injState is the injector's scalar state: the error counters and the
-// brownout and storm bookkeeping. Snapshot and Restore copy it whole; the
-// per-zone slices are copied beside it.
+// injState is the injector's scalar state: the error counters and
+// whether a brownout window is open. Snapshot and Restore copy it whole;
+// the per-zone slices are copied beside it.
 type injState struct {
 	injectedProvisionErrs uint64
 	injectedReleaseErrs   uint64
 	brownout              bool
-	brownouts             uint64
-	storms                uint64
 }
 
 // New wraps inner with fault injection per sp, drawing all randomness
@@ -292,10 +290,4 @@ func (inj *Injector) Restore(snap *InjSnap) {
 	inj.injState = snap.injState
 	copy(inj.zoneDown, snap.zoneDown)
 	copy(inj.downSince, snap.downSince)
-}
-
-// InjectedErrors reports how many transient Provision and Release errors
-// the injector has produced, for tests and diagnostics.
-func (inj *Injector) InjectedErrors() (provision, release uint64) {
-	return inj.injectedProvisionErrs, inj.injectedReleaseErrs
 }

@@ -9,6 +9,12 @@ import (
 	"vmprov/internal/stats"
 )
 
+// InjectedErrors reports how many transient Provision and Release errors
+// the injector has produced.
+func (inj *Injector) InjectedErrors() (provision, release uint64) {
+	return inj.injectedProvisionErrs, inj.injectedReleaseErrs
+}
+
 func TestSpecZeroAndValidate(t *testing.T) {
 	if !(Spec{}).IsZero() {
 		t.Fatal("zero spec not IsZero")

@@ -3,14 +3,16 @@ package lint
 // This file is the package's miniature analysistest: fixture packages
 // live under testdata/src/<dir>, their import path is <dir> itself (so a
 // fixture named simclock/internal/sim trips the same path gates as real
-// code), and expectations are trailing comments of the form
+// code), their module is the first element of that path (so fixture
+// deadcode is its own module's root package), and expectations are
+// trailing comments of the form
 //
 //	// want `regexp`
 //
 // Each want pattern must be matched by a diagnostic on its line and
 // every diagnostic must be claimed by a want pattern, mirroring
 // golang.org/x/tools/go/analysis/analysistest (backquoted patterns
-// only). Diagnostics are collected through Run, i.e. after
+// only). Diagnostics are collected through RunPackages, i.e. after
 // //vmprov:allow suppression, so fixtures also exercise the escape
 // hatch: a flagged construct with an allow comment and no want line
 // fails the test if suppression breaks.
@@ -42,7 +44,7 @@ var (
 func fixtureImporter(t *testing.T) types.Importer {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		exports, err := ExportData(fixtureDeps)
+		exports, err := exportData(fixtureDeps)
 		if err != nil {
 			fixtureImpErr = err
 			return
@@ -55,35 +57,73 @@ func fixtureImporter(t *testing.T) types.Importer {
 	return fixtureImp
 }
 
-// loadFixturePkg parses and type-checks the one fixture package rooted
-// at testdata/src/<dir>; dir doubles as the package's import path.
-func loadFixturePkg(t *testing.T, dir string) *Package {
+// loadFixturePkgs parses and type-checks the fixture packages rooted at
+// testdata/src/<dir>, in order; each dir doubles as the package's import
+// path, and a package may import the fixture packages before it.
+func loadFixturePkgs(t *testing.T, dirs ...string) []*Package {
 	t.Helper()
-	imp := fixtureImporter(t)
-	full := filepath.Join("testdata", "src", filepath.FromSlash(dir))
-	entries, err := os.ReadDir(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fixtureFset, filepath.Join(full, e.Name()), nil, parser.ParseComments)
+	imp := fixturePkgImporter{local: map[string]*types.Package{}, std: fixtureImporter(t)}
+	var pkgs []*Package
+	for _, dir := range dirs {
+		full := filepath.Join("testdata", "src", filepath.FromSlash(dir))
+		entries, err := os.ReadDir(full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, f)
+		var files []*ast.File
+		for _, e := range entries {
+			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+				continue
+			}
+			f, err := parser.ParseFile(fixtureFset, filepath.Join(full, e.Name()), nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		if len(files) == 0 {
+			t.Fatalf("no fixture files under %s", full)
+		}
+		pkg, err := typeCheck(fixtureFset, dir, files, imp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg.Module, _, _ = strings.Cut(dir, "/")
+		imp.local[dir] = pkg.Types
+		pkgs = append(pkgs, pkg)
 	}
-	if len(files) == 0 {
-		t.Fatalf("no fixture files under %s", full)
+	return pkgs
+}
+
+// fixturePkgImporter resolves the fixture packages checked so far, and
+// the standard library through its export data.
+type fixturePkgImporter struct {
+	local map[string]*types.Package
+	std   types.Importer
+}
+
+func (i fixturePkgImporter) Import(path string) (*types.Package, error) {
+	if p, ok := i.local[path]; ok {
+		return p, nil
 	}
-	pkg, err := typeCheck(fixtureFset, dir, files, imp)
+	return i.std.Import(path)
+}
+
+// exportData returns the import-path→export-file map for the given
+// packages and their full dependency closure: the fixture packages
+// import real standard-library packages.
+func exportData(patterns []string) (map[string]string, error) {
+	pkgs, err := goList(patterns)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return pkg
+	exports := make(map[string]string, len(pkgs))
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports, nil
 }
 
 type lineKey struct {
@@ -128,13 +168,18 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[line
 	return out
 }
 
-// runFixture checks one analyzer against one fixture package: the
-// post-suppression diagnostics must match the // want comments exactly.
-func runFixture(t *testing.T, a *Analyzer, dir string) {
+// runFixture checks one analyzer against the fixture packages of dirs,
+// loaded together: the post-suppression diagnostics must match the
+// // want comments exactly.
+func runFixture(t *testing.T, a *Analyzer, dirs ...string) {
 	t.Helper()
-	pkg := loadFixturePkg(t, dir)
-	diags := Run([]*Analyzer{a}, pkg)
-	wants := collectWants(t, pkg.Fset, pkg.Syntax)
+	pkgs := loadFixturePkgs(t, dirs...)
+	diags := RunPackages([]*Analyzer{a}, pkgs)
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Syntax...)
+	}
+	wants := collectWants(t, fixtureFset, files)
 	for _, d := range diags {
 		k := lineKey{d.Pos.Filename, d.Pos.Line}
 		found := false

@@ -124,11 +124,12 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the full vmprovlint suite: the nine domain-specific
+// Analyzers returns the full vmprovlint suite: the ten domain-specific
 // determinism and invariant analyzers (v1's five per-package passes
-// plus v2's snapshot-coverage, RNG-substream, spec-strictness, and
-// registry-hygiene passes) and the two stock-style correctness passes
-// (local reduced-scope implementations of their x/tools namesakes).
+// plus v2's snapshot-coverage, RNG-substream, spec-strictness,
+// registry-hygiene, and dead-code passes) and the two stock-style
+// correctness passes (local reduced-scope implementations of their
+// x/tools namesakes).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SimClockAnalyzer,
@@ -140,6 +141,7 @@ func Analyzers() []*Analyzer {
 		SplitKeyAnalyzer,
 		SpecStrictAnalyzer,
 		RegistryAnalyzer,
+		DeadCodeAnalyzer,
 		NilnessAnalyzer,
 		ShadowAnalyzer,
 	}
@@ -244,13 +246,6 @@ func RunPackages(analyzers []*Analyzer, pkgs []*Package) []Diagnostic {
 	all = filterSuppressedAll(pkgs, all)
 	SortDiagnostics(all)
 	return all
-}
-
-// Run applies the given analyzers to one package (treating it as the
-// whole module for any module-scoped analyzer), drops suppressed
-// findings, and returns the rest ordered by position.
-func Run(analyzers []*Analyzer, pkg *Package) []Diagnostic {
-	return RunPackages(analyzers, []*Package{pkg})
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer.

@@ -20,6 +20,7 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path      string
+	Module    string // path of the module the package belongs to
 	Fset      *token.FileSet
 	Syntax    []*ast.File
 	Types     *types.Package
@@ -36,6 +37,7 @@ type listedPackage struct {
 	Standard   bool
 	DepOnly    bool
 	Export     string
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -79,24 +81,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 		return os.Open(file)
 	}
 	return importer.ForCompiler(fset, "gc", lookup)
-}
-
-// ExportData returns the import-path→export-file map for the given
-// packages and their full dependency closure. It is shared by Load and
-// by the analysistest fixture loader (whose fixture packages import
-// real standard-library packages).
-func ExportData(patterns []string) (map[string]string, error) {
-	pkgs, err := goList(patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
 }
 
 // newTypesInfo allocates the full set of type-information maps the
@@ -155,6 +139,9 @@ func Load(patterns []string) ([]*Package, error) {
 		pkg, err := typeCheck(fset, t.ImportPath, files, imp)
 		if err != nil {
 			return nil, err
+		}
+		if t.Module != nil {
+			pkg.Module = t.Module.Path
 		}
 		out = append(out, pkg)
 	}

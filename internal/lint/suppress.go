@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"sort"
 	"strings"
 )
 
@@ -77,67 +76,6 @@ func filterSuppressedAll(pkgs []*Package, diags []Diagnostic) []Diagnostic {
 func suppressed(allow map[int][]allowance, d Diagnostic) bool {
 	for _, a := range allow[d.Pos.Line] {
 		if a.analyzers[d.Analyzer] {
-			return true
-		}
-	}
-	return false
-}
-
-// AllowanceSite is one //vmprov:allow comment in the loaded source,
-// exported for the stale-suppression audit: a site is live only if the
-// raw (pre-suppression) run produces at least one finding it covers.
-type AllowanceSite struct {
-	File      string
-	Line      int      // line the comment sits on; it also covers Line+1
-	Analyzers []string // sorted
-}
-
-// Allowances collects every well-formed //vmprov:allow comment across
-// the loaded packages, ordered by position.
-func Allowances(pkgs []*Package) []AllowanceSite {
-	var out []AllowanceSite
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Syntax {
-			seen := map[int]bool{}
-			for line, as := range parseAllowances(pkg, f) {
-				for _, a := range as {
-					if a.line != line || seen[line] {
-						continue // entries are doubled onto line+1
-					}
-					seen[line] = true
-					names := make([]string, 0, len(a.analyzers))
-					for n := range a.analyzers {
-						names = append(names, n)
-					}
-					sort.Strings(names)
-					out = append(out, AllowanceSite{
-						File:      pkg.Fset.Position(f.Pos()).Filename,
-						Line:      line,
-						Analyzers: names,
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
-// Covers reports whether the allowance suppresses the diagnostic.
-func (s AllowanceSite) Covers(d Diagnostic) bool {
-	if d.Pos.Filename != s.File {
-		return false
-	}
-	if d.Pos.Line != s.Line && d.Pos.Line != s.Line+1 {
-		return false
-	}
-	for _, n := range s.Analyzers {
-		if n == d.Analyzer {
 			return true
 		}
 	}

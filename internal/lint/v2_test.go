@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/types"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -32,6 +34,16 @@ func TestSpecStrictAnalyzer(t *testing.T) {
 
 func TestRegistryAnalyzer(t *testing.T) {
 	runFixture(t, RegistryAnalyzer, "registry/reg")
+}
+
+func TestDeadCodeAnalyzer(t *testing.T) {
+	runFixture(t, DeadCodeAnalyzer, "deadcode/internal/engine", "deadcode", "deadcode/cmd/tool")
+	// Without the module's root package loaded the pass cannot tell dead
+	// code from code used elsewhere, so it reports nothing.
+	partial := loadFixturePkgs(t, "deadcode/internal/engine")
+	if diags := RunPackages([]*Analyzer{DeadCodeAnalyzer}, partial); len(diags) != 0 {
+		t.Errorf("partial load reported findings: %v", diags)
+	}
 }
 
 // seededBase is the template for the seeded-bug check: a type whose
@@ -67,7 +79,7 @@ func runSeeded(t *testing.T, field, mutation string) []Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Run([]*Analyzer{SnapshotFieldAnalyzer}, pkg)
+	return RunPackages([]*Analyzer{SnapshotFieldAnalyzer}, []*Package{pkg})
 }
 
 // TestSnapshotFieldCatchesSeededBug is the acceptance check for the
@@ -86,6 +98,60 @@ func TestSnapshotFieldCatchesSeededBug(t *testing.T) {
 		if !strings.Contains(d.Message, "Acc.lost") {
 			t.Errorf("finding does not name the seeded field: %s", d)
 		}
+	}
+}
+
+// seededDeadFacade and seededDeadLib form a two-package module in which
+// every declaration is reached: the facade's API calls the library's one
+// function. The %s slot takes one more library declaration.
+const (
+	seededDeadFacade = `package seeded
+
+import "seeded/internal/lib"
+
+func API() int { return lib.Used() }
+`
+	seededDeadLib = `package lib
+
+func Used() int { return 1 }
+
+%s
+`
+)
+
+func runSeededDead(t *testing.T, extra string) []Diagnostic {
+	t.Helper()
+	imp := fixturePkgImporter{local: map[string]*types.Package{}, std: fixtureImporter(t)}
+	var pkgs []*Package
+	for _, src := range []struct{ path, code string }{
+		{"seeded/internal/lib", fmt.Sprintf(seededDeadLib, extra)},
+		{"seeded", seededDeadFacade},
+	} {
+		f, err := parser.ParseFile(fixtureFset, src.path+"/seeded.go", src.code, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := typeCheck(fixtureFset, src.path, []*ast.File{f}, imp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg.Module = "seeded"
+		imp.local[src.path] = pkg.Types
+		pkgs = append(pkgs, pkg)
+	}
+	return RunPackages([]*Analyzer{DeadCodeAnalyzer}, pkgs)
+}
+
+// TestDeadCodeCatchesSeededDecl is the acceptance check for deadcode's
+// purpose: one exported function that nothing calls gives exactly one
+// finding, and the module without it stays clean.
+func TestDeadCodeCatchesSeededDecl(t *testing.T) {
+	if diags := runSeededDead(t, ""); len(diags) != 0 {
+		t.Fatalf("fully reached module reported findings: %v", diags)
+	}
+	diags := runSeededDead(t, "func Unused() int { return 2 }")
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "lib.Unused") {
+		t.Fatalf("seeded unused function: got %v, want exactly one finding naming lib.Unused", diags)
 	}
 }
 
@@ -149,7 +215,7 @@ func renderDiags(diags []Diagnostic) string {
 func TestSuppressionsHaveLiveFindings(t *testing.T) {
 	pkgs := loadModule(t)
 	raw := RunRaw(Analyzers(), pkgs)
-	for _, site := range Allowances(pkgs) {
+	for _, site := range allowances(pkgs) {
 		live := false
 		for _, d := range raw {
 			if site.Covers(d) {
@@ -162,4 +228,65 @@ func TestSuppressionsHaveLiveFindings(t *testing.T) {
 				site.File, site.Line, site.Analyzers)
 		}
 	}
+}
+
+// allowanceSite is one //vmprov:allow comment in the loaded source, for
+// the stale-suppression audit: a site is live only if the raw
+// (pre-suppression) run produces at least one finding it covers.
+type allowanceSite struct {
+	File      string
+	Line      int      // line the comment sits on; it also covers Line+1
+	Analyzers []string // sorted
+}
+
+// allowances collects every well-formed //vmprov:allow comment across
+// the loaded packages, ordered by position.
+func allowances(pkgs []*Package) []allowanceSite {
+	var out []allowanceSite
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			seen := map[int]bool{}
+			for line, as := range parseAllowances(pkg, f) {
+				for _, a := range as {
+					if a.line != line || seen[line] {
+						continue // entries are doubled onto line+1
+					}
+					seen[line] = true
+					names := make([]string, 0, len(a.analyzers))
+					for n := range a.analyzers {
+						names = append(names, n)
+					}
+					sort.Strings(names)
+					out = append(out, allowanceSite{
+						File:      pkg.Fset.Position(f.Pos()).Filename,
+						Line:      line,
+						Analyzers: names,
+					})
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].File != out[j].File {
+			return out[i].File < out[j].File
+		}
+		return out[i].Line < out[j].Line
+	})
+	return out
+}
+
+// Covers reports whether the allowance suppresses the diagnostic.
+func (s allowanceSite) Covers(d Diagnostic) bool {
+	if d.Pos.Filename != s.File {
+		return false
+	}
+	if d.Pos.Line != s.Line && d.Pos.Line != s.Line+1 {
+		return false
+	}
+	for _, n := range s.Analyzers {
+		if n == d.Analyzer {
+			return true
+		}
+	}
+	return false
 }

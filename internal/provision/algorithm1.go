@@ -34,23 +34,24 @@ func (in SizingInput) utilizationBelowFloor(m int) bool {
 }
 
 // OptimalSize is the brute-force reference for Algorithm1: the smallest
-// fleet size in [1, MaxVMs] whose queueing model meets QoS, or MaxVMs
-// when none does. (Smaller is better once QoS holds — it maximizes
-// utilization, the paper's secondary objective.) Linear in MaxVMs; used
-// by tests and the qnsolve tool, not by the controller.
-func OptimalSize(in SizingInput) int {
+// fleet size in [1, MaxVMs] whose queueing model meets QoS, and whether
+// one does; when none does it returns MaxVMs and false. (Smaller is
+// better once QoS holds — it maximizes utilization, the paper's secondary
+// objective.) Linear in MaxVMs; used by tests and the qnsolve tool, not
+// by the controller.
+func OptimalSize(in SizingInput) (int, bool) {
 	if in.MaxVMs < 1 {
 		in.MaxVMs = 1
 	}
 	if in.Lambda <= 0 {
-		return 1
+		return 1, true
 	}
 	for m := 1; m <= in.MaxVMs; m++ {
 		if in.meetsQoS(m) {
-			return m
+			return m, true
 		}
 	}
-	return in.MaxVMs
+	return in.MaxVMs, false
 }
 
 // Algorithm1 is the paper's adaptive VM provisioning search: starting

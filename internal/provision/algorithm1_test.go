@@ -180,7 +180,7 @@ func TestAlgorithm1AgainstOracle(t *testing.T) {
 			QoS:     paperQoS(0.250),
 		}
 		m := Algorithm1(in)
-		opt := OptimalSize(in)
+		opt, _ := OptimalSize(in)
 		if m < opt {
 			return false
 		}
@@ -197,11 +197,11 @@ func TestAlgorithm1AgainstOracle(t *testing.T) {
 }
 
 func TestOptimalSizeEdges(t *testing.T) {
-	if OptimalSize(SizingInput{Lambda: 0, Tm: 1, K: 2, MaxVMs: 10, QoS: paperQoS(2)}) != 1 {
-		t.Fatal("zero load optimal should be 1")
+	if m, ok := OptimalSize(SizingInput{Lambda: 0, Tm: 1, K: 2, MaxVMs: 10, QoS: paperQoS(2)}); m != 1 || !ok {
+		t.Fatalf("zero load optimal = %d, %v; want 1, true", m, ok)
 	}
-	if OptimalSize(SizingInput{Lambda: 1, Tm: 5, K: 1, MaxVMs: 7, QoS: paperQoS(1)}) != 7 {
-		t.Fatal("infeasible QoS should return MaxVMs")
+	if m, ok := OptimalSize(SizingInput{Lambda: 1, Tm: 5, K: 1, MaxVMs: 7, QoS: paperQoS(1)}); m != 7 || ok {
+		t.Fatalf("infeasible QoS = %d, %v; want MaxVMs 7, false", m, ok)
 	}
 }
 

@@ -265,9 +265,9 @@ func TestInvalidConfigPanics(t *testing.T) {
 
 // TestStaticPoissonMatchesAnalyticModel drives a static fleet with a
 // Poisson stream and compares the measured rejection rate with the
-// M/M/c/K model of the pooled admission controller (c = m servers,
-// K = m·k total slots). This ties the simulator to the analytic substrate
-// end to end.
+// fleet's shared-pool blocking (Fleet.SharedBlocking: the M/M/m/(m·k)
+// model of the pooled admission controller, m servers and m·k total
+// slots). This ties the simulator to the analytic substrate end to end.
 func TestStaticPoissonMatchesAnalyticModel(t *testing.T) {
 	cfg := Config{
 		QoS:       QoS{Ts: 2, MaxRejection: 0, RejectionTol: 1e-3, MinUtilization: 0.8},
@@ -288,10 +288,9 @@ func TestStaticPoissonMatchesAnalyticModel(t *testing.T) {
 	r.p.Shutdown(r.sim.Now())
 	res := r.col.Result("static", r.sim.Now())
 
-	model := queueing.MMCK{Lambda: lambda, Mu: 1, C: m, K: m * r.p.K()}
-	wantRej := model.Blocking()
+	wantRej := queueing.Fleet{Lambda: lambda, Tm: 1, K: r.p.K(), M: m}.SharedBlocking()
 	if math.Abs(res.RejectionRate-wantRej) > 0.03 {
-		t.Fatalf("measured rejection %.4f vs M/M/c/K model %.4f", res.RejectionRate, wantRej)
+		t.Fatalf("measured rejection %.4f vs shared-pool model %.4f", res.RejectionRate, wantRej)
 	}
 	// The response time of accepted requests is bounded by k service
 	// times and must exceed one mean service time.

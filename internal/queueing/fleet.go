@@ -1,9 +1,13 @@
 package queueing
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
+
+// ErrParams reports invalid queueing parameters.
+var ErrParams = errors.New("queueing: invalid parameters")
 
 // QueueSize implements the paper's Equation 1: the per-instance queue
 // capacity k = ⌊Ts/Tr⌋, where Ts is the negotiated maximum response time
@@ -33,7 +37,7 @@ type Fleet struct {
 
 // Validate reports whether the parameters are usable.
 func (f Fleet) Validate() error {
-	if f.Lambda < 0 || f.Tm <= 0 || f.K < 1 || f.M < 1 {
+	if !(f.Lambda >= 0) || !(f.Tm > 0) || f.K < 1 || f.M < 1 { // NaN fails too
 		return fmt.Errorf("%w: Fleet{λ=%v, Tm=%v, K=%d, m=%d}", ErrParams, f.Lambda, f.Tm, f.K, f.M)
 	}
 	return nil
@@ -129,54 +133,4 @@ func (f Fleet) CarriedUtilization() float64 { return f.Station().CarriedUtilizat
 // Throughput returns the aggregate accepted-request rate.
 func (f Fleet) Throughput() float64 {
 	return f.Lambda * (1 - f.SystemRejection())
-}
-
-// Tandem is a series of fleets a request traverses in order — the
-// analytic counterpart of a composite-service pipeline (the paper's
-// future-work extension). Under the same independence approximations as
-// Fleet, the end-to-end response is the sum of stage responses and a
-// request survives only if every stage admits it.
-type Tandem []Fleet
-
-// ResponseTime returns the end-to-end expected response of a request
-// accepted at every stage.
-func (t Tandem) ResponseTime() float64 {
-	var sum float64
-	for _, f := range t {
-		sum += f.ResponseTime()
-	}
-	return sum
-}
-
-// SystemRejection returns the probability a request is dropped at some
-// stage: 1 − Π(1 − rejᵢ).
-func (t Tandem) SystemRejection() float64 {
-	surv := 1.0
-	for _, f := range t {
-		surv *= 1 - f.SystemRejection()
-	}
-	return 1 - surv
-}
-
-// Throughput returns the rate of requests surviving all stages, given the
-// first stage's offered rate.
-func (t Tandem) Throughput() float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	return t[0].Lambda * (1 - t.SystemRejection())
-}
-
-// MinInstancesForUtilization returns the largest m that keeps the offered
-// per-instance utilization at or above floor — the fleet size the paper's
-// utilization branch steers toward: m ≈ λ·Tm/floor.
-func (f Fleet) MinInstancesForUtilization(floor float64) int {
-	if floor <= 0 {
-		return 1
-	}
-	m := int(math.Floor(f.Lambda * f.Tm / floor))
-	if m < 1 {
-		m = 1
-	}
-	return m
 }

@@ -16,7 +16,7 @@ func TestMG1ReducesToMM1(t *testing.T) {
 
 func TestMD1HalvesTheWait(t *testing.T) {
 	// Deterministic service waits exactly half the exponential wait.
-	d := MD1(0.7, 1)
+	d := MG1{Lambda: 0.7, MeanS: 1, CS2: 0}
 	m := MM1{Lambda: 0.7, Mu: 1}
 	within(t, d.WaitTime(), m.WaitTime()/2, 1e-12, "deterministic wait")
 }
@@ -52,7 +52,7 @@ func TestMG1PaperServiceNearMD1(t *testing.T) {
 	// the quantitative basis for DESIGN.md's note that the M/M/1/k model
 	// is conservative for these workloads.
 	g := MG1{Lambda: 8, MeanS: 0.105, CS2: UniformJitterCS2(0.1)}
-	d := MD1(8, 0.105)
+	d := MG1{Lambda: 8, MeanS: 0.105, CS2: 0}
 	if math.Abs(g.WaitTime()-d.WaitTime())/d.WaitTime() > 1e-3 {
 		t.Fatalf("jittered wait %v vs deterministic %v", g.WaitTime(), d.WaitTime())
 	}

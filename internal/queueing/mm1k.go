@@ -1,8 +1,10 @@
-// Package queueing implements the closed-form queueing models the paper's
-// load predictor and performance modeler is built on: M/M/1, M/M/1/K,
-// M/M/c (Erlang C), M/M/c/K and M/M/∞ stations, plus the paper's queueing
-// network — an M/M/∞ application provisioner feeding m parallel M/M/1/k
-// application instances (Figure 2).
+// Package queueing implements the closed forms of the paper's
+// performance modeler: its queueing network (Figure 2), an M/M/∞
+// application provisioner splitting Poisson load evenly over m parallel
+// M/M/1/k application instances (Fleet over MM1K); the same fleet as one
+// shared M/M/m/(m·k) pool (Fleet.SharedBlocking), whose load sensitivity
+// the fluid engine's rejection extrapolation rides on; and the
+// per-instance admission headroom (RhoForBlocking).
 //
 // Conventions: λ is the arrival rate (requests/second), μ the service rate
 // (1/mean service time), ρ = λ/μ the offered load, and K the station
@@ -10,14 +12,7 @@
 // most K requests, one serving and K−1 waiting).
 package queueing
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
-
-// ErrParams reports invalid queueing parameters.
-var ErrParams = errors.New("queueing: invalid parameters")
+import "math"
 
 // MM1K is a single-server queue with capacity K (in service + waiting).
 // The paper models each virtualized application instance as M/M/1/k with
@@ -26,15 +21,6 @@ type MM1K struct {
 	Lambda float64 // arrival rate λ
 	Mu     float64 // service rate μ
 	K      int     // system capacity ≥ 1
-}
-
-// Validate reports whether the parameters are usable.
-func (q MM1K) Validate() error {
-	if q.Lambda < 0 || q.Mu <= 0 || q.K < 1 ||
-		math.IsNaN(q.Lambda) || math.IsNaN(q.Mu) {
-		return fmt.Errorf("%w: MM1K{λ=%v, μ=%v, K=%d}", ErrParams, q.Lambda, q.Mu, q.K)
-	}
-	return nil
 }
 
 // Rho returns the offered load ρ = λ/μ. Finite-capacity queues are stable
@@ -124,10 +110,6 @@ func (q MM1K) ResponseTime() float64 {
 	}
 	return q.MeanNumber() / eff
 }
-
-// WaitTime returns the expected queueing delay of an accepted request,
-// ResponseTime − 1/μ.
-func (q MM1K) WaitTime() float64 { return q.ResponseTime() - 1/q.Mu }
 
 // OfferedUtilization returns ρ, the utilization the arriving load would
 // impose ignoring blocking. The paper's modeler compares this against the

@@ -2,43 +2,6 @@ package queueing
 
 import "math"
 
-// Capacity-planning inversions of the closed-form models: given a target,
-// find the smallest resource (or the largest load) that honors it. These
-// power the qnsolve sweep mode and offline what-if studies.
-
-// MinServersErlangC returns the smallest server count c ≤ maxC whose
-// M/M/c queue keeps the mean queueing delay at or below maxWait, and
-// whether such a c exists.
-func MinServersErlangC(lambda, mu, maxWait float64, maxC int) (int, bool) {
-	if lambda < 0 || mu <= 0 || maxWait < 0 || maxC < 1 {
-		return 0, false
-	}
-	for c := 1; c <= maxC; c++ {
-		q := MMC{Lambda: lambda, Mu: mu, C: c}
-		if q.Validate() != nil {
-			continue // unstable at this c
-		}
-		if q.WaitTime() <= maxWait {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
-// MinServersErlangB returns the smallest c ≤ maxC whose Erlang-B blocking
-// for offered load a stays at or below target, and whether one exists.
-func MinServersErlangB(a, target float64, maxC int) (int, bool) {
-	if a < 0 || target < 0 || maxC < 1 {
-		return 0, false
-	}
-	for c := 1; c <= maxC; c++ {
-		if ErlangB(a, c) <= target {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // RhoForBlocking returns the largest per-instance offered load ρ whose
 // M/M/1/K blocking probability stays at or below target — the admission
 // headroom of one application instance. Solved by bisection; blocking is

@@ -6,43 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMinServersErlangC(t *testing.T) {
-	// 8 Erlangs, wait ≤ 0.1 service times.
-	c, ok := MinServersErlangC(8, 1, 0.1, 100)
-	if !ok {
-		t.Fatal("no feasible c found")
-	}
-	// The answer must satisfy the target and c−1 must not.
-	if (MMC{Lambda: 8, Mu: 1, C: c}).WaitTime() > 0.1 {
-		t.Fatalf("c=%d violates the wait target", c)
-	}
-	if c > 9 { // sanity: 8 Erlangs should not need a huge fleet
-		if prev := (MMC{Lambda: 8, Mu: 1, C: c - 1}); prev.Validate() == nil && prev.WaitTime() <= 0.1 {
-			t.Fatalf("c=%d is not minimal", c)
-		}
-	}
-	if _, ok := MinServersErlangC(100, 1, 0.001, 99); ok {
-		t.Fatal("infeasible plan reported feasible (c capped below stability)")
-	}
-	if _, ok := MinServersErlangC(-1, 1, 1, 10); ok {
-		t.Fatal("invalid input accepted")
-	}
-}
-
-func TestMinServersErlangB(t *testing.T) {
-	// Classic: 10 Erlangs at 1% blocking needs 18 trunks.
-	c, ok := MinServersErlangB(10, 0.01, 100)
-	if !ok || c != 18 {
-		t.Fatalf("Erlang-B plan for 10 E @1%% = %d (ok=%v), want 18", c, ok)
-	}
-	if ErlangB(10, c) > 0.01 || ErlangB(10, c-1) <= 0.01 {
-		t.Fatal("returned c is not the minimal feasible trunk count")
-	}
-	if _, ok := MinServersErlangB(1000, 1e-9, 5); ok {
-		t.Fatal("hopeless plan reported feasible")
-	}
-}
-
 func TestRhoForBlocking(t *testing.T) {
 	// At the returned ρ the blocking equals the target (monotone
 	// bisection invariant), and slightly above it exceeds it.

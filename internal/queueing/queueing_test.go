@@ -1,6 +1,7 @@
 package queueing
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -158,45 +159,27 @@ func TestMM1Formulas(t *testing.T) {
 	within(t, q.WaitTime(), 1, 1e-12, "Wq")
 }
 
-func TestMMInf(t *testing.T) {
-	q := MMInf{Lambda: 10, Mu: 2}
-	within(t, q.MeanNumber(), 5, 1e-12, "L")
-	within(t, q.ResponseTime(), 0.5, 1e-12, "no waiting")
+// erlangB is SharedBlocking with one slot per instance: the shared pool
+// is then the M/M/m/m loss system, whose blocking is Erlang B.
+func erlangB(a float64, m int) float64 {
+	return Fleet{Lambda: a, Tm: 1, K: 1, M: m}.SharedBlocking()
 }
 
 func TestErlangBKnownValues(t *testing.T) {
 	// Classic telephony value: a=2 Erlangs on c=2 → B = (2²/2)/(1+2+2) = 0.4.
-	within(t, ErlangB(2, 2), 0.4, 1e-12, "ErlangB(2,2)")
+	within(t, erlangB(2, 2), 0.4, 1e-12, "ErlangB(2,2)")
 	// B(a, 1) = a/(1+a).
-	within(t, ErlangB(3, 1), 0.75, 1e-12, "ErlangB(3,1)")
-	if ErlangB(0, 5) != 0 {
+	within(t, erlangB(3, 1), 0.75, 1e-12, "ErlangB(3,1)")
+	if erlangB(0, 5) != 0 {
 		t.Fatal("zero offered load should never block")
 	}
 }
 
-func TestMMCAgainstMM1(t *testing.T) {
-	// c=1 Erlang C must reduce to M/M/1.
-	c := MMC{Lambda: 0.6, Mu: 1, C: 1}
-	m := MM1{Lambda: 0.6, Mu: 1}
-	within(t, c.ErlangC(), 0.6, 1e-12, "C(1,a)=rho")
-	within(t, c.ResponseTime(), m.ResponseTime(), 1e-12, "W")
-	within(t, c.WaitTime(), m.WaitTime(), 1e-12, "Wq")
-}
-
-func TestMMCKnownValue(t *testing.T) {
-	// M/M/2 with a=1 (ρ=0.5): C = B/(1-ρ(1-B)), B = ErlangB(1,2) = 0.2;
-	// C = 0.2/(1-0.5·0.8) = 1/3.
-	q := MMC{Lambda: 1, Mu: 1, C: 2}
-	within(t, q.ErlangC(), 1.0/3.0, 1e-12, "ErlangC(2,1)")
-	within(t, q.WaitTime(), 1.0/3.0, 1e-12, "Wq = C/(cμ−λ)")
-}
-
-func TestMMCValidate(t *testing.T) {
-	if (MMC{Lambda: 2, Mu: 1, C: 2}).Validate() == nil {
-		t.Fatal("λ = cμ should fail validation")
-	}
-	if err := (MMC{Lambda: 1.9, Mu: 1, C: 2}).Validate(); err != nil {
-		t.Fatal(err)
+func TestMinServersErlangB(t *testing.T) {
+	// Classic trunk table: 10 Erlangs at 1% blocking needs 18 trunks.
+	if erlangB(10, 18) > 0.01 || erlangB(10, 17) <= 0.01 {
+		t.Fatalf("Erlang-B blocking for 10 E: %v on 17 trunks, %v on 18; want 18 to be the fewest within 1%%",
+			erlangB(10, 17), erlangB(10, 18))
 	}
 }
 
@@ -204,40 +187,63 @@ func TestMMCKReducesToMM1K(t *testing.T) {
 	a := MMCK{Lambda: 1.5, Mu: 1, C: 1, K: 4}
 	b := MM1K{Lambda: 1.5, Mu: 1, K: 4}
 	within(t, a.Blocking(), b.Blocking(), 1e-9, "blocking")
-	within(t, a.MeanNumber(), b.MeanNumber(), 1e-9, "L")
-	within(t, a.ResponseTime(), b.ResponseTime(), 1e-9, "W")
-}
-
-func TestMMCKConvergesToMMC(t *testing.T) {
-	fin := MMCK{Lambda: 3, Mu: 1, C: 5, K: 500}
-	inf := MMC{Lambda: 3, Mu: 1, C: 5}
-	within(t, fin.MeanNumber(), inf.MeanNumber(), 1e-6, "L convergence")
-	if fin.Blocking() > 1e-12 {
-		t.Fatalf("blocking at K=500 should vanish, got %v", fin.Blocking())
-	}
 }
 
 func TestMMCKZeroLambda(t *testing.T) {
-	q := MMCK{Lambda: 0, Mu: 1, C: 2, K: 4}
-	if q.Blocking() != 0 || q.MeanNumber() != 0 {
-		t.Fatal("empty M/M/c/K should be idle")
+	if (MMCK{Lambda: 0, Mu: 1, C: 2, K: 4}).Blocking() != 0 {
+		t.Fatal("empty M/M/c/K should never block")
 	}
-	within(t, q.ResponseTime(), 1, 1e-12, "idle response")
+	if (Fleet{Lambda: 0, Tm: 1, K: 2, M: 2}).SharedBlocking() != 0 {
+		t.Fatal("an idle shared pool should never block")
+	}
+}
+
+// TestSharedBlockingMatchesMMCK checks the fleet's shared-pool blocking
+// against the M/M/m/(m·K) station it models, computed independently in
+// log space, from light load through overload (where SharedBlocking
+// renormalizes its running sum) down to blocking probabilities near
+// the bottom of the float64 range.
+func TestSharedBlockingMatchesMMCK(t *testing.T) {
+	const tm = 0.105
+	points := 0
+	for _, m := range []int{1, 2, 3, 5, 8, 13, 21, 50, 100, 250, 500, 1000} {
+		for _, k := range []int{1, 2, 3, 5, 7} {
+			for _, rho := range []float64{0.01, 0.1, 0.5, 0.8, 0.95, 1, 1.05, 1.5, 3} {
+				f := Fleet{Lambda: rho * float64(m) / tm, Tm: tm, K: k, M: m}
+				got := f.SharedBlocking()
+				want := MMCK{Lambda: f.Lambda, Mu: 1 / tm, C: m, K: m * k}.Blocking()
+				if math.Max(got, want) < 1e-290 {
+					continue // both vanish below the range a relative error means anything in
+				}
+				points++
+				if math.Abs(got-want) > 1e-9*want {
+					t.Errorf("m=%d k=%d ρ=%v: SharedBlocking %v, M/M/m/(m·k) %v", m, k, rho, got, want)
+				}
+			}
+		}
+	}
+	if points < 400 {
+		t.Fatalf("only %d of the grid's points compared", points)
+	}
 }
 
 func TestValidateErrors(t *testing.T) {
-	bad := []interface{ Validate() error }{
-		MM1K{Lambda: -1, Mu: 1, K: 1},
-		MM1K{Lambda: 1, Mu: 0, K: 1},
-		MM1K{Lambda: 1, Mu: 1, K: 0},
-		MMCK{Lambda: 1, Mu: 1, C: 2, K: 1},
-		Fleet{Lambda: 1, Tm: 0, K: 1, M: 1},
-		Fleet{Lambda: 1, Tm: 1, K: 1, M: 0},
+	bad := []Fleet{
+		{Lambda: -1, Tm: 1, K: 1, M: 1},
+		{Lambda: 1, Tm: 0, K: 1, M: 1},
+		{Lambda: 1, Tm: 1, K: 0, M: 1},
+		{Lambda: 1, Tm: 1, K: 1, M: 0},
+		{Lambda: 1, Tm: 1, K: 1, M: -2},
+		{Lambda: math.NaN(), Tm: 1, K: 1, M: 1},
+		{Lambda: 1, Tm: math.NaN(), K: 1, M: 1},
 	}
-	for _, q := range bad {
-		if q.Validate() == nil {
-			t.Errorf("%#v should fail validation", q)
+	for _, f := range bad {
+		if err := f.Validate(); !errors.Is(err, ErrParams) {
+			t.Errorf("%#v: Validate() = %v, want ErrParams", f, err)
 		}
+	}
+	if err := (Fleet{Lambda: 0, Tm: 0.105, K: 2, M: 1}).Validate(); err != nil {
+		t.Errorf("valid fleet rejected: %v", err)
 	}
 }
 
@@ -293,18 +299,6 @@ func TestFleetPaperSciOffPeak(t *testing.T) {
 	}
 }
 
-func TestFleetMinInstancesForUtilization(t *testing.T) {
-	// Web peak: 1200·0.105/0.8 = 157.5 → 157.
-	f := Fleet{Lambda: 1200, Tm: 0.105, K: 2, M: 1}
-	if m := f.MinInstancesForUtilization(0.8); m != 157 {
-		t.Fatalf("m = %d, want 157", m)
-	}
-	tiny := Fleet{Lambda: 0.001, Tm: 1, K: 2, M: 1}
-	if m := tiny.MinInstancesForUtilization(0.8); m != 1 {
-		t.Fatalf("m floor = %d, want 1", m)
-	}
-}
-
 func TestFleetThroughputAndStation(t *testing.T) {
 	f := Fleet{Lambda: 100, Tm: 0.1, K: 2, M: 20}
 	st := f.Station()
@@ -333,4 +327,54 @@ func TestFleetRejectionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MMCK is the c-server queue with total capacity K ≥ c (in service +
+// waiting). Its blocking, computed in log space, is the independent
+// reference for Fleet.SharedBlocking, the same M/M/m/(m·K) loss model
+// computed by a renormalized running product.
+type MMCK struct {
+	Lambda float64
+	Mu     float64
+	C      int
+	K      int
+}
+
+// probs returns the steady-state distribution P(N=n), n = 0..K, computed
+// in a numerically stable way by normalizing unnormalized birth–death
+// terms accumulated in log space relative to the largest term.
+func (q MMCK) probs() []float64 {
+	a := q.Lambda / q.Mu
+	c := float64(q.C)
+	logp := make([]float64, q.K+1)
+	logp[0] = 0
+	for n := 1; n <= q.K; n++ {
+		servers := math.Min(float64(n), c)
+		logp[n] = logp[n-1] + math.Log(a) - math.Log(servers)
+	}
+	maxLog := logp[0]
+	for _, v := range logp[1:] {
+		if v > maxLog {
+			maxLog = v
+		}
+	}
+	var sum float64
+	p := make([]float64, q.K+1)
+	for n, v := range logp {
+		p[n] = math.Exp(v - maxLog)
+		sum += p[n]
+	}
+	for n := range p {
+		p[n] /= sum
+	}
+	return p
+}
+
+// Blocking returns P(N=K), the probability an arrival is rejected.
+func (q MMCK) Blocking() float64 {
+	if q.Lambda == 0 {
+		return 0
+	}
+	p := q.probs()
+	return p[q.K]
 }

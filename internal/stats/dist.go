@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Sampler is a real-valued probability distribution that can be sampled
 // from an explicit random stream.
@@ -113,25 +110,6 @@ func (l LogNormal) Sample(r *RNG) float64 { return math.Exp(l.Mu + l.Sigma*r.Nor
 // Mean returns exp(Mu + Sigma²/2).
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
-// Erlang is the Erlang distribution: the sum of K independent
-// exponentials of the given Rate.
-type Erlang struct {
-	K    int
-	Rate float64
-}
-
-// Sample draws an Erlang variate.
-func (e Erlang) Sample(r *RNG) float64 {
-	var sum float64
-	for i := 0; i < e.K; i++ {
-		sum += r.ExpFloat64()
-	}
-	return sum / e.Rate
-}
-
-// Mean returns K/Rate.
-func (e Erlang) Mean() float64 { return float64(e.K) / e.Rate }
-
 // Pareto is the Pareto (type I) distribution with minimum Xm and tail
 // index Alpha. Provided for heavy-tailed workload extensions.
 type Pareto struct{ Xm, Alpha float64 }
@@ -196,9 +174,6 @@ func (g Gamma) Sample(r *RNG) float64 {
 // Mean returns Shape · Scale.
 func (g Gamma) Mean() float64 { return g.Shape * g.Scale }
 
-// Var returns the analytic variance Shape · Scale².
-func (g Gamma) Var() float64 { return g.Shape * g.Scale * g.Scale }
-
 // UnitMeanGamma returns the unit-mean gamma distribution with the given
 // coefficient of variation: Gamma(1/cv², cv²).
 func UnitMeanGamma(cv float64) Gamma {
@@ -218,70 +193,3 @@ func (s Scaled) Sample(r *RNG) float64 { return s.Factor * s.S.Sample(r) }
 
 // Mean returns Factor · S.Mean().
 func (s Scaled) Mean() float64 { return s.Factor * s.S.Mean() }
-
-// Poisson draws a Poisson-distributed count with the given mean. For small
-// means it uses Knuth multiplication; for large means a normal
-// approximation with continuity correction, which is accurate to well
-// under the sampling noise at mean ≥ 30.
-func Poisson(r *RNG, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := mean + math.Sqrt(mean)*r.NormFloat64() + 0.5
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// Validate reports an error for non-sensical distribution parameters. It
-// accepts any of the concrete Sampler types in this package.
-func Validate(s Sampler) error {
-	switch d := s.(type) {
-	case Exponential:
-		if d.Rate <= 0 {
-			return fmt.Errorf("stats: exponential rate must be positive, got %v", d.Rate)
-		}
-	case Uniform:
-		if d.Max < d.Min {
-			return fmt.Errorf("stats: uniform bounds inverted: [%v, %v)", d.Min, d.Max)
-		}
-	case Normal:
-		if d.Sigma < 0 {
-			return fmt.Errorf("stats: normal sigma must be non-negative, got %v", d.Sigma)
-		}
-	case Weibull:
-		if d.Shape <= 0 || d.Scale <= 0 {
-			return fmt.Errorf("stats: weibull shape and scale must be positive, got (%v, %v)", d.Shape, d.Scale)
-		}
-	case Gamma:
-		if d.Shape <= 0 || d.Scale <= 0 {
-			return fmt.Errorf("stats: gamma shape and scale must be positive, got (%v, %v)", d.Shape, d.Scale)
-		}
-	case Erlang:
-		if d.K <= 0 || d.Rate <= 0 {
-			return fmt.Errorf("stats: erlang needs K>0 and rate>0, got (%d, %v)", d.K, d.Rate)
-		}
-	case Pareto:
-		if d.Xm <= 0 || d.Alpha <= 0 {
-			return fmt.Errorf("stats: pareto xm and alpha must be positive, got (%v, %v)", d.Xm, d.Alpha)
-		}
-	case Deterministic:
-		if d.Value < 0 {
-			return fmt.Errorf("stats: deterministic value must be non-negative, got %v", d.Value)
-		}
-	}
-	return nil
-}

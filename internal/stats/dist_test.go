@@ -96,13 +96,6 @@ func TestLogNormalMean(t *testing.T) {
 	within(t, mean, d.Mean(), 0.02, "lognormal mean")
 }
 
-func TestErlangMoments(t *testing.T) {
-	d := Erlang{K: 4, Rate: 2}
-	mean, v := sampleMoments(t, d, 200000, 6)
-	within(t, mean, 2, 0.02, "erlang mean")
-	within(t, v, 1, 0.05, "erlang var") // K/rate²
-}
-
 func TestParetoMean(t *testing.T) {
 	d := Pareto{Xm: 1, Alpha: 3}
 	mean, _ := sampleMoments(t, d, 400000, 7)
@@ -140,21 +133,6 @@ func TestTruncatedNormalFloor(t *testing.T) {
 		if v := d.Sample(r); v < 0 {
 			t.Fatalf("truncated normal produced %v below floor", v)
 		}
-	}
-}
-
-func TestPoissonMoments(t *testing.T) {
-	for _, mean := range []float64{0.5, 4, 25, 80, 400} {
-		r := NewRNG(uint64(mean * 13))
-		var w Welford
-		for i := 0; i < 200000; i++ {
-			w.Add(float64(Poisson(r, mean)))
-		}
-		within(t, w.Mean(), mean, 0.02, "poisson mean")
-		within(t, w.Var(), mean, 0.05, "poisson var")
-	}
-	if Poisson(NewRNG(1), 0) != 0 || Poisson(NewRNG(1), -3) != 0 {
-		t.Fatal("poisson of non-positive mean must be 0")
 	}
 }
 
@@ -206,39 +184,6 @@ func TestUniformRangeProperty(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	bad := []Sampler{
-		Exponential{Rate: 0},
-		Exponential{Rate: -1},
-		Uniform{Min: 2, Max: 1},
-		Normal{Mu: 0, Sigma: -1},
-		Weibull{Shape: 0, Scale: 1},
-		Weibull{Shape: 1, Scale: 0},
-		Erlang{K: 0, Rate: 1},
-		Pareto{Xm: 0, Alpha: 1},
-		Deterministic{Value: -1},
-	}
-	for _, s := range bad {
-		if Validate(s) == nil {
-			t.Errorf("Validate(%#v) should fail", s)
-		}
-	}
-	good := []Sampler{
-		Exponential{Rate: 1},
-		Uniform{Min: 0, Max: 1},
-		Normal{Mu: 0, Sigma: 1},
-		Weibull{Shape: 4.25, Scale: 7.86},
-		Erlang{K: 2, Rate: 1},
-		Pareto{Xm: 1, Alpha: 2},
-		Deterministic{Value: 0.1},
-	}
-	for _, s := range good {
-		if err := Validate(s); err != nil {
-			t.Errorf("Validate(%#v) = %v, want nil", s, err)
-		}
-	}
-}
-
 func TestGammaMoments(t *testing.T) {
 	for _, d := range []Gamma{
 		{Shape: 0.25, Scale: 4},  // cv 2, unit mean
@@ -248,7 +193,7 @@ func TestGammaMoments(t *testing.T) {
 	} {
 		mean, v := sampleMoments(t, d, 300000, 11)
 		within(t, mean, d.Mean(), 0.02, "gamma mean")
-		within(t, v, d.Var(), 0.06, "gamma var")
+		within(t, v, d.Shape*d.Scale*d.Scale, 0.06, "gamma var")
 	}
 }
 

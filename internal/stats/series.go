@@ -34,29 +34,6 @@ func Autocorrelation(xs []float64, lag int) float64 {
 	return num / den
 }
 
-// ACF returns autocorrelations for lags 0..maxLag.
-func ACF(xs []float64, maxLag int) []float64 {
-	out := make([]float64, maxLag+1)
-	for l := 0; l <= maxLag; l++ {
-		out[l] = Autocorrelation(xs, l)
-	}
-	return out
-}
-
-// IndexOfDispersion returns Var/Mean of the series — 1 for Poisson
-// counts, >1 for bursty (overdispersed) traffic. Returns 0 for an empty
-// or zero-mean series.
-func IndexOfDispersion(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	if w.Mean() == 0 {
-		return 0
-	}
-	return w.Var() / w.Mean()
-}
-
 // BinCounts buckets event timestamps into fixed-width windows over
 // [0, horizon), returning per-window counts — the preprocessing step for
 // dispersion and ACF analysis of an arrival stream.

@@ -37,13 +37,12 @@ func TestACFWhiteNoise(t *testing.T) {
 	for i := range xs {
 		xs[i] = r.NormFloat64()
 	}
-	acf := ACF(xs, 5)
-	if acf[0] != 1 {
-		t.Fatalf("ACF(0) = %v", acf[0])
+	if got := Autocorrelation(xs, 0); got != 1 {
+		t.Fatalf("ACF(0) = %v", got)
 	}
 	for l := 1; l <= 5; l++ {
-		if math.Abs(acf[l]) > 0.03 {
-			t.Fatalf("white-noise ACF(%d) = %v, want ≈0", l, acf[l])
+		if got := Autocorrelation(xs, l); math.Abs(got) > 0.03 {
+			t.Fatalf("white-noise ACF(%d) = %v, want ≈0", l, got)
 		}
 	}
 }
@@ -53,31 +52,11 @@ func TestACFPeriodicSignal(t *testing.T) {
 	for i := range xs {
 		xs[i] = math.Sin(2 * math.Pi * float64(i) / 24)
 	}
-	acf := ACF(xs, 24)
-	if acf[24] < 0.9 {
-		t.Fatalf("seasonal ACF(period) = %v, want ≈1", acf[24])
+	if got := Autocorrelation(xs, 24); got < 0.9 {
+		t.Fatalf("seasonal ACF(period) = %v, want ≈1", got)
 	}
-	if acf[12] > -0.9 {
-		t.Fatalf("half-period ACF = %v, want ≈−1", acf[12])
-	}
-}
-
-func TestIndexOfDispersion(t *testing.T) {
-	// Poisson counts: dispersion ≈ 1.
-	r := NewRNG(13)
-	pois := make([]float64, 50000)
-	for i := range pois {
-		pois[i] = float64(Poisson(r, 8))
-	}
-	if d := IndexOfDispersion(pois); d < 0.9 || d > 1.1 {
-		t.Fatalf("poisson dispersion = %v, want ≈1", d)
-	}
-	// Deterministic counts: dispersion 0.
-	if d := IndexOfDispersion([]float64{4, 4, 4, 4}); d != 0 {
-		t.Fatalf("deterministic dispersion = %v", d)
-	}
-	if IndexOfDispersion(nil) != 0 {
-		t.Fatal("empty dispersion should be 0")
+	if got := Autocorrelation(xs, 12); got > -0.9 {
+		t.Fatalf("half-period ACF = %v, want ≈−1", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford is a streaming accumulator for count, mean, variance, minimum and
@@ -164,9 +163,6 @@ func (tw *TimeWeighted) Min() float64 { return tw.min }
 // Max returns the largest value the signal took.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
 
-// Current returns the present value of the signal.
-func (tw *TimeWeighted) Current() float64 { return tw.last }
-
 // Histogram is a fixed-width bucket histogram over [Lo, Hi); observations
 // outside the range are counted in under/overflow buckets.
 type Histogram struct {
@@ -202,9 +198,6 @@ func (h *Histogram) Add(x float64) {
 		h.Counts[i]++
 	}
 }
-
-// Total returns the number of observations including out-of-range ones.
-func (h *Histogram) Total() uint64 { return h.total }
 
 // AddShape folds n synthetic observations into h, distributed over the
 // buckets (under/overflow included) in proportion to the shape histogram
@@ -313,47 +306,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.Hi
 }
-
-// Reservoir keeps a fixed-size uniform random sample of a stream, for
-// quantile estimation over request populations too large to retain.
-type Reservoir struct {
-	cap  int
-	n    uint64
-	data []float64
-	rng  *RNG
-}
-
-// NewReservoir creates a reservoir holding at most capacity samples, using
-// the given stream for replacement decisions.
-func NewReservoir(capacity int, rng *RNG) *Reservoir {
-	if capacity <= 0 {
-		panic("stats: NewReservoir requires capacity > 0")
-	}
-	return &Reservoir{cap: capacity, data: make([]float64, 0, capacity), rng: rng}
-}
-
-// Add offers one observation to the reservoir.
-func (rv *Reservoir) Add(x float64) {
-	rv.n++
-	if len(rv.data) < rv.cap {
-		rv.data = append(rv.data, x)
-		return
-	}
-	if j := rv.rng.IntN(int(rv.n)); j < rv.cap {
-		rv.data[j] = x
-	}
-}
-
-// Quantile returns the q-quantile of the retained sample.
-func (rv *Reservoir) Quantile(q float64) float64 {
-	if len(rv.data) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), rv.data...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	return s[i]
-}
-
-// N returns how many observations were offered.
-func (rv *Reservoir) N() uint64 { return rv.n }

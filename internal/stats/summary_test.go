@@ -96,8 +96,8 @@ func TestTimeWeighted(t *testing.T) {
 	if tw.Min() != 0 || tw.Max() != 20 {
 		t.Fatalf("min/max = %v/%v", tw.Min(), tw.Max())
 	}
-	if tw.Current() != 0 {
-		t.Fatalf("current = %v", tw.Current())
+	if got := tw.Integral(12) - tw.Integral(10); got != 0 {
+		t.Fatalf("signal after the last Set integrates to %v over 2s, want 0", got)
 	}
 }
 
@@ -114,6 +114,9 @@ func TestTimeWeightedEmpty(t *testing.T) {
 		t.Fatal("integral of empty signal should be 0")
 	}
 }
+
+// Total returns the number of observations including out-of-range ones.
+func (h *Histogram) Total() uint64 { return h.total }
 
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram(0, 100, 100)
@@ -177,34 +180,6 @@ func TestHistogramPanics(t *testing.T) {
 	NewHistogram(5, 5, 10)
 }
 
-func TestReservoir(t *testing.T) {
-	rv := NewReservoir(100, NewRNG(1))
-	for i := 0; i < 100000; i++ {
-		rv.Add(float64(i))
-	}
-	if rv.N() != 100000 {
-		t.Fatalf("N = %d", rv.N())
-	}
-	med := rv.Quantile(0.5)
-	if med < 30000 || med > 70000 {
-		t.Fatalf("reservoir median = %v, want ≈50000", med)
-	}
-}
-
-func TestReservoirSmallStream(t *testing.T) {
-	rv := NewReservoir(10, NewRNG(1))
-	rv.Add(5)
-	rv.Add(1)
-	rv.Add(9)
-	if got := rv.Quantile(0.5); got != 5 {
-		t.Fatalf("median of {1,5,9} = %v", got)
-	}
-	empty := NewReservoir(10, NewRNG(1))
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty reservoir quantile should be 0")
-	}
-}
-
 func TestWindowMean(t *testing.T) {
 	w := NewWindow(3)
 	if got := w.MeanOr(7); got != 7 {
@@ -248,15 +223,4 @@ func TestWindowMeanProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Value(9) != 9 {
-		t.Fatal("uninitialized EWMA should return fallback")
-	}
-	e.Add(10)
-	within(t, e.Value(0), 10, 1e-12, "first obs")
-	e.Add(20)
-	within(t, e.Value(0), 15, 1e-12, "second obs")
 }

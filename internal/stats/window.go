@@ -79,30 +79,3 @@ func (w *Window) Restore(snap *WindowSnap) {
 	w.full = snap.full
 	w.sum = snap.sum
 }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// Alpha in (0, 1]; larger Alpha weights recent observations more.
-type EWMA struct {
-	Alpha float64
-	val   float64
-	init  bool
-}
-
-// Add folds one observation into the average.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.val = x
-		e.init = true
-		return
-	}
-	e.val += e.Alpha * (x - e.val)
-}
-
-// Value returns the current average, or fallback when nothing has been
-// observed.
-func (e *EWMA) Value(fallback float64) float64 {
-	if !e.init {
-		return fallback
-	}
-	return e.val
-}

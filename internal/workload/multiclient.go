@@ -366,16 +366,6 @@ func ValidateClients(clients []ClientSpec) error {
 	return nil
 }
 
-// ClientInfos extracts the name/SLO-class table of a client set in spec
-// order.
-func ClientInfos(clients []ClientSpec) []ClientInfo {
-	infos := make([]ClientInfo, len(clients))
-	for i, c := range clients {
-		infos[i] = ClientInfo{Name: c.Name, SLOClass: c.SLOClass}
-	}
-	return infos
-}
-
 // RenewalSource is a renewal arrival process: interarrival gaps are
 // drawn from a unit-mean distribution and divided by the current rate,
 // so the mean rate tracks Rate · Modulate(t) while the gap shape (and

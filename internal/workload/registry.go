@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -97,13 +98,15 @@ func DecodeParams(raw json.RawMessage, into any) error {
 }
 
 // WebParams parameterizes the "web" kind (the paper's Wikipedia-derived
-// workload). A zero scale means the paper's full intensity (1).
+// workload). A zero scale means the paper's full intensity (1); a
+// negative one is an error.
 type WebParams struct {
 	Scale float64 `json:"scale,omitempty"`
 }
 
 // SciParams parameterizes the "scientific" kind (the paper's Bag-of-Tasks
-// workload). A zero scale means the paper's full intensity (1).
+// workload). A zero scale means the paper's full intensity (1); a
+// negative one is an error.
 type SciParams struct {
 	Scale float64 `json:"scale,omitempty"`
 }
@@ -175,15 +178,33 @@ func jitterService(base, jitter float64) stats.Sampler {
 	return stats.Scaled{S: stats.Uniform{Min: 1, Max: 1 + jitter}, Factor: base}
 }
 
+// ValidScale reports whether a load scale is usable: finite and not
+// negative. Zero stands for a default wherever a scale is read.
+func ValidScale(scale float64) bool {
+	return scale >= 0 && !math.IsInf(scale, 1)
+}
+
+// paramScale resolves a kind's scale parameter: 0 (omitted) means 1, and
+// a negative or non-finite scale is an error.
+func paramScale(scale float64) (float64, error) {
+	if !ValidScale(scale) {
+		return 0, fmt.Errorf("scale %v must be finite and non-negative (0 means 1)", scale)
+	}
+	if scale == 0 {
+		return 1, nil
+	}
+	return scale, nil
+}
+
 func init() {
 	Register("web", func(raw json.RawMessage) (*Builder, error) {
 		var p WebParams
 		if err := DecodeParams(raw, &p); err != nil {
 			return nil, err
 		}
-		scale := p.Scale
-		if scale <= 0 {
-			scale = 1
+		scale, err := paramScale(p.Scale)
+		if err != nil {
+			return nil, err
 		}
 		return &Builder{
 			NewSource: func() Source { return NewWeb(scale) },
@@ -198,9 +219,9 @@ func init() {
 		if err := DecodeParams(raw, &p); err != nil {
 			return nil, err
 		}
-		scale := p.Scale
-		if scale <= 0 {
-			scale = 1
+		scale, err := paramScale(p.Scale)
+		if err != nil {
+			return nil, err
 		}
 		return &Builder{
 			NewSource: func() Source { return NewScientific(scale) },

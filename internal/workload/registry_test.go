@@ -80,6 +80,16 @@ func TestBuildScientificDefaults(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsNegativeScale: only an omitted (zero) scale means the
+// paper's intensity; a negative one used to silently run at scale 1.
+func TestBuildRejectsNegativeScale(t *testing.T) {
+	for _, kind := range []string{"web", "scientific"} {
+		if _, err := Build(kind, json.RawMessage(`{"scale": -1}`)); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("%s scale -1: %v, want an error naming the scale", kind, err)
+		}
+	}
+}
+
 func TestBuildRejectsUnknownParamFields(t *testing.T) {
 	_, err := Build("web", json.RawMessage(`{"scale": 1, "typo": 2}`))
 	if err == nil || !strings.Contains(err.Error(), "typo") {
