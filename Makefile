@@ -9,7 +9,7 @@ FUZZTIME  ?= 10s
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
 TRACETMP  ?= /tmp/vmprov_trace_smoke.jsonl
 
-.PHONY: ci fmt vet lint lint-baseline build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test bench golden
+.PHONY: ci fmt vet lint build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test bench golden
 
 ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test
 
@@ -29,19 +29,11 @@ vet:
 # errcmp, hotclosure), the five v2 whole-program passes (snapshotfield,
 # splitkey, specstrict, registry, deadcode), and the lite
 # nilness/shadow stock passes (lock copies are go vet's). One gate over
-# the whole tree; `make ci` fails on any finding that is neither
-# suppressed in source (`//vmprov:allow <analyzer> -- <reason>`) nor
-# recorded in the committed baseline. SARIF output: $(GO) run ./cmd/vmprovlint -sarif ./...
-LINTBASE ?= lint_baseline.json
-
+# the whole tree; `make ci` fails on any finding not suppressed in source
+# with `//vmprov:allow <analyzer> -- <reason>` (a suppression with no
+# live finding under it fails the stale-allow audit in the lint tests).
 lint:
-	$(GO) run ./cmd/vmprovlint -baseline $(LINTBASE) ./...
-
-# Re-pin the committed baseline to the tree's current findings. Only for
-# adopting a new analyzer with pre-existing debt — never to silence a
-# finding your change introduced.
-lint-baseline:
-	$(GO) run ./cmd/vmprovlint -write-baseline $(LINTBASE) ./...
+	$(GO) run ./cmd/vmprovlint ./...
 
 build:
 	$(GO) build ./...
@@ -124,12 +116,17 @@ ff-smoke:
 # pinned bit for bit) and TestMPCBeatsWorstBaseline (the MPC policy must
 # not lose to every baseline on its own objective); then the per-layer
 # rewind tests of the kernel (tickers, zero snapshot), the collector
-# (zero snapshot) and the federation.
+# (zero snapshot) and the federation, and the restore checks of every
+# workload.Rewindable: each source kind, the observing analyzers, each
+# forecaster (TestRewind*, TestForecasterRewind) and the Adaptive
+# controller's re-evaluation λ̂ (TestSnapshotAdaptiveReevaluate, above).
 snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC|FuzzSnapshotRestore'
 	$(GO) test -race -count=1 ./internal/sim -run 'TestTicker|TestResetMatchesNew'
 	$(GO) test -race -count=1 ./internal/metrics -run 'ZeroSnapshot'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
+	$(GO) test -race -count=1 ./internal/workload -run 'TestRewind|TestScientificZeroGapSnapshot'
+	$(GO) test -race -count=1 ./internal/forecast -run 'TestForecasterRewind'
 
 # Run every example program end to end with its default flags (a few
 # seconds, most of it webautoscale); a non-zero exit from any fails the

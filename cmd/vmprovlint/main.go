@@ -14,19 +14,11 @@
 //	vmprovlint -list                  describe the analyzers
 //	vmprovlint -select simclock,errcmp ./...
 //	vmprovlint -json ./...
-//	vmprovlint -sarif ./...           SARIF 2.1.0 on stdout
-//	vmprovlint -baseline lint_baseline.json ./...
-//	vmprovlint -write-baseline lint_baseline.json ./...
 //
-// A finding is suppressed by a comment on the flagged line or the line
-// above it:
+// A finding is suppressed by a comment, with its reason, on the flagged
+// line or the line above it:
 //
 //	//vmprov:allow <analyzer> -- <reason>
-//
-// With -baseline, findings listed in the committed baseline file are
-// additionally tolerated (matched on analyzer, file, and message — not
-// line, so unrelated edits do not resurrect them); -write-baseline
-// regenerates that file from the current findings and exits 0.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
@@ -43,12 +35,9 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "describe the analyzers and exit")
-		sel      = flag.String("select", "", "comma-separated analyzer names to run (default: all)")
-		asJSON   = flag.Bool("json", false, "emit findings as JSON")
-		asSARIF  = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-		baseline = flag.String("baseline", "", "tolerate findings listed in this baseline file")
-		writeBl  = flag.String("write-baseline", "", "write current findings to this baseline file and exit")
+		list   = flag.Bool("list", false, "describe the analyzers and exit")
+		sel    = flag.String("select", "", "comma-separated analyzer names to run (default: all)")
+		asJSON = flag.Bool("json", false, "emit findings as JSON")
 	)
 	flag.Parse()
 
@@ -57,10 +46,6 @@ func main() {
 			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(os.Stderr, "vmprovlint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 
 	analyzers := lint.Analyzers()
@@ -86,42 +71,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vmprovlint:", err)
 		os.Exit(2)
 	}
-	root, err := os.Getwd()
-	if err != nil {
-		root = ""
-	}
 
-	if *writeBl != "" {
-		if err := lint.WriteBaseline(*writeBl, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "vmprovlint: baseline %s written with %d finding(s)\n", *writeBl, len(diags))
-		return
-	}
-	if *baseline != "" {
-		entries, err := lint.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovlint:", err)
-			os.Exit(2)
-		}
-		diags = lint.FilterBaseline(diags, entries, root)
-	}
-
-	switch {
-	case *asSARIF:
-		if err := lint.WriteSARIF(os.Stdout, analyzers, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "vmprovlint:", err)
-			os.Exit(2)
-		}
-	case *asJSON:
+	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintln(os.Stderr, "vmprovlint:", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -51,7 +51,6 @@ func main() {
 		all      = flag.Bool("all", false, "run adaptive + every static baseline (full figure)")
 		reportMD = flag.String("report", "", "with -all: also write a Markdown report to this file")
 		policy   = flag.String("policy", "adaptive", "registered policy name (adaptive, static:<m>, ...; single-policy mode)")
-		vms      = flag.Int("vms", 0, "fleet size for -policy static")
 		specFile = flag.String("spec", "", "run a declarative JSON panel spec file (\"-\" = stdin)")
 		dump     = flag.String("dumpspec", "", "print a built-in panel spec as JSON: web, scientific, all, web-fault, web-multi, web-hybrid, or web-mpc")
 		mode     = flag.String("mode", "", "simulation mode: exact (default) or hybrid analytical fast-forward")
@@ -194,16 +193,7 @@ func main() {
 		return
 	}
 
-	polName := *policy
-	if polName == "static" {
-		// Legacy form: "-policy static -vms N" is sugar for "static:N".
-		if *vms <= 0 {
-			fmt.Fprintln(os.Stderr, "vmprovsim: -policy static needs -vms N (or use -policy static:N)")
-			os.Exit(2)
-		}
-		polName = fmt.Sprintf("static:%d", *vms)
-	}
-	pol, err := vmprov.ResolvePolicy(polName)
+	pol, err := vmprov.ResolvePolicy(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
 		os.Exit(2)

@@ -44,9 +44,7 @@ func chaosDomains() fault.DomainSpec {
 // boot/API faults. The aggregate rate is 400·scale requests/s (default
 // scale 0.05).
 func ChaosSpec(scale float64) ScenarioSpec {
-	if scale <= 0 {
-		scale = 1
-	}
+	scale = builderScale(scale)
 	size := workload.SizeSpec{Dist: "jitter", Mean: 0.1, Jitter: 0.1}
 	params, _ := json.Marshal(workload.MultiParams{
 		AggregateRate: 400 * scale,

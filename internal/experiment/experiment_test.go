@@ -50,6 +50,39 @@ func TestScenarioDefaultScale(t *testing.T) {
 	}
 }
 
+// TestSpecBuildersRejectInvalidScale: the built-in spec builders map
+// scale 0 to 1 and pass every other scale through, so Compile rejects a
+// negative or non-finite one instead of running the full-scale scenario,
+// and Web and Sci panic with that error.
+func TestSpecBuildersRejectInvalidScale(t *testing.T) {
+	builders := map[string]func(float64) ScenarioSpec{
+		"web": WebSpec, "scientific": SciSpec, "web-multi": MultiSpec, "web-chaos": ChaosSpec,
+	}
+	for name, build := range builders {
+		if sp := build(0); sp.Scale != 1 {
+			t.Errorf("%s: scale 0 recorded as %v, want 1", name, sp.Scale)
+		}
+		for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+			if _, err := build(scale).Compile(); err == nil {
+				t.Errorf("%s: scale %v compiled, want an error", name, scale)
+			}
+		}
+	}
+	for name, build := range map[string]func(){
+		"Web(-1)":  func() { Web(-1) },
+		"Sci(NaN)": func() { Sci(math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 func TestRunOnceDeterminism(t *testing.T) {
 	sc := Sci(1)
 	a, _ := RunOnce(sc, AdaptivePolicy(), 42, RunOptions{})

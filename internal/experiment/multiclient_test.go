@@ -340,3 +340,41 @@ func TestRecordReplayBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// acceptCount counts the accept events of each request ID.
+type acceptCount map[uint64]int
+
+func (c acceptCount) Record(e trace.Event) {
+	if e.Kind == trace.KindAccept {
+		c[e.Req]++
+	}
+}
+
+// TestMultiClientRequestIDsUnique: trace events carry no client tag, so
+// a request's ID is its only identity in the stream. In a traced
+// multi-client run without faults (nothing is re-queued), every accept
+// event must carry a distinct ID.
+func TestMultiClientRequestIDsUnique(t *testing.T) {
+	sp, err := BuildScenarioSpec("web-multi", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Horizon = 120
+	sc, err := sp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := acceptCount{}
+	RunOnce(sc, AdaptivePolicy(), 1, RunOptions{Tracer: seen})
+	accepts, dups := 0, 0
+	for _, n := range seen {
+		accepts += n
+		if n > 1 {
+			dups++
+		}
+	}
+	if accepts == 0 || dups > 0 {
+		t.Fatalf("%d accept events carry %d distinct IDs, %d of them accepted more than once",
+			accepts, len(seen), dups)
+	}
+}

@@ -16,9 +16,7 @@ import (
 // web_multiclient_panel.json golden spec. The aggregate rate is
 // 400·scale requests/s (default scale 0.1).
 func MultiSpec(scale float64) ScenarioSpec {
-	if scale <= 0 {
-		scale = 1
-	}
+	scale = builderScale(scale)
 	params, _ := json.Marshal(workload.MultiParams{
 		AggregateRate: 400 * scale,
 		Clients: []workload.ClientSpec{

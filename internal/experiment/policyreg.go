@@ -99,7 +99,7 @@ func init() {
 		}
 		m, err := strconv.Atoi(arg)
 		if err != nil || m < 1 {
-			return Policy{}, fmt.Errorf("static needs a fleet size ≥ 1, got %q", arg)
+			return Policy{}, fmt.Errorf("static:<m> needs a fleet size m ≥ 1, got %q", arg)
 		}
 		return StaticPolicy(m), nil
 	})

@@ -101,20 +101,23 @@ func staticLadder(scale float64, paper ...int) []int {
 // Wikipedia-derived workload; QoS Ts = 250 ms, no rejection allowed, 80%
 // minimum utilization; static baselines of 50–150 instances. At scale 1 a
 // replication generates ≈500 M requests; see DESIGN.md §3 for the
-// scale-invariance argument behind running reduced scales.
+// scale-invariance argument behind running reduced scales. Scale 0 means
+// 1; a negative or non-finite scale panics with Compile's error.
 func Web(scale float64) Scenario {
 	return mustCompile(WebSpec(scale))
 }
 
 // Sci returns the paper's scientific scenario (Section V-B2): one day of
 // the Bag-of-Tasks workload; QoS Ts = 700 s, no rejection allowed, 80%
-// minimum utilization; static baselines of 15–75 instances.
+// minimum utilization; static baselines of 15–75 instances. Scale 0
+// means 1; a negative or non-finite scale panics with Compile's error.
 func Sci(scale float64) Scenario {
 	return mustCompile(SciSpec(scale))
 }
 
-// mustCompile compiles a built-in spec; the built-ins are valid by
-// construction, so a failure is a programming error.
+// mustCompile compiles a built-in spec; the built-ins are valid at every
+// valid scale, so a failure is a caller's invalid scale or a programming
+// error.
 func mustCompile(sp ScenarioSpec) Scenario {
 	sc, err := sp.Compile()
 	if err != nil {

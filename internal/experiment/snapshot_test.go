@@ -1,10 +1,13 @@
 package experiment
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"vmprov/internal/metrics"
+	"vmprov/internal/provision"
+	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
 
@@ -117,6 +120,54 @@ func TestSnapshotRestoreBitIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// predictLog keeps the (time, λ̂) of every predict event.
+type predictLog [][2]float64
+
+func (l *predictLog) Record(e trace.Event) {
+	if e.Kind == trace.KindPredict {
+		*l = append(*l, [2]float64{e.T, e.Value})
+	}
+}
+
+// TestSnapshotAdaptiveReevaluate is the restore check of the Adaptive
+// controller: its re-evaluation ticker re-sizes with the last λ̂, and a
+// divergent future that crosses an analyzer alert changes that λ̂. After
+// the restore, every predict event must carry the λ̂ of an uninterrupted
+// run. The snapshot instant falls between re-evaluation ticks and 200 s
+// before the next alert.
+func TestSnapshotAdaptiveReevaluate(t *testing.T) {
+	web := Web(0.05)
+	web.Horizon = 3600
+	pol := Policy{
+		Name: "Adaptive-Reevaluate",
+		Build: func(sc Scenario, src workload.Source) (provision.Controller, workload.Analyzer) {
+			an := &workload.OracleAnalyzer{Source: src, Times: []float64{1200, 2400}}
+			return &provision.Adaptive{Analyzer: an, Reevaluate: 45}, an
+		},
+	}
+	const snapAt = 1000.5
+	run := func(interrupt bool) predictLog {
+		var log predictLog
+		w := NewRunContext().Setup(web, pol, 7, RunOptions{Tracer: &log})
+		w.RunUntil(snapAt)
+		mark := len(log)
+		if interrupt {
+			divergeAndRestore(w, 1500)
+			log = log[:mark]
+		}
+		w.RunUntil(web.Horizon)
+		w.Finish()
+		return log[mark:]
+	}
+	want, got := run(false), run(true)
+	if len(want) == 0 {
+		t.Fatal("no predict events after the snapshot")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("predict events after Restore differ from the uninterrupted run's:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 

@@ -55,12 +55,12 @@ func (sp ScenarioSpec) Compile() (Scenario, error) {
 	if sp.Name == "" {
 		return Scenario{}, fmt.Errorf("experiment: scenario spec missing name")
 	}
+	if !workload.ValidScale(sp.Scale) {
+		return Scenario{}, fmt.Errorf("experiment: scenario %q: scale %v must be finite and non-negative (0 means 1)", sp.Name, sp.Scale)
+	}
 	b, err := workload.Build(sp.Workload, sp.Params)
 	if err != nil {
 		return Scenario{}, fmt.Errorf("experiment: scenario %q: %w", sp.Name, err)
-	}
-	if !workload.ValidScale(sp.Scale) {
-		return Scenario{}, fmt.Errorf("experiment: scenario %q: scale %v must be finite and non-negative (0 means 1)", sp.Name, sp.Scale)
 	}
 	scale := sp.Scale
 	if scale == 0 {
@@ -157,13 +157,21 @@ func BuildScenarioSpec(name string, scale float64) (ScenarioSpec, error) {
 	return e.build(scale), nil
 }
 
+// builderScale is the scale a built-in spec builder records: 0 means 1,
+// and any other scale passes through, so Compile rejects a negative or
+// non-finite one.
+func builderScale(scale float64) float64 {
+	if scale == 0 {
+		return 1
+	}
+	return scale
+}
+
 // WebSpec returns the declarative form of the paper's web scenario
 // (Section V-B1) at the given load scale; Web(scale) is exactly
 // WebSpec(scale) compiled.
 func WebSpec(scale float64) ScenarioSpec {
-	if scale <= 0 {
-		scale = 1
-	}
+	scale = builderScale(scale)
 	params, _ := json.Marshal(workload.WebParams{Scale: scale})
 	sp := ScenarioSpec{
 		Name:     "web",
@@ -191,9 +199,7 @@ func WebSpec(scale float64) ScenarioSpec {
 // (Section V-B2) at the given load scale; Sci(scale) is exactly
 // SciSpec(scale) compiled.
 func SciSpec(scale float64) ScenarioSpec {
-	if scale <= 0 {
-		scale = 1
-	}
+	scale = builderScale(scale)
 	params, _ := json.Marshal(workload.SciParams{Scale: scale})
 	sp := ScenarioSpec{
 		Name:     "scientific",

@@ -34,10 +34,7 @@ var ErrSeries = errors.New("forecast: series too short")
 type histSnap struct{ hist []float64 }
 
 func snapshotHist(store any, hist []float64) any {
-	sn, _ := store.(*histSnap)
-	if sn == nil {
-		sn = new(histSnap)
-	}
+	sn := stats.Store[histSnap](store)
 	sn.hist = append(sn.hist[:0], hist...)
 	return sn
 }
@@ -54,21 +51,11 @@ func (n *Naive) Predict() float64 { return n.last }
 // Name implements Forecaster.
 func (n *Naive) Name() string { return "naive" }
 
-// naiveSnap holds one captured Naive state.
-type naiveSnap struct{ last float64 }
-
 // Snapshot implements workload.Rewindable.
-func (n *Naive) Snapshot(store any) any {
-	sn, _ := store.(*naiveSnap)
-	if sn == nil {
-		sn = new(naiveSnap)
-	}
-	sn.last = n.last
-	return sn
-}
+func (n *Naive) Snapshot(store any) any { return stats.Capture(store, n.last) }
 
 // Restore implements workload.Rewindable.
-func (n *Naive) Restore(store any) { n.last = store.(*naiveSnap).last }
+func (n *Naive) Restore(store any) { n.last = *store.(*float64) }
 
 // MovingAverage predicts the mean of the last Window observations.
 type MovingAverage struct {
@@ -106,10 +93,7 @@ type maSnap struct {
 
 // Snapshot implements workload.Rewindable.
 func (m *MovingAverage) Snapshot(store any) any {
-	sn, _ := store.(*maSnap)
-	if sn == nil {
-		sn = new(maSnap)
-	}
+	sn := stats.Store[maSnap](store)
 	sn.started = m.w != nil
 	if m.w != nil {
 		m.w.Snapshot(&sn.w)
@@ -137,6 +121,12 @@ type Holt struct {
 	Alpha float64 // level smoothing (0,1]
 	Beta  float64 // trend smoothing (0,1]
 
+	holtState
+}
+
+// holtState is Holt's fitted state: the smoothed level and trend and the
+// number of observations folded in.
+type holtState struct {
 	level, trend float64
 	steps        int
 }
@@ -169,27 +159,11 @@ func (h *Holt) Predict() float64 { return h.level + h.trend }
 // Name implements Forecaster.
 func (h *Holt) Name() string { return "holt" }
 
-// holtSnap holds one captured Holt state.
-type holtSnap struct {
-	level, trend float64
-	steps        int
-}
-
 // Snapshot implements workload.Rewindable.
-func (h *Holt) Snapshot(store any) any {
-	sn, _ := store.(*holtSnap)
-	if sn == nil {
-		sn = new(holtSnap)
-	}
-	sn.level, sn.trend, sn.steps = h.level, h.trend, h.steps
-	return sn
-}
+func (h *Holt) Snapshot(store any) any { return stats.Capture(store, h.holtState) }
 
 // Restore implements workload.Rewindable.
-func (h *Holt) Restore(store any) {
-	sn := store.(*holtSnap)
-	h.level, h.trend, h.steps = sn.level, sn.trend, sn.steps
-}
+func (h *Holt) Restore(store any) { h.holtState = *store.(*holtState) }
 
 // SeasonalNaive predicts the value observed one season (Period steps)
 // ago — the right baseline for the paper's strongly diurnal workloads.

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -170,5 +171,52 @@ func TestCompareOnNoisyWorkloadShape(t *testing.T) {
 	tbl := Table(scores)
 	if !strings.Contains(tbl, "seasonal-naive") || !strings.Contains(tbl, "MAE") {
 		t.Fatalf("table rendering broken:\n%s", tbl)
+	}
+}
+
+// rewinder is a forecaster with the snapshot seam every forecaster here
+// implements (workload.Rewindable, which this package cannot import).
+type rewinder interface {
+	Forecaster
+	Snapshot(store any) any
+	Restore(store any)
+}
+
+// TestForecasterRewind is the restore check of every forecaster: one
+// snapshotted before its first observation or mid-series, fed a
+// divergent future and restored, must predict exactly what an
+// uninterrupted twin does, before the next observation and after each
+// one.
+func TestForecasterRewind(t *testing.T) {
+	makers := []func() rewinder{
+		func() rewinder { return &Naive{} },
+		func() rewinder { return &MovingAverage{Window: 4} },
+		func() rewinder { return &Holt{Alpha: 0.5, Beta: 0.3} },
+		func() rewinder { return &SeasonalNaive{Period: 5} },
+		func() rewinder { return &AR{Order: 2, Fit: 12} },
+	}
+	series := func(i int) float64 { return 50 + 30*math.Sin(float64(i)/3) + float64(i%4) }
+	for _, mk := range makers {
+		for _, snapAt := range []int{0, 20} {
+			f, twin := mk(), mk()
+			t.Run(fmt.Sprintf("%s/%d", f.Name(), snapAt), func(t *testing.T) {
+				for i := range snapAt {
+					f.Observe(series(i))
+					twin.Observe(series(i))
+				}
+				store := f.Snapshot(nil)
+				for i := range 9 {
+					f.Observe(1000 - 7*float64(i))
+				}
+				f.Restore(store)
+				for i := snapAt; i < snapAt+20; i++ {
+					if got, want := f.Predict(), twin.Predict(); got != want {
+						t.Fatalf("after Restore, prediction %d = %v, want %v", i-snapAt, got, want)
+					}
+					f.Observe(series(i))
+					twin.Observe(series(i))
+				}
+			})
+		}
 	}
 }

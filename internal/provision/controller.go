@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"vmprov/internal/sim"
+	"vmprov/internal/stats"
 	"vmprov/internal/trace"
 	"vmprov/internal/workload"
 )
@@ -67,25 +68,13 @@ func (a *Adaptive) Attach(s *sim.Sim, p *Provisioner) {
 	}
 }
 
-// adaptiveSnap holds one captured Adaptive controller state.
-type adaptiveSnap struct{ lastLambda float64 }
-
-// Snapshot implements the workload.Rewindable shape: the controller's
-// only cross-event state is the most recent rate estimate; its analyzer
-// is captured separately when it is itself rewindable.
-func (a *Adaptive) Snapshot(store any) any {
-	sn, _ := store.(*adaptiveSnap)
-	if sn == nil {
-		sn = new(adaptiveSnap)
-	}
-	sn.lastLambda = a.lastLambda
-	return sn
-}
+// Snapshot implements workload.Rewindable: the controller's only
+// cross-event state is the most recent rate estimate; its analyzer is
+// captured separately when it is itself rewindable.
+func (a *Adaptive) Snapshot(store any) any { return stats.Capture(store, a.lastLambda) }
 
 // Restore rewinds the controller to a captured state.
-func (a *Adaptive) Restore(store any) {
-	a.lastLambda = store.(*adaptiveSnap).lastLambda
-}
+func (a *Adaptive) Restore(store any) { a.lastLambda = *store.(*float64) }
 
 // Scheduled is a time-table policy — the industry's "scheduled scaling"
 // middle ground between the paper's static and adaptive baselines: fleet

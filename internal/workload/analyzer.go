@@ -1,6 +1,9 @@
 package workload
 
-import "vmprov/internal/sim"
+import (
+	"vmprov/internal/sim"
+	"vmprov/internal/stats"
+)
 
 // SciAnalyzer reproduces the paper's scientific-workload analyzer
 // (Section V-B2). For peak time it estimates the arrival rate from the
@@ -134,10 +137,7 @@ type windowSnap struct {
 
 // Snapshot implements Rewindable.
 func (w *WindowAnalyzer) Snapshot(store any) any {
-	sn, _ := store.(*windowSnap)
-	if sn == nil {
-		sn = new(windowSnap)
-	}
+	sn := stats.Store[windowSnap](store)
 	sn.count = w.count
 	sn.history = append(sn.history[:0], w.history...)
 	return sn

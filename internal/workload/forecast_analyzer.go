@@ -3,6 +3,7 @@ package workload
 import (
 	"vmprov/internal/forecast"
 	"vmprov/internal/sim"
+	"vmprov/internal/stats"
 )
 
 // ForecastAnalyzer adapts any forecast.Forecaster into a workload
@@ -64,10 +65,7 @@ func (fa *ForecastAnalyzer) Snapshot(store any) any {
 	if !ok {
 		panic("workload: ForecastAnalyzer snapshot needs a Rewindable forecaster")
 	}
-	sn, _ := store.(*forecastSnap)
-	if sn == nil {
-		sn = new(forecastSnap)
-	}
+	sn := stats.Store[forecastSnap](store)
 	sn.count = fa.count
 	sn.fc = rw.Snapshot(sn.fc)
 	return sn

@@ -18,9 +18,16 @@ type MMPPSource struct {
 	Service  stats.Sampler
 	Horizon  float64 // stop generating after this time (0 = never)
 
-	state int
-	ids   counter
-	run   *mmppRun // current replication's chain state, retained for snapshot
+	mmppState
+}
+
+// mmppState is an MMPP chain's per-run state: the modulation state, the
+// ID counter, and the handle of the pending arrival, which a state flip
+// cancels and redraws.
+type mmppState struct {
+	state   int
+	ids     counter
+	pending sim.Event
 }
 
 // MeanRate returns the long-run average rate, weighting each state's rate
@@ -45,10 +52,10 @@ func (m *MMPPSource) Burstiness() float64 {
 // Start schedules the modulated arrival chain. The process is exact: on
 // every state flip the pending interarrival gap is re-drawn under the new
 // state's rate, which is valid because exponential gaps are memoryless.
-// The chain's cross-event state (the pending arrival handle) lives in a
-// run struct shared by package-level callbacks, so a snapshot can reach
-// it; the callbacks draw and schedule in exactly the order the closure
-// version did.
+// The chain's wiring lives in a run struct shared by package-level
+// callbacks, and its cross-event state in the source's mmppState; the
+// callbacks draw and schedule in exactly the order the closure version
+// did.
 func (m *MMPPSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	run := &mmppRun{
 		m:    m,
@@ -58,31 +65,30 @@ func (m *MMPPSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		svc:  r.Split("mmpp/service"),
 		mod:  r.Split("mmpp/modulation"),
 	}
-	m.run = run
 	s.ScheduleFunc(run.mod.ExpFloat64()*m.Sojourns[0], mmppFlip, run)
 	run.schedule()
 }
 
-// mmppRun is one replication's chain state: the substreams and the handle
-// of the pending arrival, which a state flip cancels and redraws.
+// mmppRun is one replication's chain wiring: the kernel, the sink and the
+// substreams.
 type mmppRun struct {
-	m       *MMPPSource
-	s       *sim.Sim
-	emit    func(Request)
-	arr     *stats.RNG
-	svc     *stats.RNG
-	mod     *stats.RNG
-	pending sim.Event
+	m    *MMPPSource
+	s    *sim.Sim
+	emit func(Request)
+	arr  *stats.RNG
+	svc  *stats.RNG
+	mod  *stats.RNG
 }
 
 // schedule arms the next arrival under the current state's rate.
 func (run *mmppRun) schedule() {
-	run.pending = sim.Event{}
-	rate := run.m.Rates[run.m.state]
+	m := run.m
+	m.pending = sim.Event{}
+	rate := m.Rates[m.state]
 	if rate <= 0 {
 		return // silent state: the next flip reschedules
 	}
-	run.pending = run.s.ScheduleFunc(run.arr.ExpFloat64()/rate, mmppArrive, run)
+	m.pending = run.s.ScheduleFunc(run.arr.ExpFloat64()/rate, mmppArrive, run)
 }
 
 // mmppArrive fires one arrival and re-arms the chain.
@@ -90,7 +96,7 @@ func mmppArrive(a any) {
 	run := a.(*mmppRun)
 	m := run.m
 	now := run.s.Now()
-	run.pending = sim.Event{}
+	m.pending = sim.Event{}
 	if m.Horizon > 0 && now >= m.Horizon {
 		return
 	}
@@ -105,43 +111,18 @@ func mmppFlip(a any) {
 	run := a.(*mmppRun)
 	m := run.m
 	m.state = 1 - m.state
-	run.s.Cancel(run.pending)
+	run.s.Cancel(m.pending)
 	if m.Horizon == 0 || run.s.Now() < m.Horizon {
 		run.schedule()
 		run.s.ScheduleFunc(run.mod.ExpFloat64()*m.Sojourns[m.state], mmppFlip, run)
 	}
 }
 
-// mmppSnap holds one captured MMPP chain state.
-type mmppSnap struct {
-	state   int
-	ids     counter
-	pending sim.Event
-}
-
 // Snapshot implements Rewindable.
-func (m *MMPPSource) Snapshot(store any) any {
-	sn, _ := store.(*mmppSnap)
-	if sn == nil {
-		sn = new(mmppSnap)
-	}
-	sn.state = m.state
-	sn.ids = m.ids
-	if m.run != nil {
-		sn.pending = m.run.pending
-	}
-	return sn
-}
+func (m *MMPPSource) Snapshot(store any) any { return stats.Capture(store, m.mmppState) }
 
 // Restore implements Rewindable.
-func (m *MMPPSource) Restore(store any) {
-	sn := store.(*mmppSnap)
-	m.state = sn.state
-	m.ids = sn.ids
-	if m.run != nil {
-		m.run.pending = sn.pending
-	}
-}
+func (m *MMPPSource) Restore(store any) { m.mmppState = *store.(*mmppState) }
 
 // SinusoidSource is a non-homogeneous Poisson process with rate
 // Base + Amp·sin(2πt/Period + Phase), generated exactly by thinning
@@ -195,7 +176,7 @@ func (ss *SinusoidSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 
 // Snapshot implements Rewindable; the thinned chain's only mutable state
 // outside the kernel and RNG tree is the ID counter.
-func (ss *SinusoidSource) Snapshot(store any) any { return snapshotCounter(store, ss.ids) }
+func (ss *SinusoidSource) Snapshot(store any) any { return stats.Capture(store, ss.ids) }
 
 // Restore implements Rewindable.
-func (ss *SinusoidSource) Restore(store any) { ss.ids = store.(*counterSnap).ids }
+func (ss *SinusoidSource) Restore(store any) { ss.ids = *store.(*counter) }

@@ -432,17 +432,24 @@ func (rs *RenewalSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 
 // Snapshot implements Rewindable; the renewal chain's only mutable state
 // outside the kernel and RNG tree is the ID counter.
-func (rs *RenewalSource) Snapshot(store any) any { return snapshotCounter(store, rs.ids) }
+func (rs *RenewalSource) Snapshot(store any) any { return stats.Capture(store, rs.ids) }
 
 // Restore implements Rewindable.
-func (rs *RenewalSource) Restore(store any) { rs.ids = store.(*counterSnap).ids }
+func (rs *RenewalSource) Restore(store any) { rs.ids = *store.(*counter) }
+
+// clientSource is a client's arrival process: a RenewalSource or an
+// MMPPSource.
+type clientSource interface {
+	Source
+	Rewindable
+}
 
 // compiledClient pairs a client's identity with its fresh per-replication
 // source.
 type compiledClient struct {
 	info  ClientInfo
 	class int
-	src   Source
+	src   clientSource
 }
 
 // MultiSource merges several client cohorts into one arrival stream.
@@ -451,9 +458,11 @@ type compiledClient struct {
 // reordering clients never perturbs another client's draws. A
 // single-client source passes the parent stream through unsplit, which
 // keeps one-client specs bit-identical to the equivalent single-source
-// workload.
+// workload. Request IDs come from one counter across all clients, in
+// emission order, so they are unique in the merged stream.
 type MultiSource struct {
 	clients []compiledClient
+	ids     counter
 }
 
 // NewMultiSource validates the client set and compiles a fresh source
@@ -470,7 +479,7 @@ func NewMultiSource(aggregate float64, clients []ClientSpec) (*MultiSource, erro
 	for _, c := range clients {
 		rate := aggregate * c.RateFraction
 		service := c.Size.sampler()
-		var src Source
+		var src clientSource
 		switch c.Arrival.Process {
 		case ArrivalPoisson:
 			src = &RenewalSource{
@@ -524,7 +533,8 @@ func (m *MultiSource) MeanRate(t float64) float64 {
 
 // Start launches every client's arrival chain on the shared kernel; the
 // cohorts interleave by event time through the ordinary injection path.
-// Every emitted request is tagged with its client's name.
+// Every emitted request is tagged with its client's name and class and
+// numbered from the source's one ID counter.
 func (m *MultiSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	single := len(m.clients) == 1
 	for i := range m.clients {
@@ -536,6 +546,7 @@ func (m *MultiSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		}
 		name, class := c.info.Name, c.class
 		c.src.Start(s, cr, func(q Request) {
+			q.ID = m.ids.next()
 			q.Client = name
 			q.Class = class
 			emit(q)
@@ -543,17 +554,22 @@ func (m *MultiSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	}
 }
 
-// multiSnap holds the per-client stores of a multi-source snapshot.
-type multiSnap struct{ stores []any }
+// multiSnap holds a multi-source snapshot: the ID counter and the
+// per-client stores.
+type multiSnap struct {
+	ids    counter
+	stores []any
+}
 
 // Snapshot implements Rewindable by delegating to each client's source.
 func (m *MultiSource) Snapshot(store any) any {
-	sn, _ := store.(*multiSnap)
-	if sn == nil {
-		sn = &multiSnap{stores: make([]any, len(m.clients))}
+	sn := stats.Store[multiSnap](store)
+	sn.ids = m.ids
+	if sn.stores == nil {
+		sn.stores = make([]any, len(m.clients))
 	}
 	for i := range m.clients {
-		sn.stores[i] = m.clients[i].src.(Rewindable).Snapshot(sn.stores[i])
+		sn.stores[i] = m.clients[i].src.Snapshot(sn.stores[i])
 	}
 	return sn
 }
@@ -561,8 +577,9 @@ func (m *MultiSource) Snapshot(store any) any {
 // Restore implements Rewindable.
 func (m *MultiSource) Restore(store any) {
 	sn := store.(*multiSnap)
+	m.ids = sn.ids
 	for i := range m.clients {
-		m.clients[i].src.(Rewindable).Restore(sn.stores[i])
+		m.clients[i].src.Restore(sn.stores[i])
 	}
 }
 

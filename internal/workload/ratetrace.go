@@ -111,7 +111,7 @@ func (rt *RateTraceSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 
 // Snapshot implements Rewindable; the thinned chain's only mutable state
 // outside the kernel and RNG tree is the ID counter.
-func (rt *RateTraceSource) Snapshot(store any) any { return snapshotCounter(store, rt.ids) }
+func (rt *RateTraceSource) Snapshot(store any) any { return stats.Capture(store, rt.ids) }
 
 // Restore implements Rewindable.
-func (rt *RateTraceSource) Restore(store any) { rt.ids = store.(*counterSnap).ids }
+func (rt *RateTraceSource) Restore(store any) { rt.ids = *store.(*counter) }

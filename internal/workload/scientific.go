@@ -119,10 +119,7 @@ type sciSnap struct {
 // ID counter, the next day to plan, and the task walkers' undrained
 // remnants; everything else lives in the kernel and the RNG tree.
 func (sc *Scientific) Snapshot(store any) any {
-	sn, _ := store.(*sciSnap)
-	if sn == nil {
-		sn = new(sciSnap)
-	}
+	sn := stats.Store[sciSnap](store)
 	sn.ids = sc.ids
 	var ws *walkerSet
 	if sc.run != nil {

@@ -41,10 +41,10 @@ func (p *PoissonSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 
 // Snapshot implements Rewindable; the arrival chain's only mutable state
 // outside the kernel and RNG tree is the ID counter.
-func (p *PoissonSource) Snapshot(store any) any { return snapshotCounter(store, p.ids) }
+func (p *PoissonSource) Snapshot(store any) any { return stats.Capture(store, p.ids) }
 
 // Restore implements Rewindable.
-func (p *PoissonSource) Restore(store any) { p.ids = store.(*counterSnap).ids }
+func (p *PoissonSource) Restore(store any) { p.ids = *store.(*counter) }
 
 // TraceSource replays a fixed list of requests, e.g. one captured from a
 // production system or another generator. Requests need not be sorted.
@@ -82,27 +82,20 @@ func (ts *TraceSource) Start(s *sim.Sim, _ *stats.RNG, emit func(Request)) {
 	ts.wk.start(append([]Request(nil), ts.Requests...))
 }
 
-// traceSnap holds a trace replay's captured position. The replay batch is
-// immutable after the initial sort, so the snapshot is O(1): only the
-// walker's cursor needs saving.
-type traceSnap struct{ idx int }
-
-// Snapshot implements Rewindable.
+// Snapshot implements Rewindable. The replay batch is immutable after the
+// initial sort, so the state is the walker's cursor alone.
 func (ts *TraceSource) Snapshot(store any) any {
-	sn, _ := store.(*traceSnap)
-	if sn == nil {
-		sn = new(traceSnap)
-	}
+	var idx int
 	if ts.wk != nil {
-		sn.idx = ts.wk.idx
+		idx = ts.wk.idx
 	}
-	return sn
+	return stats.Capture(store, idx)
 }
 
 // Restore implements Rewindable.
 func (ts *TraceSource) Restore(store any) {
 	if ts.wk != nil {
-		ts.wk.idx = store.(*traceSnap).idx
+		ts.wk.idx = *store.(*int)
 	}
 }
 
@@ -168,10 +161,10 @@ func (ss *StepSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 
 // Snapshot implements Rewindable; the chain's only mutable state outside
 // the kernel and RNG tree is the ID counter.
-func (ss *StepSource) Snapshot(store any) any { return snapshotCounter(store, ss.ids) }
+func (ss *StepSource) Snapshot(store any) any { return stats.Capture(store, ss.ids) }
 
 // Restore implements Rewindable.
-func (ss *StepSource) Restore(store any) { ss.ids = store.(*counterSnap).ids }
+func (ss *StepSource) Restore(store any) { ss.ids = *store.(*counter) }
 
 // OracleAnalyzer is an Analyzer for StepSource-like sources: it alerts
 // with the exact mean rate at every supplied change point. Used in tests

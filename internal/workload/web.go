@@ -476,10 +476,7 @@ type webSnap struct {
 
 // Snapshot implements Rewindable.
 func (w *Web) Snapshot(store any) any {
-	sn, _ := store.(*webSnap)
-	if sn == nil {
-		sn = new(webSnap)
-	}
+	sn := stats.Store[webSnap](store)
 	sn.ids = w.ids
 	var ws *walkerSet
 	if w.run != nil {

@@ -120,33 +120,24 @@ type FluidSource interface {
 }
 
 // Rewindable is the snapshot/restore seam of per-run stateful components
-// (sources and observing analyzers). Snapshot captures the component's
-// mutable per-run state into store — the value returned by the previous
-// Snapshot call, or nil for the first — and returns the store, so
-// repeated snapshots reuse one pooled buffer set. Restore rewinds the
-// component in place from a captured store; the kernel snapshot restores
-// the component's scheduled events and the run's root stream-tree
-// snapshot restores its RNG substreams, so only state neither of those
-// reaches lives here. Components whose chains keep no mutable state
-// outside the kernel, the RNG tree, and their own struct fields need
-// only expose those fields.
+// (sources, observing analyzers, forecasters and the adaptive
+// controller). Snapshot captures the component's mutable per-run state
+// into store — the value returned by the previous Snapshot call, or nil
+// for the first — and returns the store, so repeated snapshots reuse one
+// pooled buffer set. Restore rewinds the component in place from a
+// captured store; the kernel snapshot restores the component's scheduled
+// events and the run's root stream-tree snapshot restores its RNG
+// substreams, so only state neither of those reaches lives here.
+//
+// A component keeps its per-run scalars in one value — a single field
+// such as the ID counter, or an unexported state struct it embeds — so
+// Snapshot is stats.Capture(store, value) and Restore one assignment
+// from *store.(*T). Only a component that also holds a buffer (a
+// walker's remnant, a rate history) has a store type of its own,
+// allocated through stats.Store.
 type Rewindable interface {
 	Snapshot(store any) any
 	Restore(store any)
-}
-
-// counterSnap is the shared snapshot store of sources whose only
-// mutable per-run state is the request ID counter.
-type counterSnap struct{ ids counter }
-
-// snapshotCounter implements Snapshot for counter-only sources.
-func snapshotCounter(store any, ids counter) any {
-	sn, _ := store.(*counterSnap)
-	if sn == nil {
-		sn = new(counterSnap)
-	}
-	sn.ids = ids
-	return sn
 }
 
 // counter hands out request IDs within one source.
