@@ -9,9 +9,9 @@ FUZZTIME  ?= 10s
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
 TRACETMP  ?= /tmp/vmprov_trace_smoke.jsonl
 
-.PHONY: ci fmt vet lint build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test bench golden
+.PHONY: ci fmt vet lint build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke cli-golden examples-smoke bench-test bench golden
 
-ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke examples-smoke bench-test
+ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke cli-golden examples-smoke bench-test
 
 # gofmt cleanliness gate: fail (and list the files) if any tracked Go
 # source is not gofmt-formatted.
@@ -45,7 +45,9 @@ race:
 	$(GO) test -race ./...
 
 # The sweep engine's concurrency properties under the race detector:
-# pooled workers, result placement, and the serialized completion hook.
+# pooled workers against fresh runs at several worker counts, result
+# placement, the serialized completion hook, and a panel's replication
+# and figure rows on one worker and on four (TestRunParallelMatchesSerial).
 # The TestSweepFault* cases put a fault-enabled panel through the same
 # concurrent machinery.
 sweep-race:
@@ -84,7 +86,9 @@ fuzz:
 	$(GO) test ./internal/trace -run FuzzTraceV2Decode -fuzz FuzzTraceV2Decode -fuzztime $(FUZZTIME)
 
 # The declarative-spec test suite: spec/panel/policy-registry
-# compilation and the spec-vs-RunAll equivalence property.
+# compilation, the paper panel's row order, and a JSON round-tripped
+# panel running to the same rows as the panel compiled directly
+# (TestSpecPanelMatchesRunAll).
 sweep-smoke:
 	$(GO) test -count=1 ./internal/experiment -run 'TestSpec|TestPanel|TestPaperPanel|TestResolve|TestGoldenSpec|TestScenarioSpec'
 
@@ -127,6 +131,17 @@ snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
 	$(GO) test -race -count=1 ./internal/workload -run 'TestRewind|TestScientificZeroGapSnapshot'
 	$(GO) test -race -count=1 ./internal/forecast -run 'TestForecasterRewind'
+
+# CLI golden: eight vmprovsim invocations (-all tables and CSV, the
+# per-replication rows of single-policy mode, hybrid mode, -series, and
+# an unknown policy's exit 2) must reproduce the stdout, stderr and exit
+# code recorded under cmd/vmprovsim/testdata/cli/ byte for byte.
+cli-golden:
+	@set -e; dir="$$(mktemp -d)"; \
+	$(GO) build -o "$$dir/vmprovsim" ./cmd/vmprovsim; \
+	bash cmd/vmprovsim/testdata/cli.sh "$$dir/vmprovsim" "$$dir/out"; \
+	status=0; diff -r cmd/vmprovsim/testdata/cli "$$dir/out" || status=$$?; \
+	rm -rf "$$dir"; exit $$status
 
 # Run every example program end to end with its default flags (a few
 # seconds, most of it webautoscale); a non-zero exit from any fails the

@@ -78,11 +78,9 @@ func BenchmarkFig4SciTrace(b *testing.B) {
 // fleets. The resulting table is logged (go test -bench Fig5 -v).
 func BenchmarkFig5Web(b *testing.B) {
 	b.ReportAllocs()
-	sc := Web(0.1)
-	sc.Horizon = Day
 	var results []Result
 	for i := 0; i < b.N; i++ {
-		results = RunAll(sc, 1, uint64(i)+1, 0, RunOptions{})
+		results = runPaperPanel(b, "web", 0.1, Day, uint64(i)+1)
 	}
 	b.Log("\n" + FigureTable("Figure 5 (web, scale 0.1, one day)", results))
 	reportAdaptive(b, results[0])
@@ -93,16 +91,32 @@ func BenchmarkFig5Web(b *testing.B) {
 // Static-{15..75}.
 func BenchmarkFig6Sci(b *testing.B) {
 	b.ReportAllocs()
-	sc := Sci(1)
 	var results []Result
 	for i := 0; i < b.N; i++ {
-		results = RunAll(sc, 1, uint64(i)+1, 0, RunOptions{})
+		results = runPaperPanel(b, "scientific", 1, 0, uint64(i)+1)
 	}
 	b.Log("\n" + FigureTable("Figure 6 (scientific, scale 1)", results))
 	reportAdaptive(b, results[0])
 	// Paper anchors: Static-45 rejects ≈31.7%, Static-75 utilization ≈42%.
 	b.ReportMetric(results[3].RejectionRate, "static45_rej")
 	b.ReportMetric(results[5].Utilization, "static75_util")
+}
+
+// runPaperPanel runs one replication of a scenario's paper panel at seed
+// (horizon 0 keeps the scenario's own) and returns its figure rows.
+func runPaperPanel(b *testing.B, scenario string, scale, horizon float64, seed uint64) []Result {
+	ps, err := PaperPanel(scenario, scale, 1, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if horizon > 0 {
+		ps.Scenarios[0].Horizon = horizon
+	}
+	panel, err := ps.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return panel.Run(SweepOptions{})[0].Results
 }
 
 // --- Ablations over DESIGN.md §4/§5 design choices ---
@@ -157,9 +171,7 @@ func BenchmarkAblationPredictionFactors(b *testing.B) {
 			sc := Sci(1)
 			peak, off := c.peak, c.off
 			sc.NewAnalyzer = func(src Source) Analyzer {
-				a := &SciAnalyzer{Model: src.(*SciWorkload), PeakFactor: peak, OffPeakFactor: off}
-				a.Horizon = sc.Horizon
-				return a
+				return &SciAnalyzer{Model: src.(*SciWorkload), PeakFactor: peak, OffPeakFactor: off}
 			}
 			var r Result
 			for i := 0; i < b.N; i++ {

@@ -133,21 +133,19 @@ func main() {
 		return
 	}
 
-	spec, err := vmprov.BuildScenarioSpec(*scenario, *scale)
+	// -horizon and -mode edit the scenario spec before it compiles.
+	ps, err := vmprov.PaperPanel(*scenario, *scale, *reps, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
 		os.Exit(2)
 	}
-	sc, err := spec.Compile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-		os.Exit(2)
-	}
+	sp := &ps.Scenarios[0]
 	if *horizon > 0 {
-		sc.Horizon = *horizon
+		sp.Horizon = *horizon
 	}
-	sc.Mode = vmprov.Mode(*mode)
-	if err := sc.Validate(); err != nil {
+	sp.Mode = vmprov.Mode(*mode)
+	sc, err := sp.Compile()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
 		os.Exit(2)
 	}
@@ -170,35 +168,35 @@ func main() {
 		return
 	}
 
+	if !*all {
+		ps.Policies = []string{*policy}
+	}
+	panel, err := ps.Compile()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
+		os.Exit(2)
+	}
+
 	if *all {
-		results := vmprov.RunAll(sc, *reps, *seed, *workers, vmprov.RunOptions{})
+		results := panel.Run(vmprov.SweepOptions{Workers: *workers})
 		if *reportMD != "" {
 			_, series := vmprov.RunOnce(sc, vmprov.Adaptive(), *seed, vmprov.RunOptions{TrackSeries: true})
 			md := report.Markdown(report.Meta{
 				Title:    fmt.Sprintf("%s scenario report", sc.Name),
 				Scenario: sc.Name, Scale: sc.Scale, Horizon: sc.Horizon,
 				Reps: *reps, Seed: *seed,
-			}, results, series)
+			}, results[0].Results, series)
 			if err := os.WriteFile(*reportMD, []byte(md), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "vmprovsim:", err)
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "report → %s\n", *reportMD)
 		}
-		if *csv {
-			fmt.Print(vmprov.ResultsCSV(results))
-			return
-		}
-		fmt.Print(vmprov.FigureTable(vmprov.FigureCaption("", sc, *reps), results))
+		printPanel(panel, results, *csv)
 		return
 	}
 
-	pol, err := vmprov.ResolvePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-		os.Exit(2)
-	}
-
+	pol := panel.Policies[0][0]
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -225,7 +223,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, res)
 		return
 	}
-	agg, runs := vmprov.Run(sc, pol, *reps, *seed, *workers, vmprov.RunOptions{})
+
+	// Single-policy mode prints every replication's row before the mean.
+	runs := make([]vmprov.Result, len(panel.Jobs()))
+	agg := panel.Run(vmprov.SweepOptions{
+		Workers:       *workers,
+		OnReplication: func(i int, res vmprov.Result, _ []vmprov.SeriesPoint) { runs[i] = res },
+	})[0].Results[0]
 	if *csv {
 		fmt.Print(vmprov.ResultsCSV(append(runs, agg)))
 		return

@@ -77,8 +77,8 @@ func dumpSpec(w io.Writer, name string, scale float64, reps int, seed uint64) er
 }
 
 // runSpecFile loads a JSON panel spec (path "-" reads stdin), compiles
-// it, runs it over the sweep engine, and prints one table (or CSV block)
-// per scenario. workers > 0 overrides the spec's worker count.
+// it, runs it over the sweep engine, and prints it with printPanel.
+// workers > 0 overrides the spec's worker count.
 func runSpecFile(path string, workers int, csv bool) error {
 	var (
 		data []byte
@@ -100,11 +100,14 @@ func runSpecFile(path string, workers int, csv bool) error {
 	if err != nil {
 		return err
 	}
-	results := panel.Run(vmprov.SweepOptions{Workers: workers})
-	reps := spec.Reps
-	if reps < 1 {
-		reps = 1
-	}
+	printPanel(panel, panel.Run(vmprov.SweepOptions{Workers: workers}), csv)
+	return nil
+}
+
+// printPanel prints a run panel's figure rows: per scenario, one table
+// and its per-client breakdown, or with csv both as CSV blocks.
+func printPanel(panel *vmprov.Panel, results []vmprov.PanelResult, csv bool) {
+	reps := max(panel.Spec.Reps, 1)
 	for i, pr := range results {
 		if csv {
 			fmt.Print(vmprov.ResultsCSV(pr.Results))
@@ -116,12 +119,11 @@ func runSpecFile(path string, workers int, csv bool) error {
 		if i > 0 {
 			fmt.Println()
 		}
-		caption := vmprov.FigureCaption(spec.Name, panel.Scenarios[i], reps)
+		caption := vmprov.FigureCaption(panel.Spec.Name, panel.Scenarios[i], reps)
 		fmt.Print(vmprov.FigureTable(caption, pr.Results))
 		if t := vmprov.ClientBreakdownTable("per-client breakdown", pr.Results); t != "" {
 			fmt.Println()
 			fmt.Print(t)
 		}
 	}
-	return nil
 }

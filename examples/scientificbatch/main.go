@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"vmprov"
 )
@@ -13,8 +14,6 @@ import (
 func main() {
 	reps := flag.Int("reps", 5, "replications per policy (paper: 10)")
 	flag.Parse()
-
-	sc := vmprov.Sci(1)
 
 	// The analyzer's deliberate over-estimation (Section V-B2): modes of
 	// the Weibull components with 1.2× / 2.6× safety factors.
@@ -24,7 +23,17 @@ func main() {
 	fmt.Printf("true mean rates:    peak %.4f req/s, off-peak %.4f req/s\n\n",
 		an.Model.MeanRate(10*3600), an.Model.MeanRate(0))
 
-	results := vmprov.RunAll(sc, *reps, 1, 0, vmprov.RunOptions{})
+	ps, err := vmprov.PaperPanel("scientific", 1, *reps, 1)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scientificbatch:", err)
+		os.Exit(1)
+	}
+	panel, err := ps.Compile()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scientificbatch:", err)
+		os.Exit(1)
+	}
+	results := panel.Run(vmprov.SweepOptions{})[0].Results
 	fmt.Print(vmprov.FigureTable(
 		fmt.Sprintf("scientific scenario, scale 1, %d replications — paper Figure 6", *reps),
 		results))

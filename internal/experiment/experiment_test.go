@@ -83,6 +83,23 @@ func TestSpecBuildersRejectInvalidScale(t *testing.T) {
 	}
 }
 
+// TestHorizonSetAfterCompile: a compiled scenario whose horizon is
+// lengthened runs exactly as the scenario compiled with that horizon.
+// The analyzer keeps alerting past the horizon it was compiled with, so
+// the second day's peak finds a fleet sized for it.
+func TestHorizonSetAfterCompile(t *testing.T) {
+	late := Sci(0.3)
+	late.Horizon = 2 * workload.Day
+	sp := SciSpec(0.3)
+	sp.Horizon = 2 * workload.Day
+	early := mustCompile(sp)
+	got, _ := RunOnce(late, AdaptivePolicy(), 1, RunOptions{})
+	want, _ := RunOnce(early, AdaptivePolicy(), 1, RunOptions{})
+	if !metrics.Equal(got, want) {
+		t.Fatalf("horizon set after compile:\n%+v\nhorizon compiled in:\n%+v", got, want)
+	}
+}
+
 func TestRunOnceDeterminism(t *testing.T) {
 	sc := Sci(1)
 	a, _ := RunOnce(sc, AdaptivePolicy(), 42, RunOptions{})
@@ -96,11 +113,29 @@ func TestRunOnceDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunParallelMatchesSerial: a one-policy panel (full-scale scientific,
+// Adaptive, four replications) run on one worker and on four yields the
+// same replication rows and the same figure row.
 func TestRunParallelMatchesSerial(t *testing.T) {
-	sc := Sci(1)
-	pol := AdaptivePolicy()
-	serialAgg, serialRuns := Run(sc, pol, 4, 7, 1, RunOptions{})
-	parAgg, parRuns := Run(sc, pol, 4, 7, 4, RunOptions{})
+	panel, err := PanelSpec{
+		Scenarios: []ScenarioSpec{SciSpec(1)},
+		Policies:  []string{"adaptive"},
+		Reps:      4,
+		Seed:      7,
+	}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (metrics.Result, []metrics.Result) {
+		reps := make([]metrics.Result, len(panel.Jobs()))
+		rows := panel.Run(SweepOptions{
+			Workers:       workers,
+			OnReplication: func(i int, res metrics.Result, _ []metrics.SeriesPoint) { reps[i] = res },
+		})
+		return rows[0].Results[0], reps
+	}
+	serialAgg, serialRuns := run(1)
+	parAgg, parRuns := run(4)
 	if len(serialRuns) != 4 || len(parRuns) != 4 {
 		t.Fatal("replication counts wrong")
 	}
@@ -114,11 +149,13 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRunAllOrderAndNames(t *testing.T) {
-	sc := Sci(0.2)
-	results := RunAll(sc, 1, 1, 0, RunOptions{})
+// TestPaperPanelOrderAndNames: the paper panel's rows come in
+// presentation order, Adaptive first and then the scaled static ladder
+// ascending, each labeled with its fleet size.
+func TestPaperPanelOrderAndNames(t *testing.T) {
+	results := paperRows(t, "scientific", 0.2, 1, 1)
 	if len(results) != 6 {
-		t.Fatalf("RunAll returned %d results, want 6", len(results))
+		t.Fatalf("paper panel returned %d rows, want 6", len(results))
 	}
 	if results[0].Policy != "Adaptive" {
 		t.Fatalf("first result %q, want Adaptive", results[0].Policy)
@@ -131,6 +168,21 @@ func TestRunAllOrderAndNames(t *testing.T) {
 	}
 }
 
+// paperRows runs a registered scenario's paper panel and returns its
+// figure rows.
+func paperRows(t *testing.T, scenario string, scale float64, reps int, seed uint64) []metrics.Result {
+	t.Helper()
+	ps, err := PaperPanel(scenario, scale, reps, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panel, err := ps.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return panel.Run(SweepOptions{})[0].Results
+}
+
 // TestSciPaperShape asserts the qualitative findings of the paper's
 // Figure 6 at full scale: the adaptive policy tracks load (instances vary
 // over a wide band), meets QoS with near-zero rejection, uses fewer VM
@@ -138,8 +190,7 @@ func TestRunAllOrderAndNames(t *testing.T) {
 // 80% floor; under-sized static fleets reject heavily; the peak-sized
 // static fleet wastes utilization.
 func TestSciPaperShape(t *testing.T) {
-	sc := Sci(1)
-	results := RunAll(sc, 3, 11, 0, RunOptions{})
+	results := paperRows(t, "scientific", 1, 3, 11)
 	byName := map[string]int{}
 	for i, r := range results {
 		byName[r.Policy] = i
@@ -243,8 +294,7 @@ func TestRunOnceSeriesTracking(t *testing.T) {
 }
 
 func TestFigureTableFormat(t *testing.T) {
-	sc := Sci(0.2)
-	results := RunAll(sc, 1, 5, 0, RunOptions{})
+	results := paperRows(t, "scientific", 0.2, 1, 5)
 	table := FigureTable("Figure 6 analogue", results)
 	for _, want := range []string{"policy", "min inst", "rejection", "utilization", "VM hours", "Adaptive", "Static-15"} {
 		if !strings.Contains(table, want) {

@@ -38,9 +38,7 @@ func TestHeterogeneousCapacityHalvesFleet(t *testing.T) {
 func TestPredictionFactorAblation(t *testing.T) {
 	plain := Sci(1)
 	plain.NewAnalyzer = func(src workload.Source) workload.Analyzer {
-		a := &workload.SciAnalyzer{Model: src.(*workload.Scientific), PeakFactor: 1.0, OffPeakFactor: 1.0}
-		a.Horizon = plain.Horizon
-		return a
+		return &workload.SciAnalyzer{Model: src.(*workload.Scientific), PeakFactor: 1.0, OffPeakFactor: 1.0}
 	}
 	withFactors := Sci(1)
 

@@ -168,18 +168,23 @@ func TestRunOnceSeriesDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunWorkerIndependence is the replication-parallelism property: Run
-// must return identical per-replication results whether replications
-// execute sequentially or across 8 goroutines. Parallelism exists only
-// between independent simulators; any state shared through the kernel
-// (e.g. a global event pool) would surface here, especially under -race.
+// TestRunWorkerIndependence is the replication-parallelism property: a
+// sweep must return identical per-replication results whether
+// replications execute sequentially or across 8 goroutines. Parallelism
+// exists only between independent simulators; any state shared through
+// the kernel (e.g. a global event pool) would surface here, especially
+// under -race.
 func TestRunWorkerIndependence(t *testing.T) {
 	sc := Sci(0.1)
 	sc.Horizon = workload.Day / 4
 	const reps = 8
 	for _, pol := range []Policy{AdaptivePolicy(), StaticPolicy(3)} {
-		_, seq := Run(sc, pol, reps, 11, 1, RunOptions{})
-		_, par := Run(sc, pol, reps, 11, 8, RunOptions{})
+		jobs := make([]Job, reps)
+		for i := range jobs {
+			jobs[i] = Job{Scenario: sc, Policy: pol, Seed: 11 + uint64(i)}
+		}
+		seq := Sweep(jobs, SweepOptions{Workers: 1})
+		par := Sweep(jobs, SweepOptions{Workers: 8})
 		if len(seq) != len(par) {
 			t.Fatalf("%s: replication counts differ: %d vs %d", pol.Name, len(seq), len(par))
 		}

@@ -19,9 +19,9 @@ const StaticWildcard = "*"
 const staticWildcardName = "static:" + StaticWildcard
 
 // PanelSpec is a declarative experiment panel: scenarios × policies ×
-// replications at consecutive seeds. It is the serializable form of what
-// RunAll hardwires for the paper's Figures 5 and 6, and it compiles
-// straight into the sweep engine's flat job queue.
+// replications at consecutive seeds. It compiles straight into the sweep
+// engine's flat job queue, and running it is the one way replications
+// become figure rows: PaperPanel is the paper's Figures 5 and 6.
 type PanelSpec struct {
 	Name      string         `json:"name,omitempty"`
 	Scenarios []ScenarioSpec `json:"scenarios"`
@@ -131,8 +131,12 @@ func (ps PanelSpec) Validate() error {
 func (p *Panel) Jobs() []Job { return p.jobs }
 
 // Run sweeps the panel's job queue and aggregates each (scenario, policy)
-// cell over its replications, returning one PanelResult per scenario in
-// spec order. A zero opts.Workers falls back to the spec's Workers field.
+// cell over its replications with metrics.Aggregate, returning one
+// PanelResult per scenario in spec order. The whole panel is one flat
+// queue: no barrier separates policies, so a slow policy's stragglers
+// overlap the next policy's replications. A zero opts.Workers falls back
+// to the spec's Workers field; opts.OnReplication sees each replication's
+// own row.
 func (p *Panel) Run(opts SweepOptions) []PanelResult {
 	if opts.Workers == 0 {
 		opts.Workers = p.Spec.Workers
@@ -155,7 +159,7 @@ func (p *Panel) Run(opts SweepOptions) []PanelResult {
 // PaperPanel returns the built-in panel spec of one registered scenario
 // (by registry name, e.g. "web" or "scientific") at the given scale
 // (0 = the scenario's default): the adaptive policy against the full
-// static baseline ladder, exactly what RunAll hardwires.
+// static baseline ladder, in that order.
 func PaperPanel(scenario string, scale float64, reps int, seed uint64) (PanelSpec, error) {
 	sp, err := BuildScenarioSpec(scenario, scale)
 	if err != nil {

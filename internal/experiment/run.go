@@ -59,52 +59,8 @@ type RunOptions struct {
 // RunOnce executes one seeded replication of a policy over a scenario and
 // returns its metrics. The run is deterministic in (scenario, policy,
 // seed). It builds a fresh replication context; sweeps over many
-// replications should go through Sweep (or Run/RunAll), which pool and
+// replications should go through Sweep or Panel.Run, which pool and
 // rewind contexts instead.
 func RunOnce(sc Scenario, pol Policy, seed uint64, opts RunOptions) (metrics.Result, []metrics.SeriesPoint) {
 	return NewRunContext().Run(sc, pol, seed, opts)
-}
-
-// Run executes reps seeded replications (seeds base, base+1, ...) over
-// the sweep engine's worker pool (workers 0 = GOMAXPROCS) and returns
-// the per-replication results plus their aggregate — the paper reports
-// the average over 10 repetitions. opts apply to every replication.
-func Run(sc Scenario, pol Policy, reps int, baseSeed uint64, workers int, opts RunOptions) (agg metrics.Result, runs []metrics.Result) {
-	if reps < 1 {
-		reps = 1
-	}
-	jobs := make([]Job, reps)
-	for i := range jobs {
-		jobs[i] = Job{Scenario: sc, Policy: pol, Seed: baseSeed + uint64(i)}
-	}
-	runs = Sweep(jobs, SweepOptions{Workers: workers, RunOptions: opts})
-	return metrics.Aggregate(runs), runs
-}
-
-// RunAll evaluates the adaptive policy and every static baseline of the
-// scenario, returning aggregated results in presentation order (Adaptive
-// first, then Static-* ascending) — one full panel row set of the paper's
-// Figure 5 or 6. The whole panel is one flat job queue over the sweep
-// engine's persistent worker pool: no barrier separates policies, so a
-// slow policy's stragglers overlap the next policy's replications.
-func RunAll(sc Scenario, reps int, baseSeed uint64, workers int, opts RunOptions) []metrics.Result {
-	if reps < 1 {
-		reps = 1
-	}
-	policies := []Policy{AdaptivePolicy()}
-	for _, m := range sc.StaticFleets {
-		policies = append(policies, StaticPolicy(m))
-	}
-	jobs := make([]Job, 0, len(policies)*reps)
-	for _, pol := range policies {
-		for r := 0; r < reps; r++ {
-			jobs = append(jobs, Job{Scenario: sc, Policy: pol, Seed: baseSeed + uint64(r)})
-		}
-	}
-	flat := Sweep(jobs, SweepOptions{Workers: workers, RunOptions: opts})
-	results := make([]metrics.Result, len(policies))
-	for i := range policies {
-		results[i] = metrics.Aggregate(flat[i*reps : (i+1)*reps])
-	}
-	return results
 }

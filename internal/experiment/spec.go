@@ -76,12 +76,8 @@ func (sp ScenarioSpec) Compile() (Scenario, error) {
 		Placement:    sp.Placement,
 		Fault:        sp.Fault,
 		NewSource:    b.NewSource,
+		NewAnalyzer:  b.NewAnalyzer,
 		Clients:      b.Clients,
-	}
-	horizon := sp.Horizon
-	newAnalyzer := b.NewAnalyzer
-	sc.NewAnalyzer = func(src workload.Source) workload.Analyzer {
-		return newAnalyzer(src, horizon)
 	}
 	if err := sc.Validate(); err != nil {
 		return Scenario{}, err

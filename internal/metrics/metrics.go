@@ -7,9 +7,11 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -806,210 +808,111 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Aggregate averages replications of the same policy: every scalar field
-// becomes the replication mean, and StdResponse additionally carries the
-// mean of the per-run standard deviations (matching the paper, which
-// reports the average over 10 repetitions).
+// Aggregate averages replications of the same policy into one figure
+// row; the paper reports the mean over 10 repetitions. One rule covers
+// every field of Result and of its class and client rows: a float64
+// becomes the mean, a uint64 count the truncated mean and an int the
+// rounded mean, each summed in replication order; a string keeps its
+// first value; and a row missing from a replication counts as zero, so
+// StdResponse is the mean of the per-run deviations. Three fields are
+// exceptions: Duration is the first result's, MaxResponse the maximum,
+// and HealTime the mean over healed replications, or −1 if any is
+// unhealed. Rows merge by their key (Class, Client) and keep the order
+// of ClassResults and ClientResults.
 func Aggregate(results []Result) Result {
 	if len(results) == 0 {
 		return Result{}
 	}
-	agg := Result{Policy: results[0].Policy, Duration: results[0].Duration}
-	n := float64(len(results))
-	var minI, maxI, avgI, vmh, util, rej, resp, std, exec, wait, energy float64
-	var p50, p95, p99, maxResp float64
-	var acc, rejN, vio, ddl, evs float64
-	var crash, retr, lost, requeue, shortfall, mttr, avail float64
-	var arrived, inFlight, shedN, outages, zoneMTTR, zonesEnd, trips, recov, lastFault float64
-	var healSum float64
-	var healN, unhealed int
+	n := len(results)
+	var agg Result
+	average(&agg, results, n)
+	agg.Duration = results[0].Duration
+	agg.MaxResponse = 0
 	for _, r := range results {
-		minI += float64(r.MinInstances)
-		maxI += float64(r.MaxInstances)
-		avgI += r.AvgInstances
-		vmh += r.VMHours
-		util += r.Utilization
-		energy += r.EnergyKWh
-		rej += r.RejectionRate
-		resp += r.MeanResponse
-		std += r.StdResponse
-		p50 += r.P50Response
-		p95 += r.P95Response
-		p99 += r.P99Response
-		exec += r.MeanExec
-		wait += r.MeanWait
-		acc += float64(r.Accepted)
-		rejN += float64(r.Rejected)
-		vio += float64(r.Violations)
-		ddl += float64(r.DeadlineMisses)
-		evs += float64(r.Events)
-		crash += float64(r.Crashes)
-		retr += float64(r.Retries)
-		lost += float64(r.RequestsLost)
-		requeue += float64(r.RequestsRequeued)
-		shortfall += float64(r.CapacityShortfalls)
-		mttr += r.MTTR
-		avail += r.Availability
-		arrived += float64(r.Arrived)
-		inFlight += float64(r.InFlight)
-		shedN += float64(r.Shed)
-		outages += float64(r.ZoneOutages)
-		zoneMTTR += r.ZoneMTTR
-		zonesEnd += float64(r.ZonesDownAtEnd)
-		trips += float64(r.BreakerTrips)
-		recov += float64(r.BreakerRecoveries)
-		lastFault += r.LastFaultT
-		if r.HealTime >= 0 {
-			healSum += r.HealTime
-			healN++
-		} else {
-			unhealed++
+		if r.MaxResponse > agg.MaxResponse {
+			agg.MaxResponse = r.MaxResponse
 		}
-		if r.MaxResponse > maxResp {
-			maxResp = r.MaxResponse
+		// With every replication healed, the rule's mean is the mean
+		// over healed ones.
+		if !(r.HealTime >= 0) {
+			agg.HealTime = -1
 		}
 	}
-	agg.MinInstances = int(math.Round(minI / n))
-	agg.MaxInstances = int(math.Round(maxI / n))
-	agg.AvgInstances = avgI / n
-	agg.VMHours = vmh / n
-	agg.Utilization = util / n
-	agg.EnergyKWh = energy / n
-	agg.RejectionRate = rej / n
-	agg.MeanResponse = resp / n
-	agg.StdResponse = std / n
-	agg.P50Response = p50 / n
-	agg.P95Response = p95 / n
-	agg.P99Response = p99 / n
-	agg.MaxResponse = maxResp
-	agg.MeanExec = exec / n
-	agg.MeanWait = wait / n
-	agg.Accepted = uint64(acc / n)
-	agg.Rejected = uint64(rejN / n)
-	agg.Violations = uint64(vio / n)
-	agg.DeadlineMisses = uint64(ddl / n)
-	agg.Events = uint64(evs / n)
-	agg.Crashes = uint64(crash / n)
-	agg.Retries = uint64(retr / n)
-	agg.RequestsLost = uint64(lost / n)
-	agg.RequestsRequeued = uint64(requeue / n)
-	agg.CapacityShortfalls = uint64(shortfall / n)
-	agg.MTTR = mttr / n
-	agg.Availability = avail / n
-	agg.Arrived = uint64(arrived / n)
-	agg.InFlight = uint64(inFlight / n)
-	agg.Shed = uint64(shedN / n)
-	agg.ZoneOutages = uint64(outages / n)
-	agg.ZoneMTTR = zoneMTTR / n
-	agg.ZonesDownAtEnd = int(math.Round(zonesEnd / n))
-	agg.BreakerTrips = uint64(trips / n)
-	agg.BreakerRecoveries = uint64(recov / n)
-	agg.LastFaultT = lastFault / n
-	// HealTime averages over healed replications; any unhealed replication
-	// pins the aggregate at −1 (the run set did not fully recover).
-	switch {
-	case unhealed > 0:
-		agg.HealTime = -1
-	case healN > 0:
-		agg.HealTime = healSum / float64(healN)
-	}
-	agg.Clients = aggregateClients(results)
-	agg.Classes = aggregateClasses(results)
+	agg.Classes = averageRows(results, n,
+		func(r Result) []ClassResult { return r.Classes },
+		func(c *ClassResult) *int { return &c.Class })
+	slices.Reverse(agg.Classes) // highest class first
+	agg.Clients = averageRows(results, n,
+		func(r Result) []ClientResult { return r.Clients },
+		func(c *ClientResult) *string { return &c.Client })
 	return agg
 }
 
-// aggregateClasses merges per-class rows across replications by class,
-// averaging every scalar the way the run-level fields are averaged. Rows
-// sort highest class first, matching ClassResults.
-func aggregateClasses(results []Result) []ClassResult {
-	type acc struct {
-		accepted, rejected, displaced, shed, missed float64
-		rej, resp                                   float64
-	}
-	n := float64(len(results))
-	byClass := make(map[int]*acc)
-	var classes []int
-	for _, r := range results {
-		for _, cr := range r.Classes {
-			a := byClass[cr.Class]
-			if a == nil {
-				a = &acc{}
-				byClass[cr.Class] = a
-				classes = append(classes, cr.Class)
+// average sets every field of *dst by Aggregate's rule over rows, taken
+// as n replications (n ≥ len(rows); the missing ones count as zero).
+// Slice fields are left to the caller.
+func average[T any](dst *T, rows []T, n int) {
+	out := reflect.ValueOf(dst).Elem()
+	in := reflect.ValueOf(rows)
+	for f := 0; f < out.NumField(); f++ {
+		field := out.Field(f)
+		switch field.Kind() {
+		case reflect.Slice:
+		case reflect.String:
+			if in.Len() > 0 {
+				field.SetString(in.Index(0).Field(f).String())
 			}
-			a.accepted += float64(cr.Accepted)
-			a.rejected += float64(cr.Rejected)
-			a.displaced += float64(cr.Displaced)
-			a.shed += float64(cr.Shed)
-			a.missed += float64(cr.DeadlineMisses)
-			a.rej += cr.RejectionRate
-			a.resp += cr.MeanResponse
+		case reflect.Float64, reflect.Uint64, reflect.Int:
+			var sum float64
+			for i := 0; i < in.Len(); i++ {
+				switch v := in.Index(i).Field(f); v.Kind() {
+				case reflect.Float64:
+					sum += v.Float()
+				case reflect.Uint64:
+					sum += float64(v.Uint())
+				default:
+					sum += float64(v.Int())
+				}
+			}
+			mean := sum / float64(n)
+			switch field.Kind() {
+			case reflect.Float64:
+				field.SetFloat(mean)
+			case reflect.Uint64:
+				field.SetUint(uint64(mean))
+			default:
+				field.SetInt(int64(math.Round(mean)))
+			}
+		default:
+			panic(fmt.Sprintf("metrics: no averaging rule for %s field %s.%s",
+				field.Kind(), out.Type().Name(), out.Type().Field(f).Name))
 		}
 	}
-	if len(classes) == 0 {
-		return nil
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(classes)))
-	out := make([]ClassResult, 0, len(classes))
-	for _, class := range classes {
-		a := byClass[class]
-		out = append(out, ClassResult{
-			Class:          class,
-			Accepted:       uint64(a.accepted / n),
-			Rejected:       uint64(a.rejected / n),
-			Displaced:      uint64(a.displaced / n),
-			Shed:           uint64(a.shed / n),
-			DeadlineMisses: uint64(a.missed / n),
-			RejectionRate:  a.rej / n,
-			MeanResponse:   a.resp / n,
-		})
-	}
-	return out
 }
 
-// aggregateClients merges per-client rows across replications by client
-// name, averaging every scalar the way the run-level fields are
-// averaged. Rows are sorted by name, matching ClientResults.
-func aggregateClients(results []Result) []ClientResult {
-	type acc struct {
-		slo                 string
-		accepted, rejected  float64
-		violated, rej, resp float64
-	}
-	n := float64(len(results))
-	byName := make(map[string]*acc)
-	var names []string
+// averageRows merges one breakdown's rows across n replications: the
+// rows sharing a key average by Aggregate's rule, and the merged rows
+// sort by ascending key. It returns nil when no replication has a row.
+func averageRows[T any, K cmp.Ordered](results []Result, n int, rows func(Result) []T, key func(*T) *K) []T {
+	byKey := map[K][]T{}
+	var keys []K
 	for _, r := range results {
-		for _, cr := range r.Clients {
-			a := byName[cr.Client]
-			if a == nil {
-				a = &acc{slo: cr.SLOClass}
-				byName[cr.Client] = a
-				names = append(names, cr.Client)
+		for _, row := range rows(r) {
+			k := *key(&row)
+			if _, seen := byKey[k]; !seen {
+				keys = append(keys, k)
 			}
-			a.accepted += float64(cr.Accepted)
-			a.rejected += float64(cr.Rejected)
-			a.violated += float64(cr.Violations)
-			a.rej += cr.RejectionRate
-			a.resp += cr.MeanResponse
+			byKey[k] = append(byKey[k], row)
 		}
 	}
-	if len(names) == 0 {
+	if len(keys) == 0 {
 		return nil
 	}
-	sort.Strings(names)
-	out := make([]ClientResult, 0, len(names))
-	for _, name := range names {
-		a := byName[name]
-		out = append(out, ClientResult{
-			Client:        name,
-			SLOClass:      a.slo,
-			Accepted:      uint64(a.accepted / n),
-			Rejected:      uint64(a.rejected / n),
-			Violations:    uint64(a.violated / n),
-			RejectionRate: a.rej / n,
-			MeanResponse:  a.resp / n,
-		})
+	slices.Sort(keys)
+	out := make([]T, len(keys))
+	for i, k := range keys {
+		average(&out[i], byKey[k], n)
+		*key(&out[i]) = k
 	}
 	return out
 }

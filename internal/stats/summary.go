@@ -166,12 +166,17 @@ func (tw *TimeWeighted) Max() float64 { return tw.max }
 // Histogram is a fixed-width bucket histogram over [Lo, Hi); observations
 // outside the range are counted in under/overflow buckets.
 type Histogram struct {
-	Lo, Hi  float64
-	Counts  []uint64
-	Under   uint64
-	Over    uint64
-	total   uint64
+	Lo, Hi float64
+	Counts []uint64
+	histState
 	widthIn float64 // bins per unit
+}
+
+// histState is a Histogram's scalar state, which HistSnap embeds too.
+type histState struct {
+	Under uint64
+	Over  uint64
+	total uint64
 }
 
 // NewHistogram creates a histogram with n buckets spanning [lo, hi).
@@ -263,16 +268,14 @@ func (h *Histogram) AddShape(src *Histogram, n uint64) {
 // zero HistSnap is the empty histogram.
 type HistSnap struct {
 	counts []uint64
-	under  uint64
-	over   uint64
-	total  uint64
+	histState
 }
 
 // Snapshot captures the histogram's counts into snap, reusing snap's
 // bucket buffer.
 func (h *Histogram) Snapshot(snap *HistSnap) {
 	snap.counts = append(snap.counts[:0], h.Counts...)
-	snap.under, snap.over, snap.total = h.Under, h.Over, h.total
+	snap.histState = h.histState
 }
 
 // Restore rewinds the histogram to a captured state: buckets past the
@@ -280,7 +283,7 @@ func (h *Histogram) Snapshot(snap *HistSnap) {
 // the histogram while keeping its range and bucket array.
 func (h *Histogram) Restore(snap *HistSnap) {
 	clear(h.Counts[copy(h.Counts, snap.counts):])
-	h.Under, h.Over, h.total = snap.under, snap.over, snap.total
+	h.histState = snap.histState
 }
 
 // Quantile returns an approximate q-quantile (0 ≤ q ≤ 1) assuming uniform

@@ -196,6 +196,27 @@ func TestWindowMean(t *testing.T) {
 	}
 }
 
+// TestWindowZeroSnapshot: restoring the zero WindowSnap empties a window
+// that had wrapped, and refilling it then matches a new window.
+func TestWindowZeroSnapshot(t *testing.T) {
+	w := NewWindow(3)
+	for _, x := range []float64{4, 8, 15, 16} {
+		w.Add(x)
+	}
+	w.Restore(&WindowSnap{})
+	if w.Len() != 0 || w.MeanOr(42) != 42 {
+		t.Fatalf("after restoring the zero snapshot: Len() = %d, MeanOr(42) = %v", w.Len(), w.MeanOr(42))
+	}
+	fresh := NewWindow(3)
+	for _, x := range []float64{23, 42, 7, 9} {
+		w.Add(x)
+		fresh.Add(x)
+		if w.Len() != fresh.Len() || w.Mean() != fresh.Mean() {
+			t.Fatalf("after adding %v: Len() %d, Mean() %v; new window %d, %v", x, w.Len(), w.Mean(), fresh.Len(), fresh.Mean())
+		}
+	}
+}
+
 // Property: window mean equals the mean of the last n observations.
 func TestWindowMeanProperty(t *testing.T) {
 	f := func(seed uint64, sizeRaw uint8, countRaw uint8) bool {

@@ -5,9 +5,14 @@ package stats
 // update. The load predictor uses it to monitor recent request execution
 // times (the paper's monitored Tm).
 type Window struct {
-	buf  []float64
-	next int
-	full bool
+	buf []float64
+	windowState
+}
+
+// windowState is a Window's scalar state, which WindowSnap embeds too.
+type windowState struct {
+	next int  // buffer slot the next observation goes to
+	full bool // whether the buffer has wrapped
 	sum  float64
 }
 
@@ -56,26 +61,20 @@ func (w *Window) MeanOr(fallback float64) float64 {
 
 // WindowSnap holds one captured Window state (see Window.Snapshot).
 type WindowSnap struct {
-	buf  []float64
-	next int
-	full bool
-	sum  float64
+	buf []float64
+	windowState
 }
 
 // Snapshot captures the window's contents into snap, reusing snap's
 // buffer.
 func (w *Window) Snapshot(snap *WindowSnap) {
 	snap.buf = append(snap.buf[:0], w.buf...)
-	snap.next = w.next
-	snap.full = w.full
-	snap.sum = w.sum
+	snap.windowState = w.windowState
 }
 
 // Restore rewinds the window to a captured state; restoring the zero
 // WindowSnap empties it.
 func (w *Window) Restore(snap *WindowSnap) {
 	clear(w.buf[copy(w.buf, snap.buf):])
-	w.next = snap.next
-	w.full = snap.full
-	w.sum = snap.sum
+	w.windowState = snap.windowState
 }

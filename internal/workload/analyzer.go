@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
 )
@@ -16,7 +18,6 @@ type SciAnalyzer struct {
 	Model         *Scientific
 	PeakFactor    float64 // safety inflation of the peak estimate (paper: 1.2)
 	OffPeakFactor float64 // safety inflation of the off-peak estimate (paper: 2.6)
-	Horizon       float64 // alert schedule bound; zero means one day
 }
 
 // NewSciAnalyzer returns the analyzer with the paper's safety factors.
@@ -41,27 +42,16 @@ func (a *SciAnalyzer) OffPeakEstimate() float64 {
 // Start emits the off-peak estimate at t=0 and alternates peak/off-peak
 // alerts at the window boundaries of each simulated day.
 func (a *SciAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
-	horizon := a.Horizon
-	if horizon <= 0 {
-		horizon = Day
-	}
 	alert(a.OffPeakEstimate())
 	peak := &alerter{s: s, alert: alert, estimate: func(float64) float64 { return a.PeakEstimate() }}
 	offPeak := &alerter{s: s, alert: alert, estimate: func(float64) float64 { return a.OffPeakEstimate() }}
-	for day := 0; float64(day)*Day < horizon; day++ {
-		base := float64(day) * Day
-		if t := base + a.Model.PeakStart; t > 0 && t <= horizon {
-			s.AtFunc(t, fireAlert, peak)
-		}
-		if t := base + a.Model.PeakEnd; t > 0 && t <= horizon {
-			s.AtFunc(t, fireAlert, offPeak)
-		}
-	}
+	peak.daily(a.Model.PeakStart)
+	offPeak.daily(a.Model.PeakEnd)
 }
 
-// alerter carries a model analyzer's estimate and its sink to the shared
-// fireAlert callback, so a schedule of N alerts costs one allocation per
-// estimate function instead of one per alert.
+// alerter carries an analyzer's estimate and its sink to the shared
+// fireAlert callback, so an alert schedule allocates per estimate
+// function and daily instant, never per alert.
 type alerter struct {
 	s        *sim.Sim
 	alert    func(lambda float64)
@@ -73,6 +63,36 @@ type alerter struct {
 func fireAlert(arg any) {
 	a := arg.(*alerter)
 	a.alert(a.estimate(a.s.Now()))
+}
+
+// daily schedules an alert at tod seconds into every day (0 ≤ tod <
+// Day), from the first such instant after t=0. Each firing schedules the
+// next day's before its estimate goes out, so the schedule lasts as long
+// as the run, whatever its horizon, and every alert is pending a day
+// ahead: in the kernel's (time, seq) order it precedes whatever else a
+// day plans for the same instant.
+func (a *alerter) daily(tod float64) {
+	t := tod
+	if t <= 0 {
+		t += Day
+	}
+	a.s.AtFunc(t, fireDaily, &dailyAlert{alerter: a, tod: tod})
+}
+
+// dailyAlert is one instant of a daily alert schedule. Like every event
+// payload it never changes once scheduled, so a kernel snapshot replays
+// it as captured.
+type dailyAlert struct {
+	*alerter
+	tod float64 // seconds into the day
+}
+
+// fireDaily schedules tomorrow's alert, then fires today's.
+func fireDaily(arg any) {
+	d := arg.(*dailyAlert)
+	tomorrow := math.Round((d.s.Now()-d.tod)/Day) + 1
+	d.s.AtFunc(tomorrow*Day+d.tod, fireDaily, d)
+	fireAlert(d.alerter)
 }
 
 // WindowAnalyzer is an empirical analyzer (an instance of the paper's

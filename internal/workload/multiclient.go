@@ -371,7 +371,9 @@ func ValidateClients(clients []ClientSpec) error {
 // so the mean rate tracks Rate · Modulate(t) while the gap shape (and
 // its coefficient of variation) is free. With an exponential unit gap
 // it is exactly a Poisson process; gamma or Weibull gaps give burstier
-// or more regular streams at the same mean.
+// or more regular streams at the same mean. It is a MultiSource client,
+// which numbers the requests; its own are unnumbered, and all of its
+// per-run state lives in the kernel and the RNG tree.
 type RenewalSource struct {
 	Rate     float64                 // base mean arrival rate (req/s)
 	Gap      stats.Sampler           // unit-mean interarrival shape
@@ -383,8 +385,6 @@ type RenewalSource struct {
 	// labeled "poisson" with an exponential unit gap draws the exact
 	// stream of a PoissonSource at the same rate.
 	Label string
-
-	ids counter
 }
 
 // MeanRate returns Rate scaled by the pattern multiplier at t.
@@ -424,32 +424,21 @@ func (rs *RenewalSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		if rs.Horizon > 0 && now >= rs.Horizon {
 			return
 		}
-		emit(Request{ID: rs.ids.next(), Arrival: now, Service: rs.Service.Sample(svc)})
+		emit(Request{Arrival: now, Service: rs.Service.Sample(svc)})
 		s.Schedule(gap(), next)
 	}
 	s.Schedule(gap(), next)
 }
 
-// Snapshot implements Rewindable; the renewal chain's only mutable state
-// outside the kernel and RNG tree is the ID counter.
-func (rs *RenewalSource) Snapshot(store any) any { return stats.Capture(store, rs.ids) }
-
-// Restore implements Rewindable.
-func (rs *RenewalSource) Restore(store any) { rs.ids = *store.(*counter) }
-
-// clientSource is a client's arrival process: a RenewalSource or an
-// MMPPSource.
-type clientSource interface {
-	Source
-	Rewindable
-}
-
 // compiledClient pairs a client's identity with its fresh per-replication
-// source.
+// source. rw rewinds the source's per-run state outside the kernel and
+// the RNG tree; it is set for MMPP clients only, as a renewal chain has
+// none.
 type compiledClient struct {
 	info  ClientInfo
 	class int
-	src   clientSource
+	src   Source
+	rw    Rewindable
 }
 
 // MultiSource merges several client cohorts into one arrival stream.
@@ -479,7 +468,8 @@ func NewMultiSource(aggregate float64, clients []ClientSpec) (*MultiSource, erro
 	for _, c := range clients {
 		rate := aggregate * c.RateFraction
 		service := c.Size.sampler()
-		var src clientSource
+		var src Source
+		var rw Rewindable
 		switch c.Arrival.Process {
 		case ArrivalPoisson:
 			src = &RenewalSource{
@@ -498,16 +488,18 @@ func NewMultiSource(aggregate float64, clients []ClientSpec) (*MultiSource, erro
 				Modulate: c.Pattern.Multiplier, Service: service, Label: ArrivalWeibull,
 			}
 		case ArrivalMMPP:
-			src = &MMPPSource{
+			mmpp := &MMPPSource{
 				Rates:    [2]float64{rate * c.Arrival.mmppLowFactor(), rate * c.Arrival.Peak},
 				Sojourns: c.Arrival.Sojourns,
 				Service:  service,
 			}
+			src, rw = mmpp, mmpp
 		}
 		ms.clients = append(ms.clients, compiledClient{
 			info:  ClientInfo{Name: c.Name, SLOClass: c.SLOClass},
 			class: c.Class,
 			src:   src,
+			rw:    rw,
 		})
 	}
 	return ms, nil
@@ -555,21 +547,23 @@ func (m *MultiSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 }
 
 // multiSnap holds a multi-source snapshot: the ID counter and the
-// per-client stores.
+// stores of the MMPP clients.
 type multiSnap struct {
 	ids    counter
 	stores []any
 }
 
-// Snapshot implements Rewindable by delegating to each client's source.
+// Snapshot implements Rewindable by delegating to each MMPP client.
 func (m *MultiSource) Snapshot(store any) any {
 	sn := stats.Store[multiSnap](store)
 	sn.ids = m.ids
 	if sn.stores == nil {
 		sn.stores = make([]any, len(m.clients))
 	}
-	for i := range m.clients {
-		sn.stores[i] = m.clients[i].src.Snapshot(sn.stores[i])
+	for i, c := range m.clients {
+		if c.rw != nil {
+			sn.stores[i] = c.rw.Snapshot(sn.stores[i])
+		}
 	}
 	return sn
 }
@@ -578,8 +572,10 @@ func (m *MultiSource) Snapshot(store any) any {
 func (m *MultiSource) Restore(store any) {
 	sn := store.(*multiSnap)
 	m.ids = sn.ids
-	for i := range m.clients {
-		m.clients[i].src.Restore(sn.stores[i])
+	for i, c := range m.clients {
+		if c.rw != nil {
+			c.rw.Restore(sn.stores[i])
+		}
 	}
 }
 
@@ -612,7 +608,7 @@ func init() {
 				}
 				return ms
 			},
-			NewAnalyzer: func(Source, float64) Analyzer { return p.Window.analyzer() },
+			NewAnalyzer: func(Source) Analyzer { return p.Window.analyzer() },
 			Clients:     probe.Clients(),
 		}, nil
 	})

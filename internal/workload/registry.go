@@ -14,11 +14,10 @@ import (
 
 // Builder is the compiled form of a declarative workload spec: factories
 // for fresh per-replication sources and for the analyzer the adaptive
-// policy pairs with them. NewAnalyzer receives the replication horizon so
-// model-based analyzers can bound their alert schedules.
+// policy pairs with them.
 type Builder struct {
 	NewSource   func() Source
-	NewAnalyzer func(src Source, horizon float64) Analyzer
+	NewAnalyzer func(src Source) Analyzer
 
 	// Clients lists the workload's client cohorts in spec order, for
 	// kinds that generate tagged multi-client traffic ("multi",
@@ -208,8 +207,8 @@ func init() {
 		}
 		return &Builder{
 			NewSource: func() Source { return NewWeb(scale) },
-			NewAnalyzer: func(src Source, horizon float64) Analyzer {
-				return &WebAnalyzer{Model: src.(*Web), Horizon: horizon}
+			NewAnalyzer: func(src Source) Analyzer {
+				return &WebAnalyzer{Model: src.(*Web)}
 			},
 		}, nil
 	})
@@ -225,10 +224,8 @@ func init() {
 		}
 		return &Builder{
 			NewSource: func() Source { return NewScientific(scale) },
-			NewAnalyzer: func(src Source, horizon float64) Analyzer {
-				a := NewSciAnalyzer(src.(*Scientific))
-				a.Horizon = horizon
-				return a
+			NewAnalyzer: func(src Source) Analyzer {
+				return NewSciAnalyzer(src.(*Scientific))
 			},
 		}, nil
 	})
@@ -249,7 +246,7 @@ func init() {
 					Service:  jitterService(p.BaseService, p.Jitter),
 				}
 			},
-			NewAnalyzer: func(Source, float64) Analyzer { return p.Window.analyzer() },
+			NewAnalyzer: func(Source) Analyzer { return p.Window.analyzer() },
 		}, nil
 	})
 
@@ -277,7 +274,7 @@ func init() {
 					Service: jitterService(p.BaseService, p.Jitter),
 				}
 			},
-			NewAnalyzer: func(Source, float64) Analyzer { return p.Window.analyzer() },
+			NewAnalyzer: func(Source) Analyzer { return p.Window.analyzer() },
 		}, nil
 	})
 }

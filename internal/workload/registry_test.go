@@ -51,9 +51,9 @@ func TestBuildWebMatchesConstructor(t *testing.T) {
 	if w.Scale != direct.Scale || w.Interval != direct.Interval || w.BaseService != direct.BaseService {
 		t.Fatalf("spec-built web differs from NewWeb: %+v vs %+v", w, direct)
 	}
-	an := b.NewAnalyzer(src, Week)
+	an := b.NewAnalyzer(src)
 	wa, ok := an.(*WebAnalyzer)
-	if !ok || wa.Model != w || wa.Horizon != Week {
+	if !ok || wa.Model != w {
 		t.Fatalf("web analyzer wiring wrong: %#v", an)
 	}
 	// Each NewSource call must yield a fresh, independent model.
@@ -71,8 +71,8 @@ func TestBuildScientificDefaults(t *testing.T) {
 	if !ok || sc.Scale != 1 {
 		t.Fatalf("default scientific source wrong: %#v", b.NewSource())
 	}
-	a, ok := b.NewAnalyzer(sc, Day).(*SciAnalyzer)
-	if !ok || a.Model != sc || a.Horizon != Day {
+	a, ok := b.NewAnalyzer(sc).(*SciAnalyzer)
+	if !ok || a.Model != sc {
 		t.Fatalf("scientific analyzer wiring wrong: %#v", a)
 	}
 	if a.PeakFactor != 1.2 || a.OffPeakFactor != 2.6 {
@@ -115,7 +115,7 @@ func TestBuildModulated(t *testing.T) {
 	if src.Rates != [2]float64{2, 10} || src.Sojourns != [2]float64{300, 60} {
 		t.Fatalf("modulated source params wrong: %+v", src)
 	}
-	if _, ok := b.NewAnalyzer(src, 0).(*WindowAnalyzer); !ok {
+	if _, ok := b.NewAnalyzer(src).(*WindowAnalyzer); !ok {
 		t.Fatal("modulated kind should pair with the window analyzer")
 	}
 	// The source must actually generate traffic.

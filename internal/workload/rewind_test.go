@@ -23,7 +23,8 @@ type rewindOut struct {
 // interrupt set it snapshots the kernel, the RNG tree, the source and the
 // analyzer at snapAt, perturbs the streams, runs that divergent future to
 // divergeTo, restores all four and runs on; future is what the divergent
-// future emitted.
+// future emitted. A source that is not Rewindable keeps all of its
+// per-run state in the kernel and the RNG tree.
 func rewindRun(src Source, an Analyzer, snapAt, divergeTo, end float64, interrupt bool) (after, future rewindOut) {
 	s := sim.New()
 	r := stats.NewRNG(17)
@@ -48,7 +49,11 @@ func rewindRun(src Source, an Analyzer, snapAt, divergeTo, end float64, interrup
 		var rs stats.RNGSnap
 		s.Snapshot(&ks)
 		r.Snapshot(&rs)
-		srcStore := src.(Rewindable).Snapshot(nil)
+		srcRw, _ := src.(Rewindable)
+		var srcStore any
+		if srcRw != nil {
+			srcStore = srcRw.Snapshot(nil)
+		}
 		var anStore any
 		if an != nil {
 			anStore = an.(Rewindable).Snapshot(nil)
@@ -58,7 +63,9 @@ func rewindRun(src Source, an Analyzer, snapAt, divergeTo, end float64, interrup
 		future = tail()
 		s.Restore(&ks)
 		r.Restore(&rs)
-		src.(Rewindable).Restore(srcStore)
+		if srcRw != nil {
+			srcRw.Restore(srcStore)
+		}
 		if an != nil {
 			an.(Rewindable).Restore(anStore)
 		}

@@ -363,12 +363,11 @@ func TestSciAnalyzerEstimates(t *testing.T) {
 func TestSciAnalyzerAlertSchedule(t *testing.T) {
 	sc := NewScientific(1)
 	a := NewSciAnalyzer(sc)
-	a.Horizon = Day
 	s := sim.New()
 	type alert struct{ t, lambda float64 }
 	var alerts []alert
 	a.Start(s, func(l float64) { alerts = append(alerts, alert{s.Now(), l}) })
-	s.Run()
+	s.RunUntil(Day) // the schedule goes on day after day
 	if len(alerts) != 3 {
 		t.Fatalf("got %d alerts, want 3 (t=0, 08:00, 17:00): %+v", len(alerts), alerts)
 	}

@@ -73,7 +73,7 @@ func init() {
 		reqs := RequestsFromV2(recs)
 		return &Builder{
 			NewSource:   func() Source { return &TraceSource{Requests: reqs} },
-			NewAnalyzer: func(Source, float64) Analyzer { return p.Window.analyzer() },
+			NewAnalyzer: func(Source) Analyzer { return p.Window.analyzer() },
 			Clients:     ClientInfosFromV2(hdr.Clients),
 		}, nil
 	})

@@ -506,10 +506,6 @@ func (w *Web) Restore(store any) {
 type WebAnalyzer struct {
 	Model  *Web
 	Margin float64 // relative safety margin on the estimate (default 0)
-
-	// Horizon bounds the alert schedule; alerts stop after it. Zero
-	// means one week.
-	Horizon float64
 }
 
 // webPeriodStarts lists the six period boundaries as seconds of day.
@@ -523,27 +519,13 @@ var webPeriodStarts = []float64{
 }
 
 // Start emits the initial estimate at t=0 and an alert at every period
-// boundary up to the horizon.
+// boundary.
 func (a *WebAnalyzer) Start(s *sim.Sim, alert func(lambda float64)) {
-	horizon := a.Horizon
-	if horizon <= 0 {
-		horizon = Week
-	}
 	// Initial estimate for the period containing t=0.
 	alert(a.estimateAt(0))
 	al := &alerter{s: s, alert: alert, estimate: a.estimateAt}
-	for day := 0; ; day++ {
-		base := float64(day) * Day
-		if base > horizon {
-			break
-		}
-		for _, tod := range webPeriodStarts {
-			t := base + tod
-			if t <= 0 || t > horizon {
-				continue
-			}
-			s.AtFunc(t, fireAlert, al)
-		}
+	for _, tod := range webPeriodStarts {
+		al.daily(tod)
 	}
 }
 

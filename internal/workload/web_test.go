@@ -123,12 +123,12 @@ func TestWebDeterministicAcrossRuns(t *testing.T) {
 
 func TestWebAnalyzerAlertSchedule(t *testing.T) {
 	w := NewWeb(1)
-	a := &WebAnalyzer{Model: w, Horizon: Day}
+	a := &WebAnalyzer{Model: w}
 	s := sim.New()
 	type alert struct{ t, lambda float64 }
 	var alerts []alert
 	a.Start(s, func(l float64) { alerts = append(alerts, alert{s.Now(), l}) })
-	s.Run()
+	s.RunUntil(Day) // the schedule goes on day after day
 	// Initial alert plus six period boundaries in one day.
 	if len(alerts) != 7 {
 		t.Fatalf("got %d alerts, want 7: %+v", len(alerts), alerts)
@@ -154,8 +154,8 @@ func TestWebAnalyzerAlertSchedule(t *testing.T) {
 
 func TestWebAnalyzerMargin(t *testing.T) {
 	w := NewWeb(1)
-	plain := &WebAnalyzer{Model: w, Horizon: 1}
-	padded := &WebAnalyzer{Model: w, Margin: 0.25, Horizon: 1}
+	plain := &WebAnalyzer{Model: w}
+	padded := &WebAnalyzer{Model: w, Margin: 0.25}
 	get := func(a *WebAnalyzer) float64 {
 		s := sim.New()
 		var first float64

@@ -9,8 +9,9 @@
 //
 // This package is the stable facade over the implementation packages:
 //
-//   - the paper's evaluation scenarios (Web, Sci) and policy runners
-//     (Adaptive, Static, Run, RunOnce, RunAll),
+//   - the paper's evaluation scenarios (Web, Sci), policies (Adaptive,
+//     Static, MPC) and runners (RunOnce for one replication, PaperPanel
+//     and Panel.Run for the figures' replication grids),
 //   - the sizing algorithm itself (Algorithm1) for standalone use,
 //   - the building blocks for custom deployments (NewDeployment) with
 //     user-supplied workloads, analyzers, and QoS contracts.
@@ -138,20 +139,6 @@ func MPC(horizon float64, candidates int) Policy {
 // policy, seed).
 func RunOnce(sc Scenario, pol Policy, seed uint64, opts RunOptions) (Result, []SeriesPoint) {
 	return experiment.RunOnce(sc, pol, seed, opts)
-}
-
-// Run executes reps replications over the sweep engine's worker pool and
-// returns the aggregate (the paper averages 10 repetitions) along with
-// the individual runs. opts apply to every replication.
-func Run(sc Scenario, pol Policy, reps int, baseSeed uint64, workers int, opts RunOptions) (Result, []Result) {
-	return experiment.Run(sc, pol, reps, baseSeed, workers, opts)
-}
-
-// RunAll evaluates the adaptive policy and every static baseline of the
-// scenario — one full Figure 5/6 panel set — as one flat job queue over
-// the sweep engine's worker pool.
-func RunAll(sc Scenario, reps int, baseSeed uint64, workers int, opts RunOptions) []Result {
-	return experiment.RunAll(sc, reps, baseSeed, workers, opts)
 }
 
 // Sweep runs an arbitrary list of panel jobs over a persistent worker
