@@ -114,7 +114,7 @@ ff-smoke:
 
 # Snapshot/restore smoke: the bit-identity property suite (exact +
 # hybrid + fault-enabled + MPC + a window analyzer stopping its ticker
-# mid-run, nested stacks, checkpoint forks, worker counts 1/4/8 with
+# mid-run, nested stacks, World forks, worker counts 1/4/8 with
 # pooled contexts) and the FuzzSnapshotRestore seeds under the race
 # detector, including TestMPCGolden (the MPC controller's decisions,
 # pinned bit for bit) and TestMPCBeatsWorstBaseline (the MPC policy must
@@ -125,17 +125,18 @@ ff-smoke:
 # forecaster (TestRewind*, TestForecasterRewind) and the Adaptive
 # controller's re-evaluation λ̂ (TestSnapshotAdaptiveReevaluate, above).
 snapshot-smoke:
-	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestCheckpoint|TestMPC|FuzzSnapshotRestore'
+	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestMPC|FuzzSnapshotRestore'
 	$(GO) test -race -count=1 ./internal/sim -run 'TestTicker|TestResetMatchesNew'
 	$(GO) test -race -count=1 ./internal/metrics -run 'ZeroSnapshot'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
 	$(GO) test -race -count=1 ./internal/workload -run 'TestRewind|TestScientificZeroGapSnapshot'
 	$(GO) test -race -count=1 ./internal/forecast -run 'TestForecasterRewind'
 
-# CLI golden: eight vmprovsim invocations (-all tables and CSV, the
+# CLI golden: nine vmprovsim invocations (-all tables and CSV, the
 # per-replication rows of single-policy mode, hybrid mode, -series, and
-# an unknown policy's exit 2) must reproduce the stdout, stderr and exit
-# code recorded under cmd/vmprovsim/testdata/cli/ byte for byte.
+# the exit 2 of an unknown policy and of a static fleet above the VM
+# ceiling) must reproduce the stdout, stderr and exit code recorded under
+# cmd/vmprovsim/testdata/cli/ byte for byte.
 cli-golden:
 	@set -e; dir="$$(mktemp -d)"; \
 	$(GO) build -o "$$dir/vmprovsim" ./cmd/vmprovsim; \
@@ -143,14 +144,15 @@ cli-golden:
 	status=0; diff -r cmd/vmprovsim/testdata/cli "$$dir/out" || status=$$?; \
 	rm -rf "$$dir"; exit $$status
 
-# Run every example program end to end with its default flags (a few
-# seconds, most of it webautoscale); a non-zero exit from any fails the
-# gate. `build` only compiles them.
+# Examples golden: every example program runs at its default flags (≈6
+# s, most of it webautoscale) and must reproduce the stdout and exit code
+# recorded under examples/testdata/golden/ byte for byte.
 examples-smoke:
-	@set -e; for pkg in $$($(GO) list ./examples/...); do \
-		echo "$(GO) run $$pkg"; \
-		$(GO) run $$pkg > /dev/null; \
-	done
+	@set -e; dir="$$(mktemp -d)"; \
+	$(GO) build -o "$$dir/bin/" ./examples/...; \
+	bash examples/testdata/examples.sh "$$dir/bin" "$$dir/out"; \
+	status=0; diff -r examples/testdata/golden "$$dir/out" || status=$$?; \
+	rm -rf "$$dir"; exit $$status
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` never builds it: build and test it here, so an internal

@@ -28,34 +28,31 @@ func BenchmarkEnergyFootprint(b *testing.B) {
 // BenchmarkFederatedProvisioning drives the provisioner against a
 // three-cloud federation (the paper's P = (c₁…cₙ)) under a step load.
 func BenchmarkFederatedProvisioning(b *testing.B) {
+	sc := Scenario{
+		Name:    "federated",
+		Horizon: 3500,
+		Cfg:     customConfig(500),
+		NewSource: func() Source {
+			return &StepSource{
+				Times:   []float64{0, 1000, 2000},
+				Rates:   []float64{10, 60, 10},
+				Service: uniformSvc{},
+				Horizon: 3000,
+			}
+		},
+		NewAnalyzer: func(src Source) Analyzer {
+			return &OracleAnalyzer{Source: src, Times: []float64{1000, 2000}}
+		},
+		Fault: FaultSpec{Domains: DomainSpec{Zones: 3}},
+	}
 	for i := 0; i < b.N; i++ {
-		fed := NewFederation(
-			NewDatacenter(),
-			NewDatacenter(),
-			NewDatacenter(),
-		)
-		cfg := Config{
-			QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
-			NominalTr: 1,
-			MaxVMs:    500,
-		}
-		d := NewDeployment(cfg, fed)
-		src := &StepSource{
-			Times:   []float64{0, 1000, 2000},
-			Rates:   []float64{10, 60, 10},
-			Service: uniformSvc{},
-			Horizon: 3000,
-		}
-		an := &OracleAnalyzer{Source: src, Times: []float64{1000, 2000}}
-		d.UseAdaptive(an)
-		d.Start(src, uint64(i)+1, an)
-		res := d.Finish("federated", 3500)
+		res, _ := RunOnce(sc, Adaptive(), uint64(i)+1, RunOptions{})
 		if res.Accepted == 0 {
 			b.Fatal("federated run served nothing")
 		}
 		if i == 0 {
 			b.ReportMetric(res.Utilization, "util")
-			b.ReportMetric(float64(fed.Running()), "leftoverVMs")
+			b.ReportMetric(float64(res.MaxInstances), "maxVMs")
 		}
 	}
 }
@@ -201,31 +198,29 @@ func BenchmarkAblationBurstiness(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			soj := [2]float64{300, 300}
+			if c.peak == 30 {
+				soj = [2]float64{300, 150} // 30·(150/450)=10 mean
+			}
+			sc := Scenario{
+				Name:    c.name,
+				Horizon: 4500,
+				Cfg:     customConfig(200),
+				NewSource: func() Source {
+					return &MMPPSource{
+						Rates:    [2]float64{c.quiet, c.peak},
+						Sojourns: soj,
+						Service:  uniformSvc{},
+						Horizon:  4000,
+					}
+				},
+				NewAnalyzer: func(Source) Analyzer {
+					return &WindowAnalyzer{Interval: 60, Windows: 3, Safety: 1.3}
+				},
+			}
 			var r Result
 			for i := 0; i < b.N; i++ {
-				cfg := Config{
-					QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
-					NominalTr: 1,
-					MaxVMs:    200,
-				}
-				d := NewDeployment(cfg, nil)
-				var soj [2]float64
-				switch c.peak {
-				case 30:
-					soj = [2]float64{300, 150} // 30·(150/450)=10 mean
-				default:
-					soj = [2]float64{300, 300}
-				}
-				src := &MMPPSource{
-					Rates:    [2]float64{c.quiet, c.peak},
-					Sojourns: soj,
-					Service:  uniformSvc{},
-					Horizon:  4000,
-				}
-				an := &WindowAnalyzer{Interval: 60, Windows: 3, Safety: 1.3}
-				d.UseAdaptive(an)
-				d.Start(src, uint64(i)+1, an)
-				r = d.Finish(c.name, 4500)
+				r, _ = RunOnce(sc, Adaptive(), uint64(i)+1, RunOptions{})
 			}
 			b.ReportMetric(r.RejectionRate, "rej")
 			b.ReportMetric(r.Utilization, "util")

@@ -23,10 +23,7 @@ func printRegistries(w io.Writer) {
 	section("policies (-policy, panel \"policies\")", vmprov.PolicyNames())
 	section("workload kinds (spec \"workload.kind\")", vmprov.WorkloadNames())
 	section("placements (spec \"placement\")", vmprov.PlacementNames())
-	section("panel presets (-dumpspec)", []string{
-		"web", "scientific", "all", "web-fault", "web-multi",
-		"web-hybrid", "web-mpc", "web-chaos",
-	})
+	section("panel presets (-dumpspec)", presetNames())
 	fmt.Fprintf(w, "chaos fault tiers (-chaos, -dumpspec web-chaos):\n")
 	for _, tier := range vmprov.ChaosTiers() {
 		d := tier.Domains

@@ -25,7 +25,9 @@
 // Throughput is measured by the separate bench/ harness (bench/README.md).
 //
 // Bad flags exit 2, in every mode: among them a -scale or -horizon that
-// is negative or not finite (0 picks the scenario default) and -reps < 1.
+// is negative or not finite (0 picks the scenario default), -reps < 1, a
+// -spec file that cannot be read or does not compile, and a static fleet
+// (static:<m>, or a static:* rung) above the scenario's VM ceiling.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"vmprov"
 	"vmprov/internal/report"
@@ -52,7 +55,7 @@ func main() {
 		reportMD = flag.String("report", "", "with -all: also write a Markdown report to this file")
 		policy   = flag.String("policy", "adaptive", "registered policy name (adaptive, static:<m>, ...; single-policy mode)")
 		specFile = flag.String("spec", "", "run a declarative JSON panel spec file (\"-\" = stdin)")
-		dump     = flag.String("dumpspec", "", "print a built-in panel spec as JSON: web, scientific, all, web-fault, web-multi, web-hybrid, or web-mpc")
+		dump     = flag.String("dumpspec", "", "print a built-in panel spec as JSON: "+strings.Join(presetNames(), ", "))
 		mode     = flag.String("mode", "", "simulation mode: exact (default) or hybrid analytical fast-forward")
 		record   = flag.String("record", "", "record the scenario's arrival stream as a v2 trace to this file (uses -scenario/-scale/-seed/-horizon)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of a table")
@@ -128,7 +131,7 @@ func main() {
 	if *specFile != "" {
 		if err := runSpecFile(*specFile, *workers, *csv); err != nil {
 			fmt.Fprintln(os.Stderr, "vmprovsim:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		return
 	}

@@ -4,69 +4,81 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"vmprov"
 )
 
-// dumpSpec prints a built-in paper panel spec ("web", "scientific",
-// "all" for one panel holding both scenarios, "web-fault" for the
-// resilience panel with injected crashes and API faults, "web-multi"
-// for the multi-client cohort panel, "web-hybrid" for the hybrid
-// fast-forward validation panel, "web-mpc" for the model-predictive
-// comparison panel, or "web-chaos" for the failure-domain chaos panel)
-// as indented JSON. scale 0 picks each scenario's default; reps and seed
-// are embedded verbatim.
+// panelBuilder builds a built-in panel spec.
+type panelBuilder func(scale float64, reps int, seed uint64) (vmprov.PanelSpec, error)
+
+// presets are the built-in panels -dumpspec prints, in the order -list
+// and the flag help name them. A nil build is the paper panel of the
+// registered scenario of that name.
+var presets = []struct {
+	name  string
+	build panelBuilder
+}{
+	{"web", nil},
+	{"scientific", nil},
+	{"all", paperPanels},
+	{"web-fault", vmprov.FaultPanel},
+	{"web-multi", vmprov.MultiClientPanel},
+	{"web-hybrid", vmprov.HybridPanel},
+	{"web-mpc", vmprov.MPCPanel},
+	{"web-chaos", vmprov.ChaosPanel},
+}
+
+// presetNames lists the preset names in table order.
+func presetNames() []string {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
+	}
+	return names
+}
+
+// paperPanels is the "all" preset: one panel holding the web and
+// scientific paper panels' scenarios.
+func paperPanels(scale float64, reps int, seed uint64) (vmprov.PanelSpec, error) {
+	web, err := vmprov.PaperPanel("web", scale, reps, seed)
+	if err != nil {
+		return vmprov.PanelSpec{}, err
+	}
+	sci, err := vmprov.PaperPanel("scientific", scale, reps, seed)
+	if err != nil {
+		return vmprov.PanelSpec{}, err
+	}
+	web.Name = "paper-panel"
+	web.Scenarios = append(web.Scenarios, sci.Scenarios...)
+	return web, nil
+}
+
+// dumpSpec prints a preset panel spec, or the paper panel of any other
+// registered scenario, as indented JSON. scale 0 picks each scenario's
+// default; reps and seed are embedded verbatim. An unknown name's error
+// lists the registered scenarios and the presets that are not one.
 func dumpSpec(w io.Writer, name string, scale float64, reps int, seed uint64) error {
+	var build panelBuilder
+	var others []string
+	for _, p := range presets {
+		if p.build != nil {
+			others = append(others, strconv.Quote(p.name))
+		}
+		if p.name == name {
+			build = p.build
+		}
+	}
 	var spec vmprov.PanelSpec
-	switch name {
-	case "web-chaos":
-		var err error
-		spec, err = vmprov.ChaosPanel(scale, reps, seed)
-		if err != nil {
-			return err
-		}
-	case "web-mpc":
-		var err error
-		spec, err = vmprov.MPCPanel(scale, reps, seed)
-		if err != nil {
-			return err
-		}
-	case "web-hybrid":
-		var err error
-		spec, err = vmprov.HybridPanel(scale, reps, seed)
-		if err != nil {
-			return err
-		}
-	case "web-fault":
-		var err error
-		spec, err = vmprov.FaultPanel(scale, reps, seed)
-		if err != nil {
-			return err
-		}
-	case "web-multi":
-		var err error
-		spec, err = vmprov.MultiClientPanel(scale, reps, seed)
-		if err != nil {
-			return err
-		}
-	case "all":
-		web, err := vmprov.PaperPanel("web", scale, reps, seed)
-		if err != nil {
-			return err
-		}
-		sci, err := vmprov.PaperPanel("scientific", scale, reps, seed)
-		if err != nil {
-			return err
-		}
-		spec = web
-		spec.Name = "paper-panel"
-		spec.Scenarios = append(spec.Scenarios, sci.Scenarios...)
-	default:
-		var err error
-		spec, err = vmprov.PaperPanel(name, scale, reps, seed)
-		if err != nil {
-			return fmt.Errorf("%w (or \"all\", \"web-fault\", \"web-multi\", \"web-hybrid\", \"web-mpc\", \"web-chaos\")", err)
-		}
+	var err error
+	if build != nil {
+		spec, err = build(scale, reps, seed)
+	} else if spec, err = vmprov.PaperPanel(name, scale, reps, seed); err != nil {
+		err = fmt.Errorf("%w (or %s)", err, strings.Join(others, ", "))
+	}
+	if err != nil {
+		return err
 	}
 	data, err := spec.MarshalJSONIndent()
 	if err != nil {
@@ -78,7 +90,8 @@ func dumpSpec(w io.Writer, name string, scale float64, reps int, seed uint64) er
 
 // runSpecFile loads a JSON panel spec (path "-" reads stdin), compiles
 // it, runs it over the sweep engine, and prints it with printPanel.
-// workers > 0 overrides the spec's worker count.
+// workers > 0 overrides the spec's worker count. Every error comes before
+// the run: the spec could not be read, parsed or compiled.
 func runSpecFile(path string, workers int, csv bool) error {
 	var (
 		data []byte

@@ -26,3 +26,4 @@ run web-static-csv -scenario web -scale 0.05 -horizon 3600 -reps 3 -csv -policy 
 run web-hybrid-all -scenario web -scale 0.05 -horizon 3600 -mode hybrid -all -reps 2
 run sci-series -scenario scientific -scale 0.2 -policy adaptive -series
 run bogus-policy -scenario web -policy bogus
+run static-ceiling -scenario web -scale 0.05 -horizon 600 -policy static:50 -reps 1

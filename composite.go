@@ -16,10 +16,11 @@ type (
 	Pipeline = composite.Pipeline
 	// PipelineResult summarizes a composite run.
 	PipelineResult = composite.Result
-	// ClassResult is one priority class's metrics (SLA extension).
+	// ClassResult is one priority class's metrics (SLA extension), as
+	// Result.Classes lists them.
 	ClassResult = metrics.ClassResult
 	// AdaptiveController is the paper's controller, exported for custom
-	// wiring (deployments and pipeline stages).
+	// wiring (policies and pipeline stages).
 	AdaptiveController = provision.Adaptive
 	// StaticController provisions a fixed fleet.
 	StaticController = provision.Static
@@ -32,7 +33,3 @@ type (
 func NewPipeline(s *sim.Sim, dc *Datacenter, tsTotal float64, stages []Stage) *Pipeline {
 	return composite.New(s, dc, tsTotal, stages)
 }
-
-// ClassResults returns the deployment's per-priority-class metrics (SLA
-// extension); runs without explicit classes yield one class-0 entry.
-func (d *Deployment) ClassResults() []ClassResult { return d.col.ClassResults() }

@@ -34,8 +34,7 @@ func ExampleQoS() {
 		NominalTr: 0.100,
 		MaxVMs:    200,
 	}
-	d := vmprov.NewDeployment(web, nil)
-	fmt.Println("k =", d.Provisioner.K())
+	fmt.Println("k =", vmprov.QueueSize(web.QoS.Ts, web.NominalTr))
 	// Output: k = 2
 }
 

@@ -30,18 +30,24 @@ type uniformService struct{}
 func (uniformService) Sample(r *vmprov.RNG) float64 { return 1 + 0.1*r.Float64() }
 func (uniformService) Mean() float64                { return 1.05 }
 
+// run provisions the flash crowd adaptively with the given analyzer: a
+// custom experiment is a Scenario literal, run like the paper's own.
 func run(name string, makeAnalyzer func(src vmprov.Source) vmprov.Analyzer) vmprov.Result {
-	cfg := vmprov.Config{
-		QoS:       vmprov.QoS{Ts: 2.5, MaxRejection: 0, RejectionTol: 1e-3, MinUtilization: 0.8},
-		NominalTr: 1,
-		MaxVMs:    200,
+	sc := vmprov.Scenario{
+		Name:    "flash-crowd",
+		Horizon: horizon,
+		Cfg: vmprov.Config{
+			QoS:       vmprov.QoS{Ts: 2.5, MaxRejection: 0, RejectionTol: 1e-3, MinUtilization: 0.8},
+			NominalTr: 1,
+			MaxVMs:    200,
+		},
+		NewSource:   func() vmprov.Source { return newSource() },
+		NewAnalyzer: makeAnalyzer,
 	}
-	d := vmprov.NewDeployment(cfg, nil)
-	src := newSource()
-	an := makeAnalyzer(src)
-	d.UseAdaptive(an)
-	d.Start(src, 2024, an)
-	return d.Finish(name, horizon)
+	pol := vmprov.Adaptive()
+	pol.Name = name
+	res, _ := vmprov.RunOnce(sc, pol, 2024, vmprov.RunOptions{})
+	return res
 }
 
 func main() {

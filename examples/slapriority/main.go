@@ -13,19 +13,16 @@ import (
 	"vmprov"
 )
 
-func run(preempt bool) []vmprov.ClassResult {
-	cfg := vmprov.Config{
-		QoS:                vmprov.QoS{Ts: 2.5, MaxRejection: 0, RejectionTol: 1e-3, MinUtilization: 0.8},
-		NominalTr:          1,
-		MaxVMs:             200,
-		PreemptLowPriority: preempt,
-	}
-	d := vmprov.NewDeployment(cfg, nil)
-	d.UseStatic(10) // scarce: offered load will exceed capacity
+const horizon = 4 * 3600
 
-	s := d.Sim
-	r := vmprov.NewRNG(11)
-	const horizon = 4 * 3600
+// classSource is the two-class load: gold (class 1) at 4 req/s and
+// standard (class 0) at 12 req/s — 16 Erlangs of U(1.0, 1.1) s requests,
+// more than a fleet of 10 can serve.
+type classSource struct{}
+
+func (classSource) MeanRate(float64) float64 { return 16 }
+
+func (classSource) Start(s *vmprov.Sim, r *vmprov.RNG, emit func(vmprov.Request)) {
 	var id uint64
 	pump := func(rate float64, class int) {
 		var next func()
@@ -34,7 +31,7 @@ func run(preempt bool) []vmprov.ClassResult {
 				return
 			}
 			id++
-			d.Provisioner.Submit(vmprov.Request{
+			emit(vmprov.Request{
 				ID:      id,
 				Arrival: s.Now(),
 				Service: 1 + 0.1*r.Float64(),
@@ -44,11 +41,27 @@ func run(preempt bool) []vmprov.ClassResult {
 		}
 		s.Schedule(r.ExpFloat64()/rate, next)
 	}
-	pump(4, 1)  // gold: 4 req/s
-	pump(12, 0) // standard: 12 req/s — total 16 Erlangs on 10 servers
+	pump(4, 1)  // gold
+	pump(12, 0) // standard
+}
 
-	d.Finish("sla", horizon)
-	return d.ClassResults()
+func run(preempt bool) []vmprov.ClassResult {
+	sc := vmprov.Scenario{
+		Name:    "sla-priority",
+		Horizon: horizon,
+		Cfg: vmprov.Config{
+			QoS:                vmprov.QoS{Ts: 2.5, MaxRejection: 0, RejectionTol: 1e-3, MinUtilization: 0.8},
+			NominalTr:          1,
+			MaxVMs:             200,
+			PreemptLowPriority: preempt,
+		},
+		NewSource: func() vmprov.Source { return classSource{} },
+		// The adaptive policy would size for the exact rate; this example
+		// runs a static fleet instead.
+		NewAnalyzer: func(src vmprov.Source) vmprov.Analyzer { return &vmprov.OracleAnalyzer{Source: src} },
+	}
+	res, _ := vmprov.RunOnce(sc, vmprov.Static(10), 11, vmprov.RunOptions{}) // scarce fleet
+	return res.Classes
 }
 
 func main() {

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 
 	"vmprov"
 )
@@ -19,21 +20,26 @@ func main() {
 	sc := vmprov.Web(*scale)
 	sc.Horizon = *days * vmprov.Day
 
+	// The paper's 150- and 100-instance baselines, scaled like the load.
+	peakM := max(int(math.Round(150*sc.Scale)), 1)
+	smallM := max(int(math.Round(100*sc.Scale)), 1)
 	adaptive, series := vmprov.RunOnce(sc, vmprov.Adaptive(), 7, vmprov.RunOptions{TrackSeries: true})
-	peak, _ := vmprov.RunOnce(sc, vmprov.Static(15), 7, vmprov.RunOptions{})  // 150 at paper scale
-	small, _ := vmprov.RunOnce(sc, vmprov.Static(10), 7, vmprov.RunOptions{}) // 100 at paper scale
+	peak, _ := vmprov.RunOnce(sc, vmprov.Static(peakM), 7, vmprov.RunOptions{})
+	small, _ := vmprov.RunOnce(sc, vmprov.Static(smallM), 7, vmprov.RunOptions{})
 
 	fmt.Print(vmprov.FigureTable(
 		fmt.Sprintf("web scenario, scale %g, %g day(s) — paper Figure 5 analogue", *scale, *days),
 		[]vmprov.Result{adaptive, small, peak}))
 
+	// The series holds one point per fleet change; print the size in
+	// effect at each whole hour.
 	fmt.Println("\nadaptive fleet size over the day (hourly):")
-	nextHour := 0.0
-	for _, p := range series {
-		if p.T >= nextHour {
-			fmt.Printf("  %5.1f h: %s\n", p.T/3600, bar(p.N))
-			nextHour += 3600
+	n, i := 0, 0
+	for h := 0.0; h <= sc.Horizon; h += 3600 {
+		for ; i < len(series) && series[i].T <= h; i++ {
+			n = series[i].N
 		}
+		fmt.Printf("  %5.1f h: %s\n", h/3600, bar(n))
 	}
 }
 

@@ -6,21 +6,26 @@ import (
 	"testing"
 )
 
-func TestFacadeTracing(t *testing.T) {
-	cfg := Config{
-		QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
-		NominalTr: 1,
-		MaxVMs:    10,
+// staticScenario is a custom scenario for runs under static fleets; its
+// analyzer only matters to the adaptive policy.
+func staticScenario(name string, horizon float64, maxVMs int, src func() Source) Scenario {
+	return Scenario{
+		Name:        name,
+		Horizon:     horizon,
+		Cfg:         customConfig(maxVMs),
+		NewSource:   src,
+		NewAnalyzer: func(src Source) Analyzer { return &OracleAnalyzer{Source: src} },
 	}
-	d := NewDeployment(cfg, nil)
+}
+
+func TestFacadeTracing(t *testing.T) {
+	sc := staticScenario("traced", 100, 10, func() Source {
+		return &PoissonSource{Rate: 1, Service: uniformSvc{}, Horizon: 50}
+	})
 	var buf bytes.Buffer
 	w := NewTraceWriter(&buf)
 	ring := NewTraceRing(100)
-	d.Trace(TraceRecorderMulti(w, ring))
-	d.UseStatic(2)
-	src := &PoissonSource{Rate: 1, Service: uniformSvc{}, Horizon: 50}
-	d.Start(src, 3, nil)
-	res := d.Finish("traced", 100)
+	res, _ := RunOnce(sc, Static(2), 3, RunOptions{Tracer: TraceRecorderMulti(w, ring)})
 	if res.Accepted == 0 {
 		t.Fatal("traced run served nothing")
 	}
@@ -35,22 +40,20 @@ func TestFacadeTracing(t *testing.T) {
 	}
 }
 
-// A deployment's tracer also records the adaptive controller's sizing
+// A run's tracer also records the adaptive controller's sizing
 // decisions: one predict event per analyzer alert.
 func TestFacadeAdaptiveTracing(t *testing.T) {
-	cfg := Config{
-		QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
-		NominalTr: 1,
-		MaxVMs:    10,
+	sc := Scenario{
+		Name:    "traced",
+		Horizon: 100,
+		Cfg:     customConfig(10),
+		NewSource: func() Source {
+			return &StepSource{Times: []float64{0, 50}, Rates: []float64{1, 3}, Service: uniformSvc{}, Horizon: 100}
+		},
+		NewAnalyzer: func(src Source) Analyzer { return &OracleAnalyzer{Source: src, Times: []float64{50}} },
 	}
-	d := NewDeployment(cfg, nil)
 	ring := NewTraceRing(1 << 12)
-	d.Trace(ring)
-	src := &StepSource{Times: []float64{0, 50}, Rates: []float64{1, 3}, Service: uniformSvc{}, Horizon: 100}
-	an := &OracleAnalyzer{Source: src, Times: []float64{50}}
-	d.UseAdaptive(an)
-	d.Start(src, 3, an)
-	d.Finish("traced", 100)
+	RunOnce(sc, Adaptive(), 3, RunOptions{Tracer: ring})
 	preds := ring.Filter(TracePredict)
 	if len(preds) != 2 || preds[0].Value != 1 || preds[1].Value != 3 || preds[1].T != 50 {
 		t.Fatalf("predict events %+v, want λ̂ 1 at t=0 and 3 at t=50", preds)
@@ -79,25 +82,26 @@ func TestFacadeForecasting(t *testing.T) {
 	}
 }
 
+// A scenario spanning two failure domains runs on a federation of two
+// clouds, and the provisioner spreads its fleet over both: an outage of
+// either zone crashes part of the fleet, never all of it.
 func TestFacadeFederationDeployment(t *testing.T) {
-	fed := NewFederation(NewDatacenter(), NewDatacenter())
-	cfg := Config{
-		QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
-		NominalTr: 1,
-		MaxVMs:    20,
-	}
-	d := NewDeployment(cfg, fed)
-	d.UseStatic(6)
-	src := &PoissonSource{Rate: 3, Service: uniformSvc{}, Horizon: 500}
-	d.Start(src, 9, nil)
-	res := d.Finish("federated", 600)
-	if res.Accepted == 0 {
-		t.Fatal("federated deployment served nothing")
-	}
-	// Most-spare-capacity placement spreads across both members.
-	if fed.Member(0).Running() == 0 || fed.Member(1).Running() == 0 {
-		t.Fatalf("federation did not spread: %d/%d",
-			fed.Member(0).Running(), fed.Member(1).Running())
+	sc := staticScenario("federated", 600, 20, func() Source {
+		return &PoissonSource{Rate: 3, Service: uniformSvc{}, Horizon: 500}
+	})
+	sc.Fault = FaultSpec{Domains: DomainSpec{Zones: 2}}
+	for zone := 0; zone < 2; zone++ {
+		w := NewRunContext().Setup(sc, Static(6), 9, RunOptions{})
+		w.RunUntil(300)
+		w.Provisioner().ZoneOutage(zone)
+		w.RunUntil(sc.Horizon)
+		res, _ := w.Finish()
+		if res.Accepted == 0 {
+			t.Fatal("federated run served nothing")
+		}
+		if res.Crashes == 0 || res.Crashes >= 6 {
+			t.Fatalf("zone %d outage crashed %d of 6 instances: the fleet did not spread", zone, res.Crashes)
+		}
 	}
 }
 

@@ -136,24 +136,6 @@ func (f *Federation) Release(now float64, id int) error {
 	return f.members[fv.member].Release(now, fv.localID)
 }
 
-// Running returns the total number of VMs across members.
-func (f *Federation) Running() int {
-	n := 0
-	for _, dc := range f.members {
-		n += dc.Running()
-	}
-	return n
-}
-
-// Capacity returns the total remaining capacity across members.
-func (f *Federation) Capacity(spec VMSpec) int {
-	n := 0
-	for _, dc := range f.members {
-		n += dc.Capacity(spec)
-	}
-	return n
-}
-
 // EnergyKWh sums member energy consumption through time now.
 func (f *Federation) EnergyKWh(now float64) float64 {
 	var e float64

@@ -7,6 +7,24 @@ import (
 	"testing"
 )
 
+// Running returns the total number of VMs across members.
+func (f *Federation) Running() int {
+	n := 0
+	for _, dc := range f.members {
+		n += dc.Running()
+	}
+	return n
+}
+
+// Capacity returns the total remaining capacity across members.
+func (f *Federation) Capacity(spec VMSpec) int {
+	n := 0
+	for _, dc := range f.members {
+		n += dc.Capacity(spec)
+	}
+	return n
+}
+
 // twoMemberFed builds an asymmetric federation: a big member with room
 // for 8 single-core VMs and a small one with room for 2, so spare-
 // capacity placement decisions are observable.

@@ -94,6 +94,9 @@ func (ps PanelSpec) Compile() (*Panel, error) {
 		for _, name := range ps.Policies {
 			if name == staticWildcardName {
 				for _, m := range sc.StaticFleets {
+					if err := checkStaticFleet(sc, m); err != nil {
+						return nil, err
+					}
 					pols = append(pols, StaticPolicy(m))
 				}
 				continue
@@ -101,6 +104,12 @@ func (ps PanelSpec) Compile() (*Panel, error) {
 			pol, err := ResolvePolicy(name)
 			if err != nil {
 				return nil, err
+			}
+			if kind, arg, _ := strings.Cut(name, ":"); kind == "static" {
+				m, _ := parseStaticSize(arg) // ResolvePolicy accepted arg
+				if err := checkStaticFleet(sc, m); err != nil {
+					return nil, err
+				}
 			}
 			pols = append(pols, pol)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,6 +66,40 @@ func TestPanelCompileErrors(t *testing.T) {
 	if err := onlyWildcard.Validate(); err == nil || !strings.Contains(err.Error(), "zero policies") {
 		t.Errorf("wildcard-only panel over an empty ladder not rejected: %v", err)
 	}
+}
+
+// A static fleet above a scenario's VM ceiling is refused with both
+// numbers in the error, whether the panel names it (static:<m>) or
+// expands it from the ladder (static:*); a fleet at the ceiling
+// compiles. A Go caller passing such a policy to RunOnce gets the same
+// message as a panic from World.Setup.
+func TestPanelCompileStaticCeiling(t *testing.T) {
+	web := WebSpec(0.05)
+	if web.Config.MaxVMs != 10 {
+		t.Fatalf("web 0.05 MaxVMs = %d, want 10", web.Config.MaxVMs)
+	}
+	atCeiling := PanelSpec{Scenarios: []ScenarioSpec{web}, Policies: []string{"static:10"}}
+	if err := atCeiling.Validate(); err != nil {
+		t.Fatalf("static fleet at the ceiling refused: %v", err)
+	}
+	const want = `experiment: scenario "web": static fleet of 50 instances exceeds its VM ceiling MaxVMs = 10`
+	named := PanelSpec{Scenarios: []ScenarioSpec{web}, Policies: []string{"adaptive", "static:50"}}
+	if err := named.Validate(); err == nil || err.Error() != want {
+		t.Errorf("static:50 over MaxVMs 10: got %v, want %q", err, want)
+	}
+	ladder := web
+	ladder.StaticFleets = []int{5, 11}
+	rung := PanelSpec{Scenarios: []ScenarioSpec{ladder}, Policies: []string{"static:*"}}
+	if err := rung.Validate(); err == nil || !strings.Contains(err.Error(), "static fleet of 11 instances exceeds its VM ceiling MaxVMs = 10") {
+		t.Errorf("static:* rung 11 over MaxVMs 10: got %v", err)
+	}
+
+	defer func() {
+		if r := recover(); r == nil || fmt.Sprint(r) != want {
+			t.Errorf("RunOnce(StaticPolicy(50)) over MaxVMs 10: recovered %v, want panic %q", r, want)
+		}
+	}()
+	RunOnce(Web(0.05), StaticPolicy(50), 1, RunOptions{})
 }
 
 func TestParsePanelSpecStrict(t *testing.T) {

@@ -97,10 +97,19 @@ func init() {
 		if arg == StaticWildcard {
 			return Policy{}, fmt.Errorf("static:%s expands to a scenario's baseline ladder and is only valid in a panel's policy list", StaticWildcard)
 		}
-		m, err := strconv.Atoi(arg)
-		if err != nil || m < 1 {
-			return Policy{}, fmt.Errorf("static:<m> needs a fleet size m ≥ 1, got %q", arg)
+		m, err := parseStaticSize(arg)
+		if err != nil {
+			return Policy{}, err
 		}
 		return StaticPolicy(m), nil
 	})
+}
+
+// parseStaticSize parses the m of "static:<m>".
+func parseStaticSize(arg string) (int, error) {
+	m, err := strconv.Atoi(arg)
+	if err != nil || m < 1 {
+		return 0, fmt.Errorf("static:<m> needs a fleet size m ≥ 1, got %q", arg)
+	}
+	return m, nil
 }

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"vmprov/internal/metrics"
 	"vmprov/internal/provision"
 	"vmprov/internal/trace"
@@ -41,6 +43,8 @@ func AdaptiveWithAnalyzer(name string, newAnalyzer func(sc Scenario, src workloa
 }
 
 // StaticPolicy is the paper's baseline: a fixed fleet of m instances.
+// m may not exceed the scenario's Cfg.MaxVMs: Panel.Compile rejects such
+// a baseline and World.Setup panics on one.
 func StaticPolicy(m int) Policy {
 	return Policy{
 		Name: (&provision.Static{M: m}).Name(),
@@ -48,6 +52,17 @@ func StaticPolicy(m int) Policy {
 			return &provision.Static{M: m}, nil
 		},
 	}
+}
+
+// checkStaticFleet reports a static fleet above the scenario's VM
+// ceiling. The provisioner clamps every target to Cfg.MaxVMs, so such a
+// baseline would run a smaller fleet under its requested label.
+func checkStaticFleet(sc Scenario, m int) error {
+	if m > sc.Cfg.MaxVMs {
+		return fmt.Errorf("experiment: scenario %q: static fleet of %d instances exceeds its VM ceiling MaxVMs = %d",
+			sc.Name, m, sc.Cfg.MaxVMs)
+	}
+	return nil
 }
 
 // RunOptions tune a replication run.

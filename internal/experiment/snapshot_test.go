@@ -263,40 +263,60 @@ func TestSnapshotWorkers(t *testing.T) {
 	}
 }
 
-// TestCheckpointFork: a fork with no adjustment reproduces the
-// uninterrupted run bit for bit, repeated forks from one checkpoint are
+// forkAt sets up a replication, runs it to at and snapshots it there:
+// the shared prefix of a fork. Release the returned world when done.
+func forkAt(sc Scenario, pol Policy, seed uint64, at float64) *World {
+	w := NewRunContext().Setup(sc, pol, seed, RunOptions{})
+	w.RunUntil(at)
+	w.Snapshot()
+	return w
+}
+
+// fork rewinds w to its held snapshot, applies adjust (nil = none), runs
+// to the horizon and finishes the variant.
+func fork(w *World, adjust func(*World)) metrics.Result {
+	w.Restore()
+	if adjust != nil {
+		adjust(w)
+	}
+	w.RunUntil(w.Scenario().Horizon)
+	res, _ := w.Finish()
+	return res
+}
+
+// TestSnapshotFork: a fork with no adjustment reproduces the
+// uninterrupted run bit for bit, repeated forks from one snapshot are
 // independent of each other, and an adjusted fork actually diverges.
-func TestCheckpointFork(t *testing.T) {
+func TestSnapshotFork(t *testing.T) {
 	web := Web(0.05)
 	web.Horizon = 3600
 	pol := AdaptivePolicy()
 	want, _ := RunOnce(web, pol, 21, RunOptions{})
 
-	rc := NewRunContext()
-	cp := rc.Checkpoint(web, pol, 21, 1200, RunOptions{})
-	defer cp.Close()
-	if cp.At() != 1200 {
-		t.Fatalf("checkpoint at %v, want 1200", cp.At())
+	w := forkAt(web, pol, 21, 1200)
+	defer w.Release()
+	if w.Sim().Now() != 1200 {
+		t.Fatalf("snapshot at %v, want 1200", w.Sim().Now())
 	}
 
-	plain, _ := cp.Fork(nil)
+	plain := fork(w, nil)
 	if !metrics.Equal(plain, want) {
 		t.Fatalf("nil-adjust fork differs from uninterrupted run:\ngot:  %+v\nwant: %+v", plain, want)
 	}
 
 	grow := func(w *World) { w.Provisioner().SetTarget(w.Provisioner().Committed() + 5) }
-	adj1, _ := cp.Fork(grow)
+	adj1 := fork(w, grow)
 	// A fork's future (including its shutdown) must not leak into the
 	// next fork: the same adjustment forked again is identical, and the
 	// plain fork still reproduces the reference afterward.
-	adj2, _ := cp.Fork(grow)
+	adj2 := fork(w, grow)
 	if !metrics.Equal(adj1, adj2) {
 		t.Fatalf("repeated identical forks differ:\n%+v\n%+v", adj1, adj2)
 	}
 	if adj1.AvgInstances <= plain.AvgInstances {
 		t.Fatalf("grown fork did not diverge: avg %v vs plain %v", adj1.AvgInstances, plain.AvgInstances)
 	}
-	replain, _ := cp.Fork(nil)
+	replain := fork(w, nil)
 	if !metrics.Equal(replain, want) {
 		t.Fatalf("nil-adjust fork after adjusted forks differs from reference")
 	}
@@ -305,10 +325,10 @@ func TestCheckpointFork(t *testing.T) {
 	// ticker; the next fork must find the ticker running again.
 	hpol := windowHorizonPolicy()
 	hwant, _ := RunOnce(web, hpol, 21, RunOptions{})
-	hcp := NewRunContext().Checkpoint(web, hpol, 21, 1200, RunOptions{})
-	defer hcp.Close()
+	hw := forkAt(web, hpol, 21, 1200)
+	defer hw.Release()
 	for i := 0; i < 2; i++ {
-		got, _ := hcp.Fork(nil)
+		got := fork(hw, nil)
 		if !metrics.Equal(got, hwant) {
 			t.Fatalf("nil-adjust fork %d of a horizon-bounded window analyzer differs from the uninterrupted run:\ngot:  %+v\nwant: %+v", i, got, hwant)
 		}

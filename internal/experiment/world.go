@@ -15,12 +15,20 @@ import (
 // World is one fully assembled replication, stopped at some point of
 // virtual time: the simulator, data center, collector, RNG tree, fault
 // injector, provisioner, workload source, analyzer, controller, and (in
-// hybrid mode) the fluid engine, all wired together exactly as
-// RunContext.Run wires them. Splitting assembly (Setup) from execution
-// (RunUntil) and teardown (Finish) is what lets a run be frozen
+// hybrid mode) the fluid engine, all wired together; RunContext.Run is
+// Setup, RunUntil(Horizon) and Finish. Splitting assembly (Setup) from
+// execution (RunUntil) and teardown (Finish) is what lets a run be frozen
 // mid-flight: Snapshot captures every component, Restore rewinds all of
 // them together, and the model-predictive policy co-simulates candidate
 // futures between the two.
+//
+// The same steps fork one warmed-up prefix into variant futures: Setup,
+// RunUntil(at) and Snapshot once; then per variant Restore, an optional
+// adjustment (Provisioner().SetTarget, say), RunUntil(Horizon) and
+// Finish; Release at the end. A variant with no adjustment reproduces
+// the uninterrupted run bit for bit. Variants share the prefix and the
+// decisions made in it, so they are paired comparisons, not independent
+// replications.
 //
 // A World borrows its heavy state from the RunContext that built it, so
 // it is single-use: Finish (or abandoning the World) leaves the context
@@ -122,6 +130,11 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 	p.SetTracer(opts.Tracer)
 	src := sc.NewSource()
 	ctrl, analyzer := pol.Build(sc, src)
+	if st, ok := ctrl.(*provision.Static); ok {
+		if err := checkStaticFleet(sc, st.M); err != nil {
+			panic(err)
+		}
+	}
 	ctrl.Attach(s, p)
 	w.src, w.ctrl, w.analyzer = src, ctrl, analyzer
 
@@ -160,8 +173,8 @@ func (rc *RunContext) Setup(sc Scenario, pol Policy, seed uint64, opts RunOption
 // Sim exposes the world's simulator (the virtual clock and event queue).
 func (w *World) Sim() *sim.Sim { return w.s }
 
-// Provisioner exposes the world's application provisioner, so checkpoint
-// forks can steer the fleet (SetTarget) before continuing.
+// Provisioner exposes the world's application provisioner, so a fork
+// can steer the fleet (SetTarget) before continuing.
 func (w *World) Provisioner() *provision.Provisioner { return w.p }
 
 // Scenario returns the scenario this world was assembled for.
@@ -172,10 +185,9 @@ func (w *World) Scenario() Scenario { return w.sc }
 func (w *World) RunUntil(t float64) float64 { return w.s.RunUntil(t) }
 
 // Finish closes the replication at the scenario horizon — draining the
-// fleet and assembling the result — exactly as Run does. The returned
-// series aliases the context's reusable buffer. Finish does not release
-// held snapshots: a checkpoint can Finish one fork, Restore, and fork
-// again.
+// fleet and assembling the result. The returned series aliases the
+// context's reusable buffer. Finish does not release held snapshots: a
+// fork can Finish one variant, Restore, and run the next.
 func (w *World) Finish() (metrics.Result, []metrics.SeriesPoint) {
 	w.p.Shutdown(w.sc.Horizon)
 	res := w.col.Result(w.pol.Name, w.sc.Horizon)

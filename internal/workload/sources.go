@@ -126,17 +126,25 @@ func (ss *StepSource) MeanRate(t float64) float64 {
 // Start schedules a rate-modulated exponential chain (thinning is not
 // needed because the rate is piecewise constant: the chain re-reads the
 // current rate after every arrival and at every boundary).
+//
+// A gap is drawn under the rate in effect when it starts, so the first
+// arrival past a boundary between two positive rates follows the old
+// rate. A modulated Poisson process would redraw at the boundary; the
+// overshoot is kept because TestAnalyzerGolden pins it. Zero-rate
+// segments emit nothing: an arrival landing in one is dropped without a
+// service draw, and the chain sleeps to the segment's closing boundary,
+// where it re-arms without emitting.
 func (ss *StepSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 	arr := r.Split("step/arrivals")
 	svc := r.Split("step/service")
-	var next func()
+	var next, wake func()
 	schedule := func() {
 		rate := ss.MeanRate(s.Now())
 		if rate <= 0 {
-			// Idle segment: wake up at the next boundary.
+			// Idle segment: sleep to the next boundary.
 			for _, b := range ss.Times {
 				if b > s.Now() {
-					s.At(b, next)
+					s.At(b, wake)
 					return
 				}
 			}
@@ -144,16 +152,20 @@ func (ss *StepSource) Start(s *sim.Sim, r *stats.RNG, emit func(Request)) {
 		}
 		s.Schedule(arr.ExpFloat64()/rate, next)
 	}
+	wake = func() {
+		if ss.Horizon > 0 && s.Now() >= ss.Horizon {
+			return
+		}
+		schedule()
+	}
 	next = func() {
 		now := s.Now()
 		if ss.Horizon > 0 && now >= ss.Horizon {
 			return
 		}
-		// An arrival scheduled under the previous rate may land after a
-		// boundary; that is exactly how a modulated Poisson process
-		// behaves for small boundary overshoot and is immaterial to the
-		// tests. Emit and continue under the current rate.
-		emit(Request{ID: ss.ids.next(), Arrival: now, Service: ss.Service.Sample(svc)})
+		if ss.MeanRate(now) > 0 {
+			emit(Request{ID: ss.ids.next(), Arrival: now, Service: ss.Service.Sample(svc)})
+		}
 		schedule()
 	}
 	schedule()

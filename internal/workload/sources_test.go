@@ -148,11 +148,37 @@ func TestStepSourceIdleSegment(t *testing.T) {
 		n++
 	})
 	s.Run()
-	if first < 100 {
+	if first <= 100 {
 		t.Fatalf("arrival at %v during idle segment", first)
 	}
 	if n < 300 {
 		t.Fatalf("second segment volume %d, want ≈500", n)
+	}
+}
+
+// Zero-rate segments emit nothing, not even on their closing boundary:
+// the chain wakes there without emitting, and a gap drawn before the
+// rate drops to zero does not fire inside the zero segment.
+func TestStepSourceZeroRateSegments(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		src := &StepSource{
+			Times:   []float64{0, 100, 200},
+			Rates:   []float64{0, 5, 0},
+			Service: stats.Deterministic{Value: 1},
+			Horizon: 300,
+		}
+		s := sim.New()
+		n := 0
+		src.Start(s, stats.NewRNG(seed), func(q Request) {
+			if q.Arrival <= 100 || q.Arrival >= 200 {
+				t.Fatalf("seed %d: arrival at %v outside the positive-rate segment (100, 200)", seed, q.Arrival)
+			}
+			n++
+		})
+		s.Run()
+		if n < 300 {
+			t.Fatalf("seed %d: segment volume %d, want ≈500", seed, n)
+		}
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"vmprov/internal/trace"
 )
 
-// Structured run tracing, re-exported for deployments that need an audit
-// trail of scaling decisions and request lifecycles.
+// Structured run tracing, re-exported for runs that need an audit trail
+// of scaling decisions and request lifecycles (RunOptions.Tracer).
 type (
 	// TraceEvent is one structured trace record.
 	TraceEvent = trace.Event
@@ -77,9 +77,3 @@ func DecodeTraceV2(r io.Reader) (TraceV2Header, []TraceV2Record, error) {
 func RecordTrace(sc Scenario, seed uint64, w io.Writer) (int, error) {
 	return experiment.RecordTrace(sc, seed, w)
 }
-
-// Trace adds a structured event recorder to the deployment's
-// provisioner: the request lifecycle, scaling, fleet transitions and,
-// under UseAdaptive, one predict event per sizing decision. A second call
-// adds a second recorder; both receive every event.
-func (d *Deployment) Trace(tr TraceRecorder) { d.Provisioner.SetTracer(tr) }

@@ -12,9 +12,12 @@
 //   - the paper's evaluation scenarios (Web, Sci), policies (Adaptive,
 //     Static, MPC) and runners (RunOnce for one replication, PaperPanel
 //     and Panel.Run for the figures' replication grids),
-//   - the sizing algorithm itself (Algorithm1) for standalone use,
-//   - the building blocks for custom deployments (NewDeployment) with
-//     user-supplied workloads, analyzers, and QoS contracts.
+//   - the sizing algorithm itself (Algorithm1, with Equation 1 as
+//     QueueSize) for standalone use,
+//   - custom experiments: a Scenario literal carrying user-supplied
+//     workloads, analyzers and QoS contracts runs through RunOnce like
+//     the paper's, and the World a RunContext sets up is stepped,
+//     snapshotted, forked and finished by hand.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every figure.
@@ -25,6 +28,7 @@ import (
 	"vmprov/internal/experiment"
 	"vmprov/internal/metrics"
 	"vmprov/internal/provision"
+	"vmprov/internal/queueing"
 	"vmprov/internal/sim"
 	"vmprov/internal/stats"
 	"vmprov/internal/workload"
@@ -41,6 +45,9 @@ type (
 	// workloads).
 	ClientResult = metrics.ClientResult
 	// Scenario is an evaluation setup: workload, analyzer, QoS, baselines.
+	// A literal with its own NewSource and NewAnalyzer is a custom
+	// experiment; Fault.Domains.Zones ≥ 2 runs it on a federation of
+	// that many clouds.
 	Scenario = experiment.Scenario
 	// Policy is a named provisioning policy runnable over a Scenario.
 	Policy = experiment.Policy
@@ -56,11 +63,9 @@ type (
 	// data center, and collector).
 	RunContext = experiment.RunContext
 	// World is one assembled replication frozen in flight — the
-	// snapshot/restore surface behind MPC policies and checkpointing.
+	// snapshot/restore surface behind MPC policies and forked what-if
+	// runs (RunContext.Setup returns one).
 	World = experiment.World
-	// Checkpoint is a warmed-up replication that variant futures can be
-	// forked from without re-simulating the shared prefix.
-	Checkpoint = experiment.Checkpoint
 	// QoS holds the negotiated targets (response time, rejection,
 	// utilization floor).
 	QoS = provision.QoS
@@ -84,15 +89,8 @@ type (
 	RNG = stats.RNG
 	// Datacenter is the IaaS substrate.
 	Datacenter = cloud.Datacenter
-	// Federation is a set of clouds P = (c₁, …, cₙ) acting as one VM
-	// provider.
-	Federation = cloud.Federation
-	// Provider supplies VMs (a Datacenter or a Federation).
-	Provider = cloud.Provider
 	// VMSpec describes an application VM.
 	VMSpec = cloud.VMSpec
-	// PowerModel is the linear host energy model.
-	PowerModel = cloud.PowerModel
 	// Placement selects the VM-to-host mapping policy.
 	Placement = cloud.Placement
 	// Tolerance bounds how far two Results may drift before ResultsCloseTo
@@ -198,6 +196,11 @@ func ClientBreakdownCSV(results []Result) string {
 // the current fleet, it returns the number of instances able to meet QoS.
 func Algorithm1(in SizingInput) int { return provision.Algorithm1(in) }
 
+// QueueSize is the paper's Equation 1, the per-instance queue size
+// k = ⌊Ts/Tr⌋ (at least 1) that SizingInput.K takes: ts is the
+// negotiated response time, tr a request's nominal execution time.
+func QueueSize(ts, tr float64) int { return queueing.QueueSize(ts, tr) }
+
 // NewRNG returns a seeded random stream for custom sources.
 func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 
@@ -205,11 +208,5 @@ func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 func NewSim() *Sim { return sim.New() }
 
 // NewDatacenter returns the paper's default data center (1000 hosts of
-// two quad-cores and 16 GB each).
+// two quad-cores and 16 GB each), for NewPipeline.
 func NewDatacenter() *Datacenter { return cloud.NewDefault() }
-
-// NewFederation groups data centers into one provider.
-func NewFederation(members ...*Datacenter) *Federation { return cloud.NewFederation(members...) }
-
-// DefaultPowerModel returns the reference host energy model.
-func DefaultPowerModel() PowerModel { return cloud.DefaultPowerModel() }

@@ -37,24 +37,40 @@ func TestFacadeAlgorithm1(t *testing.T) {
 	}
 }
 
-func TestFacadeDeployment(t *testing.T) {
-	cfg := Config{
+// customConfig is the QoS contract of the custom experiments below:
+// Ts = 2.5 s over ≈1 s requests, so k = 2.
+func customConfig(maxVMs int) Config {
+	return Config{
 		QoS:       QoS{Ts: 2.5, MaxRejection: 0, RejectionTol: 1e-3, MinUtilization: 0.8},
 		NominalTr: 1,
-		MaxVMs:    50,
+		MaxVMs:    maxVMs,
 	}
-	d := NewDeployment(cfg, nil)
-	src := &PoissonSource{Rate: 4, Service: uniformSvc{}, Horizon: 2000}
-	an := &WindowAnalyzer{Interval: 100, Windows: 3, Safety: 1.3}
-	d.UseAdaptive(an)
-	d.Start(src, 5, an)
-	res := d.Finish("custom", 2500)
+}
+
+// TestFacadeDeployment runs a custom experiment, a Scenario literal with
+// its own source, analyzer and QoS contract, through RunOnce.
+func TestFacadeDeployment(t *testing.T) {
+	sc := Scenario{
+		Name:    "custom",
+		Horizon: 2500,
+		Cfg:     customConfig(50),
+		NewSource: func() Source {
+			return &PoissonSource{Rate: 4, Service: uniformSvc{}, Horizon: 2000}
+		},
+		NewAnalyzer: func(Source) Analyzer {
+			return &WindowAnalyzer{Interval: 100, Windows: 3, Safety: 1.3}
+		},
+	}
+	res, _ := RunOnce(sc, Adaptive(), 5, RunOptions{})
 	if res.Accepted == 0 {
-		t.Fatal("deployment served nothing")
+		t.Fatal("custom scenario served nothing")
 	}
-	classes := d.ClassResults()
-	if len(classes) != 1 || classes[0].Class != 0 {
-		t.Fatalf("class results wrong: %+v", classes)
+	if res.EnergyKWh <= 0 || res.Events == 0 {
+		t.Fatalf("custom run reports energy %v kWh and %d events", res.EnergyKWh, res.Events)
+	}
+	// Class-0 traffic alone has no per-class breakdown.
+	if res.Classes != nil {
+		t.Fatalf("class results wrong: %+v", res.Classes)
 	}
 }
 
