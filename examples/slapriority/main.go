@@ -55,10 +55,9 @@ func run(preempt bool) []vmprov.ClassResult {
 			MaxVMs:             200,
 			PreemptLowPriority: preempt,
 		},
+		// A static fleet builds no analyzer, so the scenario needs no
+		// analyzer factory.
 		NewSource: func() vmprov.Source { return classSource{} },
-		// The adaptive policy would size for the exact rate; this example
-		// runs a static fleet instead.
-		NewAnalyzer: func(src vmprov.Source) vmprov.Analyzer { return &vmprov.OracleAnalyzer{Source: src} },
 	}
 	res, _ := vmprov.RunOnce(sc, vmprov.Static(10), 11, vmprov.RunOptions{}) // scarce fleet
 	return res.Classes

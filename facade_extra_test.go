@@ -6,15 +6,14 @@ import (
 	"testing"
 )
 
-// staticScenario is a custom scenario for runs under static fleets; its
-// analyzer only matters to the adaptive policy.
+// staticScenario is a custom scenario for runs under static fleets,
+// which build no analyzer, so it has no analyzer factory.
 func staticScenario(name string, horizon float64, maxVMs int, src func() Source) Scenario {
 	return Scenario{
-		Name:        name,
-		Horizon:     horizon,
-		Cfg:         customConfig(maxVMs),
-		NewSource:   src,
-		NewAnalyzer: func(src Source) Analyzer { return &OracleAnalyzer{Source: src} },
+		Name:      name,
+		Horizon:   horizon,
+		Cfg:       customConfig(maxVMs),
+		NewSource: src,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmprov/internal/fault"
 	"vmprov/internal/metrics"
 	"vmprov/internal/trace"
 )
@@ -156,6 +157,38 @@ func TestHybridRejectsShedding(t *testing.T) {
 	sc.Cfg.Shed.Classes = 2
 	if err := sc.Validate(); err == nil {
 		t.Fatal("hybrid scenario with shedding validated")
+	}
+}
+
+// A federation with no domain fault process runs hybrid. Zones alone
+// only spreads instances over member clouds, so the fast-forwarded run
+// offers and rejects the same requests as the one-cloud hybrid run (web
+// scale 0.05, 2 h, Adaptive, seed 3: 203,292 arrivals, 41 rejected). A
+// fault process on the federation still refuses hybrid.
+func TestHybridFederationWithoutFaults(t *testing.T) {
+	one := Web(0.05)
+	one.Horizon = 2 * 3600
+	one.Mode = ModeHybrid
+	fed := one
+	fed.Fault.Domains.Zones = 2
+	if err := fed.Validate(); err != nil {
+		t.Fatalf("hybrid federation without fault processes: %v", err)
+	}
+	a, _ := RunOnce(one, AdaptivePolicy(), 3, RunOptions{})
+	b, _ := RunOnce(fed, AdaptivePolicy(), 3, RunOptions{})
+	if a.Accepted == 0 || a.Accepted != b.Accepted || a.Rejected != b.Rejected {
+		t.Fatalf("two-zone hybrid run accepted %d and rejected %d; one zone accepted %d and rejected %d",
+			b.Accepted, b.Rejected, a.Accepted, a.Rejected)
+	}
+	for name, d := range map[string]fault.DomainSpec{
+		"outage":   {Zones: 2, Outage: fault.OutageSpec{MTBF: 3600, Duration: 600}},
+		"brownout": {Zones: 2, Brownout: fault.BrownoutSpec{MTBF: 3600, Duration: 600, ErrorProb: 0.1}},
+		"storm":    {Zones: 2, Storm: fault.StormSpec{MTBF: 3600, KillProb: 0.1}},
+	} {
+		fed.Fault.Domains = d
+		if err := fed.Validate(); err == nil || !strings.Contains(err.Error(), "failure-domain") {
+			t.Errorf("hybrid federation with a %s process: %v, want the failure-domain refusal", name, err)
+		}
 	}
 }
 

@@ -105,3 +105,33 @@ func TestRegisterPolicyExtension(t *testing.T) {
 	}()
 	RegisterPolicy("adaptive", "", func(string) (Policy, error) { return Policy{}, nil })
 }
+
+// A scenario run only under static fleets needs no analyzer factory: a
+// Static run without one completes through RunOnce, equal to the run
+// with one, while the adaptive policies refuse the scenario by name.
+func TestStaticScenarioNeedsNoAnalyzer(t *testing.T) {
+	with := Sci(0.1)
+	with.Horizon = 6 * 3600
+	without := with
+	without.Name = "static-only"
+	without.NewAnalyzer = nil
+	if err := without.Validate(); err != nil {
+		t.Fatalf("scenario without an analyzer factory: %v", err)
+	}
+	a, _ := RunOnce(with, StaticPolicy(3), 7, RunOptions{})
+	b, _ := RunOnce(without, StaticPolicy(3), 7, RunOptions{})
+	if b.Accepted == 0 || !metrics.Equal(a, b) {
+		t.Fatalf("static run without an analyzer factory:\n%+v\nwith one:\n%+v", b, a)
+	}
+	for _, pol := range []Policy{AdaptivePolicy(), AdaptiveWithAnalyzer("Adaptive-None", nil)} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), `"static-only"`) {
+					t.Errorf("%s on a scenario without an analyzer factory: recovered %v, want an error naming the scenario", pol.Name, err)
+				}
+			}()
+			RunOnce(without, pol, 7, RunOptions{})
+		}()
+	}
+}

@@ -19,23 +19,28 @@ type Policy struct {
 }
 
 // AdaptivePolicy is the paper's mechanism with the scenario's analyzer.
+// Building it for a scenario without an analyzer factory panics with an
+// error that names the scenario.
 func AdaptivePolicy() Policy {
-	return Policy{
-		Name: "Adaptive",
-		Build: func(sc Scenario, src workload.Source) (provision.Controller, workload.Analyzer) {
-			an := sc.NewAnalyzer(src)
-			return &provision.Adaptive{Analyzer: an}, an
-		},
-	}
+	return AdaptiveWithAnalyzer("Adaptive", func(sc Scenario, src workload.Source) workload.Analyzer {
+		if sc.NewAnalyzer == nil {
+			panic(fmt.Errorf("experiment: scenario %q has no analyzer factory (NewAnalyzer) for the adaptive policy", sc.Name))
+		}
+		return sc.NewAnalyzer(src)
+	})
 }
 
 // AdaptiveWithAnalyzer runs the paper's mechanism with a custom analyzer
 // factory — used by the prediction-ablation benches and the
-// custom-workload example.
+// custom-workload example. Building it with a nil factory panics with an
+// error that names the scenario.
 func AdaptiveWithAnalyzer(name string, newAnalyzer func(sc Scenario, src workload.Source) workload.Analyzer) Policy {
 	return Policy{
 		Name: name,
 		Build: func(sc Scenario, src workload.Source) (provision.Controller, workload.Analyzer) {
+			if newAnalyzer == nil {
+				panic(fmt.Errorf("experiment: policy %q has no analyzer factory for scenario %q", name, sc.Name))
+			}
 			an := newAnalyzer(sc, src)
 			return &provision.Adaptive{Analyzer: an}, an
 		},

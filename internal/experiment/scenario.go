@@ -61,7 +61,9 @@ type Scenario struct {
 	// NewSource builds a fresh workload source for one replication.
 	NewSource func() workload.Source
 	// NewAnalyzer builds the adaptive policy's analyzer for a fresh
-	// source.
+	// source. A scenario run only under policies that build no analyzer
+	// (Static, Scheduled) may leave it nil; AdaptivePolicy fails on such
+	// a scenario, naming it.
 	NewAnalyzer func(src workload.Source) workload.Analyzer
 
 	// StaticFleets lists the paper's static baseline sizes, already
@@ -138,8 +140,8 @@ func maxVMs(paperCeil int, scale float64) int {
 
 // Validate reports scenario wiring errors.
 func (sc Scenario) Validate() error {
-	if sc.NewSource == nil || sc.NewAnalyzer == nil {
-		return fmt.Errorf("experiment: scenario %q missing source or analyzer factory", sc.Name)
+	if sc.NewSource == nil {
+		return fmt.Errorf("experiment: scenario %q missing source factory", sc.Name)
 	}
 	if sc.Horizon <= 0 {
 		return fmt.Errorf("experiment: scenario %q has non-positive horizon", sc.Name)
@@ -150,7 +152,10 @@ func (sc Scenario) Validate() error {
 	if err := sc.Fault.Validate(); err != nil {
 		return fmt.Errorf("experiment: scenario %q: %w", sc.Name, err)
 	}
-	if sc.Mode == ModeHybrid && !sc.Fault.Domains.IsZero() {
+	// A federation alone (Zones) changes where instances are placed,
+	// which fluid ticks model as well as exact ones do; only a domain
+	// fault process injects events they cannot.
+	if sc.Mode == ModeHybrid && sc.Fault.Domains.HasProcess() {
 		return fmt.Errorf("experiment: scenario %q: hybrid mode cannot fast-forward failure-domain faults; use exact mode", sc.Name)
 	}
 	// Fluid ticks never shed, so a hybrid run would undercount the

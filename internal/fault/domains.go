@@ -44,6 +44,12 @@ type DomainSpec struct {
 // IsZero reports whether the spec declares no domain faults.
 func (d DomainSpec) IsZero() bool { return d == DomainSpec{} }
 
+// HasProcess reports whether an outage, brownout or storm process is
+// enabled: a spec with Zones alone declares a federation and no fault.
+func (d DomainSpec) HasProcess() bool {
+	return d.Outage.MTBF > 0 || d.Brownout.MTBF > 0 || d.Storm.MTBF > 0
+}
+
 // OutageSpec parameterizes one zone's Markov on/off outage process: the
 // zone stays up Exp(MTBF), goes dark for Exp(Duration), and repeats.
 // MTBF 0 disables outages.

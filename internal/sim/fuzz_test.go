@@ -10,11 +10,15 @@ import (
 
 // This file checks the arena-backed 4-ary heap kernel against a naive
 // sorted-slice reference scheduler: random interleavings of At/Schedule/
-// ScheduleFire/AtFire/Cancel/RunUntil/Step must produce identical firing
-// orders, clock values, pending counts, and cancel results. The reference has no arena,
-// no free list, and no heap — just a linear-scan minimum over (time,
-// seq) — so any disagreement implicates the kernel's clever parts,
-// including cancel-then-reuse aliasing of pooled event slots.
+// ScheduleFire/AtFire/Cancel/RunUntil/Step, near-constant-delay
+// completions, deferred-slot and inline events (DeferReserved,
+// InlineOrDefer) and Snapshot/Restore must produce identical firing
+// orders, clock values, pending and processed counts, and cancel results.
+// The reference has no arena, no free list, no heap, no lane and no
+// deferred slot — just a linear-scan minimum over (time, seq) — so any
+// disagreement implicates the kernel's clever parts, including
+// cancel-then-reuse aliasing of pooled event slots and the merge of the
+// heap, the lane and the slot.
 
 // refEvent is one pending event of the reference scheduler.
 type refEvent struct {
@@ -26,16 +30,41 @@ type refEvent struct {
 // refSched is the obviously-correct scheduler: an unsorted slice popped
 // by linear minimum scan.
 type refSched struct {
-	now    float64
-	seq    uint64
-	events []refEvent
+	now       float64
+	seq       uint64
+	processed uint64
+	events    []refEvent
 }
 
 func (r *refSched) insert(t float64, id int) uint64 {
-	seq := r.seq
-	r.seq++
+	seq := r.reserve()
 	r.events = append(r.events, refEvent{t: t, seq: seq, id: id})
 	return seq
+}
+
+// reserve consumes the next sequence number, like Sim.ReserveSeq.
+func (r *refSched) reserve() uint64 {
+	seq := r.seq
+	r.seq++
+	return seq
+}
+
+// dueNext reports whether an event (t, seq) orders before every pending
+// one.
+func (r *refSched) dueNext(t float64, seq uint64) bool {
+	for _, e := range r.events {
+		if e.t < t || (e.t == t && e.seq < seq) {
+			return false
+		}
+	}
+	return true
+}
+
+// snapshot returns a copy of the reference's whole state.
+func (r *refSched) snapshot() refSched {
+	cp := *r
+	cp.events = slices.Clone(r.events)
+	return cp
 }
 
 // cancel removes the pending event with the given insertion seq,
@@ -94,13 +123,7 @@ func (r *refSched) runUntil(t float64, fired *[]firing) {
 		if r.events[min].t > t {
 			break
 		}
-		e := r.popMin()
-		r.now = e.t
-		*fired = append(*fired, firing{id: e.id, t: e.t})
-		if spawnsChild(e.id) {
-			cid, d := childOf(e.id)
-			r.insert(r.now+d, cid)
-		}
+		r.fire(r.popMin(), fired)
 	}
 	if !math.IsInf(t, 1) && t > r.now {
 		r.now = t
@@ -112,14 +135,20 @@ func (r *refSched) step(fired *[]firing) bool {
 	if len(r.events) == 0 {
 		return false
 	}
-	e := r.popMin()
+	r.fire(r.popMin(), fired)
+	return true
+}
+
+// fire runs one event that has left the pending set: the clock moves to
+// it, it counts as processed, and the child rule applies.
+func (r *refSched) fire(e refEvent, fired *[]firing) {
 	r.now = e.t
+	r.processed++
 	*fired = append(*fired, firing{id: e.id, t: e.t})
 	if spawnsChild(e.id) {
 		cid, d := childOf(e.id)
 		r.insert(r.now+d, cid)
 	}
-	return true
 }
 
 // checkModel drives both schedulers through the op sequence encoded in
@@ -159,6 +188,9 @@ func checkModel(t *testing.T, data []byte) {
 		if s.Pending() != len(ref.events) {
 			t.Fatalf("op %d: pending diverged: kernel %d, reference %d", op, s.Pending(), len(ref.events))
 		}
+		if s.Processed() != ref.processed {
+			t.Fatalf("op %d: processed diverged: kernel %d, reference %d", op, s.Processed(), ref.processed)
+		}
 		if len(gotFired) != len(wantFired) {
 			t.Fatalf("op %d: fired %d events, reference fired %d", op, len(gotFired), len(wantFired))
 		}
@@ -170,9 +202,17 @@ func checkModel(t *testing.T, data []byte) {
 		}
 	}
 
+	// The snapshot op's held state: both schedulers' snapshots and the
+	// lengths of the firing histories and handle lists at capture.
+	var (
+		snap            *Snapshot
+		refSnap         refSched
+		firedAt, heldAt int
+	)
+
 	nextID := 1
 	for op := 0; op+2 < len(data); op += 3 {
-		code, x, y := data[op]%10, float64(data[op+1]), int(data[op+2])
+		code, x, y := data[op]%13, float64(data[op+1]), int(data[op+2])
 		switch code {
 		case 0, 1: // schedule a fresh event at now + x/8
 			id := nextID
@@ -230,6 +270,53 @@ func checkModel(t *testing.T, data []byte) {
 				handles = append(handles, s.At(at, fireFn(id)))
 				refSeqs = append(refSeqs, ref.insert(at, id))
 			}
+		case 10: // interned event at a near-constant delay, like a web
+			// completion: by how x compares with the pending ones it
+			// appends to the lane, goes one place before its tail, or
+			// falls back to the heap
+			id := nextID
+			nextID++
+			d := 2 + x/1024
+			s.ScheduleFire(d, interned(id))
+			ref.insert(ref.now+d, id)
+		case 11: // snapshot both schedulers, or restore both to the held
+			// snapshot: an odd y drops it afterwards, an even y keeps it
+			// for another restore
+			if snap == nil {
+				snap = new(Snapshot)
+				s.Snapshot(snap)
+				refSnap = ref.snapshot()
+				firedAt, heldAt = len(gotFired), len(handles)
+				break
+			}
+			s.Restore(snap)
+			*ref = refSnap.snapshot()
+			gotFired, wantFired = gotFired[:firedAt], wantFired[:firedAt]
+			// Handles from the discarded future are the future's:
+			// its events are gone, and its arena slots may be reused.
+			handles, refSeqs = handles[:heldAt], refSeqs[:heldAt]
+			if y%2 == 1 {
+				snap = nil
+			}
+		case 12: // a batched source's reserved event at now + x/8: parked
+			// on the deferred slot (even y) or settled by InlineOrDefer
+			// (odd y), which advances inline exactly when it is due next
+			id := nextID
+			nextID++
+			at := s.Now() + x/8
+			f := interned(id)
+			seq, rseq := s.ReserveSeq(), ref.reserve()
+			due := ref.dueNext(at, rseq)
+			if y%2 == 0 {
+				s.DeferReserved(at, seq, f)
+			} else if inline := s.InlineOrDefer(at, seq, f); inline != due {
+				t.Fatalf("op %d: InlineOrDefer(%v, %d) inline = %v, reference due next = %v", op, at, seq, inline, due)
+			} else if inline {
+				fireFn(id)()
+				ref.fire(refEvent{t: at, seq: rseq, id: id}, &wantFired)
+				break
+			}
+			ref.events = append(ref.events, refEvent{t: at, seq: rseq, id: id})
 		}
 		sync(op)
 	}
@@ -258,6 +345,13 @@ func FuzzSimHeap(f *testing.F) {
 	// −0 at time 0, interned and arena, among seven events: the heap
 	// must order −0 as +0, ahead of every later time.
 	f.Add([]byte{0, 8, 0, 9, 0, 1, 8, 16, 0, 0, 24, 0, 9, 0, 3, 8, 4, 0, 0, 2, 0, 9, 0, 1, 5, 0, 0, 4, 255, 0})
+	// Lane, heap and deferred-slot events at one instant, t = 2: a
+	// near-FIFO event on the empty lane, a tail append, a one-before-tail
+	// insert and a heap fallback, then an arena event, a slot event, an
+	// interned heap event and a second slot request that finds the slot
+	// taken; then a snapshot, drains, and two restores of it.
+	f.Add([]byte{10, 0, 0, 10, 255, 0, 10, 128, 0, 10, 0, 0, 0, 16, 0, 12, 16, 0, 8, 16, 0, 12, 16, 1,
+		11, 0, 0, 4, 255, 0, 11, 0, 0, 5, 0, 0, 4, 255, 0, 11, 0, 1, 4, 255, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*400 {
 			t.Skip("cap op count: the reference is quadratic")
@@ -362,9 +456,12 @@ func TestNegativeZeroOrdersAsZero(t *testing.T) {
 	}
 	// A batched source consuming a −0 event inline leaves the clock at +0.
 	s = New()
-	s.InlineFire(negZero, s.ReserveSeq())
-	s.ScheduleFire(negZero, s.RegisterFire(func(any) {}, nil))
+	nop := s.RegisterFire(func(any) {}, nil)
+	if !s.InlineOrDefer(negZero, s.ReserveSeq(), nop) {
+		t.Fatal("InlineOrDefer(−0) on an empty simulator parked the event")
+	}
+	s.ScheduleFire(negZero, nop)
 	if math.Signbit(s.Now()) || !s.Step() || math.Signbit(s.Now()) {
-		t.Fatal("clock reads −0 after InlineFire(−0)")
+		t.Fatal("clock reads −0 after InlineOrDefer(−0)")
 	}
 }

@@ -134,32 +134,95 @@ func TestRunUntilResume(t *testing.T) {
 }
 
 // Until reports the innermost RunUntil bound while it is in progress, and
-// InlineFire refuses an event beyond it: RunUntil would have left that
-// event pending.
-func TestUntilBoundsInlineFire(t *testing.T) {
+// InlineOrDefer refuses to advance inline to an event beyond it: it parks
+// the event, which RunUntil leaves pending at its bound and the outer
+// run fires in its place.
+func TestUntilBoundsInlineOrDefer(t *testing.T) {
 	s := New()
-	var bounds []float64
-	panicked := false
+	var bounds, fired []float64
+	f := s.RegisterFire(func(any) { fired = append(fired, s.Now()) }, nil)
+	inline := true
 	s.Schedule(1, func() {
 		bounds = append(bounds, s.Until())
 		s.RunUntil(3) // nested: nothing pending by then
 		bounds = append(bounds, s.Until())
-		defer func() { panicked = recover() != nil }()
 		s.RunUntil(4)
+		if s.Now() != 4 || s.Pending() != 1 {
+			t.Errorf("after RunUntil(4): now %v, pending %d; want 4 and the parked event", s.Now(), s.Pending())
+		}
 	})
 	s.Schedule(3.5, func() {
 		bounds = append(bounds, s.Until())
-		s.InlineFire(4.5, s.ReserveSeq())
+		inline = s.InlineOrDefer(4.5, s.ReserveSeq(), f)
 	})
 	s.RunUntil(10)
 	if !slices.Equal(bounds, []float64{10, 10, 4}) {
 		t.Fatalf("bounds seen %v, want [10 10 4]", bounds)
 	}
-	if !panicked {
-		t.Fatal("InlineFire beyond the RunUntil bound did not panic")
+	if inline {
+		t.Fatal("InlineOrDefer advanced inline beyond the RunUntil bound")
+	}
+	if !slices.Equal(fired, []float64{4.5}) {
+		t.Fatalf("parked event fired at %v, want [4.5]", fired)
 	}
 	if !math.IsInf(s.Until(), 1) {
 		t.Fatalf("Until outside RunUntil = %v, want +Inf", s.Until())
+	}
+}
+
+// InlineOrDefer advances inline only to the event due next: one behind a
+// pending event of the heap, the lane or the deferred slot — an earlier
+// time, or the same time and an earlier sequence — is parked and fires
+// in its place; a time before the clock or not finite panics.
+func TestInlineOrDeferRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pending func(s *Sim, f FireID) // schedules one event at t=2
+	}{
+		{"heap", func(s *Sim, f FireID) { s.AtFunc(2, func(any) {}, nil) }},
+		{"lane", func(s *Sim, f FireID) { s.AtFire(2, f) }},
+		{"slot", func(s *Sim, f FireID) { s.DeferReserved(2, s.ReserveSeq(), f) }},
+	} {
+		for _, at := range []float64{1.5, 2, 3} {
+			s := New()
+			nop := s.RegisterFire(func(any) {}, nil)
+			if at == 1.5 {
+				s.RunUntil(1) // an earlier time is due next
+			}
+			tc.pending(s, nop)
+			var fired []float64
+			f := s.RegisterFire(func(any) { fired = append(fired, s.Now()) }, nil)
+			want := at < 2 // at 2 the pending event's sequence is earlier
+			if got := s.InlineOrDefer(at, s.ReserveSeq(), f); got != want {
+				t.Fatalf("%s: InlineOrDefer(%v) with an event pending at 2 = %v, want %v", tc.name, at, got, want)
+			}
+			if want {
+				if s.Now() != at || s.Processed() != 1 || s.Pending() != 1 {
+					t.Fatalf("%s: inline advance left now %v processed %d pending %d", tc.name, s.Now(), s.Processed(), s.Pending())
+				}
+				continue
+			}
+			if s.Now() != 0 || s.Pending() != 2 {
+				t.Fatalf("%s: refusal left now %v pending %d, want 0 and 2", tc.name, s.Now(), s.Pending())
+			}
+			s.Run()
+			if !slices.Equal(fired, []float64{at}) || s.Processed() != 2 {
+				t.Fatalf("%s: parked event fired at %v with %d processed, want [%v] and 2", tc.name, fired, s.Processed(), at)
+			}
+		}
+	}
+	for _, bad := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		s := New()
+		s.RunUntil(1)
+		f := s.RegisterFire(func(any) {}, nil)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("InlineOrDefer(%v) at now 1 did not panic", bad)
+				}
+			}()
+			s.InlineOrDefer(bad, s.ReserveSeq(), f)
+		}()
 	}
 }
 

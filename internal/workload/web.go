@@ -91,11 +91,11 @@ func (w *Web) MeanRate(t float64) float64 {
 // spread uniformly over the interval.
 //
 // Arrival injection is batched: each tick pre-samples the whole interval's
-// requests into a reusable slice (drawing from the RNG streams in exactly
-// the order the per-event version did), sorts it by arrival time, and
-// walks it with a single self-rescheduling kernel event. At full scale
-// this replaces ≈500 M per-request events-plus-closures per simulated
-// week with one pooled event and zero per-request allocations.
+// requests into a reusable slice (drawing from the RNG streams the same
+// values the per-event version did), sorted by arrival time as they are
+// written, and walks it with a single self-rescheduling kernel event. At
+// full scale this replaces ≈500 M per-request events-plus-closures per
+// simulated week with one pooled event and zero per-request allocations.
 //
 // The tick body lives in webTicker, the FluidSource seam the hybrid
 // engine drives directly; Start is exactly the all-ticks-exact schedule.
@@ -127,13 +127,17 @@ func (w *Web) NewTicker(s *sim.Sim, r *stats.RNG, emit func(Request)) Ticker {
 	return tk
 }
 
-// webTicker is one run's tick state for the web generator.
+// webTicker is one run's tick state for the web generator. The arrival
+// and bucket buffers are reused across ticks, so steady-state generation
+// allocates nothing.
 type webTicker struct {
 	w       *Web
 	arr     *stats.RNG
 	svc     *stats.RNG
 	service stats.Scaled
 	ws      walkerSet
+	at      []float64 // the tick's arrival times, in draw order
+	counts  []int32   // bucket occupancy, then bucket write offsets
 }
 
 // SampleCount draws the tick's realized request count: the rate is
@@ -145,7 +149,18 @@ func (tk *webTicker) SampleCount(now float64) int {
 }
 
 // Emit injects n requests uniformly over [now, now+Interval) through the
-// pooled batch walker.
+// pooled batch walker, sorted by (arrival, ID) as it writes them: a
+// stable counting sort into one bucket per request, followed by an
+// insertion-sort repair of the few shared buckets. Expected occupancy is
+// one, so the sort is O(n) where a comparison sort is O(n log n) — this
+// is the generator's dominant cost at scale.
+//
+// The arrival times are drawn first, into the 8-byte at buffer, with each
+// bucket's occupancy tallied as they come; then each request is written
+// once, straight into its bucket of the walker's drained buffer, taking
+// its ID and service draw in arrival-draw order. Arrivals and services
+// come from separate substreams, so drawing every arrival before any
+// service gives each request the same pair as drawing them alternately.
 func (tk *webTicker) Emit(now float64, n int) {
 	if n <= 0 {
 		return
@@ -154,42 +169,74 @@ func (tk *webTicker) Emit(now float64, n int) {
 	// A prior batch is still draining only when a sampled arrival
 	// rounded up to exactly the tick boundary.
 	wk := tk.ws.idle()
-	batch := wk.batch[:0]
-	// Fused counting: bucket occupancy is tallied while sampling, so
-	// startUniform needs no counting pass over the batch.
-	counts, scale := wk.precount(n, w.Interval)
-	for i := 0; i < n; i++ {
-		at := now + tk.arr.Float64()*w.Interval
-		if counts != nil {
-			b := int((at - now) * scale)
-			if b >= n {
-				b = n - 1
-			} else if b < 0 {
-				b = 0
-			}
-			counts[b]++
-		}
-		batch = append(batch, Request{
-			ID:      w.ids.next(),
-			Arrival: at,
-			Service: tk.service.Sample(tk.svc),
-		})
+	at := resize(tk.at, n)
+	counts := resize(tk.counts, n)
+	clear(counts)
+	// The bucket index is monotone non-decreasing in the arrival time, so
+	// buckets come out in order, and equal arrivals share one.
+	scale := float64(n) / w.Interval
+	bucket := func(a float64) int { return min(max(int((a-now)*scale), 0), n-1) }
+	for i := range at {
+		a := now + tk.arr.Float64()*w.Interval
+		at[i] = a
+		counts[bucket(a)]++
 	}
-	wk.startUniform(batch, now, w.Interval)
+	// Occupancy → start offsets.
+	var sum int32
+	for b, c := range counts {
+		counts[b] = sum
+		sum += c
+	}
+	// The scatter is stable: within a bucket, requests stay in ID order.
+	batch := resize(wk.batch, n)
+	for _, a := range at {
+		b := bucket(a)
+		batch[counts[b]] = Request{ID: w.ids.next(), Arrival: a, Service: tk.service.Sample(tk.svc)}
+		counts[b]++
+	}
+	// Repair pass: only buckets holding ≥2 requests can hold inversions.
+	// After the scatter counts[b] is the end offset of bucket b, so the
+	// bucket ranges come from the counts alone and the single-occupancy
+	// majority of the batch is never re-read. The key (Arrival, ID) is
+	// total, so this yields exactly the comparison sort's permutation.
+	start := int32(0)
+	for _, end := range counts {
+		for i := start + 1; i < end; i++ {
+			q := batch[i]
+			j := i - 1
+			for j >= start && requestCmp(batch[j], q) > 0 {
+				batch[j+1] = batch[j]
+				j--
+			}
+			batch[j+1] = q
+		}
+		start = end
+	}
+	tk.at, tk.counts = at, counts
+	wk.launch(batch)
+}
+
+// resize returns buf with length n, reallocating only when its capacity
+// falls short, and then to twice the old capacity if that is more: a tick
+// count that creeps up over a day regrows a buffer a few times, not at
+// every tick. The contents are not kept.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
 }
 
 // batchWalker drains a pre-sampled batch of requests through one pooled
 // kernel event: a web tick, a replayed trace, or one scientific job's
-// tasks. The batch, scratch, and bucket-count slices are reused across
-// batches, so steady-state generation allocates nothing.
+// tasks. The batch buffer is reused across batches, so steady-state
+// generation allocates nothing.
 type batchWalker struct {
-	s       *sim.Sim
-	fire    sim.FireID // interned walkBatch callback for this walker
-	emit    func(Request)
-	batch   []Request
-	idx     int
-	scratch []Request // bucket-sort output buffer, swapped with batch
-	counts  []int32   // bucket occupancy / offset buffer
+	s     *sim.Sim
+	fire  sim.FireID // interned walkBatch callback for this walker
+	emit  func(Request)
+	batch []Request
+	idx   int
 }
 
 // newBatchWalker creates a walker with its deferred-slot callback
@@ -200,29 +247,13 @@ func newBatchWalker(s *sim.Sim, emit func(Request)) *batchWalker {
 	return wk
 }
 
-// precount returns the zeroed bucket-occupancy buffer and bucket scale
-// for an n-element uniform batch; the generator tallies occupancy into it
-// while it samples, so startUniform never re-reads the whole batch.
-// Returns nil when the batch will take the comparison-sort path.
-func (wk *batchWalker) precount(n int, width float64) ([]int32, float64) {
-	if n < 32 || !(width > 0) {
-		return nil, 0
-	}
-	if cap(wk.counts) < n {
-		wk.counts = make([]int32, n)
-	}
-	counts := wk.counts[:n]
-	clear(counts)
-	return counts, float64(n) / width
-}
-
 // active reports whether a previous batch is still being drained.
 func (wk *batchWalker) active() bool { return wk.idx < len(wk.batch) }
 
-// walkerSnap holds one walker's captured drain state. The batch and
-// scratch buffers are overwritten by the next batch, so the snapshot
-// copies the undrained remnant batch[idx:] — O(live batch), not O(batch
-// history) — into a buffer the snap reuses across captures.
+// walkerSnap holds one walker's captured drain state. The batch buffer is
+// overwritten by the next batch, so the snapshot copies the undrained
+// remnant batch[idx:] — O(live batch), not O(batch history) — into a
+// buffer the snap reuses across captures.
 type walkerSnap struct {
 	wk      *batchWalker
 	remnant []Request
@@ -350,79 +381,6 @@ func (wk *batchWalker) start(batch []Request) {
 	wk.launch(batch)
 }
 
-// startUniform sorts a batch whose arrivals are uniformly distributed
-// over [lo, lo+width) — the web generator's shape — with a stable
-// counting-sort scatter into one bucket per element followed by an
-// insertion-sort repair pass. Expected bucket occupancy is 1, so the
-// repair touches almost nothing and the whole sort is O(n) instead of
-// O(n log n) comparison calls; this is the generator's dominant cost at
-// scale. The scatter is stable and the repair breaks arrival ties by ID,
-// so the permutation is identical to the comparison sort's.
-//
-// The caller must have tallied the batch's bucket occupancy into the
-// buffer precount(len(batch), width) returned, binning each arrival at
-// int((Arrival-lo)·scale) clamped to [0, n-1] as this scatter does.
-func (wk *batchWalker) startUniform(batch []Request, lo, width float64) {
-	n := len(batch)
-	if n < 32 || !(width > 0) {
-		wk.start(batch)
-		return
-	}
-	nb := n
-	counts := wk.counts[:nb]
-	if cap(wk.scratch) < n {
-		wk.scratch = make([]Request, n)
-	}
-	scratch := wk.scratch[:n]
-
-	// Bucket index is monotone non-decreasing in the arrival time, so
-	// inter-bucket order is correct by construction; intra-bucket order
-	// starts as generation order (ascending ID) thanks to the stable
-	// scatter.
-	scale := float64(nb) / width
-	// Occupancy → start offsets.
-	var sum int32
-	for b := range counts {
-		c := counts[b]
-		counts[b] = sum
-		sum += c
-	}
-	for i := range batch {
-		b := int((batch[i].Arrival - lo) * scale)
-		if b >= nb {
-			b = nb - 1
-		} else if b < 0 {
-			b = 0
-		}
-		scratch[counts[b]] = batch[i]
-		counts[b]++
-	}
-	// Repair pass: inter-bucket order is correct by construction (equal
-	// arrivals always share a bucket), so only buckets holding ≥2
-	// elements can contain inversions. After the scatter counts[b] is the
-	// end offset of bucket b, so the bucket ranges are recovered from the
-	// counts scan alone — the single-occupancy majority of the batch is
-	// never re-read. The total key (Arrival, ID) makes the sorted
-	// permutation unique, so this yields exactly the comparison sort's
-	// order.
-	start := int32(0)
-	for b := range counts {
-		end := counts[b]
-		for i := start + 1; i < end; i++ {
-			q := scratch[i]
-			j := i - 1
-			for j >= start && requestCmp(scratch[j], q) > 0 {
-				scratch[j+1] = scratch[j]
-				j--
-			}
-			scratch[j+1] = q
-		}
-		start = end
-	}
-	wk.scratch = batch // fully drained (or abandoned) — reuse next tick
-	wk.launch(scratch)
-}
-
 // launch points the walker at a batch in firing order — sorted, or one
 // scientific job's tasks in ID order — and schedules the first emission
 // through the walker's interned fire handle under a freshly reserved
@@ -442,10 +400,11 @@ func (wk *batchWalker) launch(batch []Request) {
 // reserved seq) — the walker consumes it inline (clock advance + event
 // count, no heap traffic) and keeps draining; a scientific job's tasks,
 // which share one instant, normally drain in a single call this way.
-// Otherwise it parks in the pending set under the reserved sequence
+// Otherwise it parks on the deferred slot under the reserved sequence
 // number. It also parks when the successor lies beyond the bound of the
 // RunUntil in progress, which must return with that arrival still
-// pending. Both paths are bit-identical to scheduling every step.
+// pending. sim.InlineOrDefer makes that choice with one query of the
+// pending set, and both paths are bit-identical to scheduling every step.
 func walkBatch(a any) {
 	wk := a.(*batchWalker)
 	s := wk.s
@@ -459,11 +418,9 @@ func walkBatch(a any) {
 		next := wk.batch[wk.idx].Arrival
 		seq := s.ReserveSeq()
 		wk.emit(req)
-		if pt, ps, ok := s.PeekNext(); next > s.Until() || ok && (pt < next || (pt == next && ps < seq)) {
-			s.DeferReserved(next, seq, wk.fire)
+		if !s.InlineOrDefer(next, seq, wk.fire) {
 			return
 		}
-		s.InlineFire(next, seq)
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,6 +100,45 @@ func TestWebArrivalsEmittedInOrder(t *testing.T) {
 		last = q.Arrival
 	})
 	s.RunUntil(1800)
+}
+
+// Emit writes each tick's requests sorted by (arrival, ID), and request
+// i carries the i-th arrival draw and the i-th service draw, as the
+// per-request loop that drew the two alternately gave it. Checked against
+// that loop and a comparison sort over successive ticks whose sizes
+// straddle a few buckets, grow the buffers and shrink again.
+func TestWebEmitMatchesReference(t *testing.T) {
+	const seed = 5
+	w := NewWeb(1)
+	s := sim.New()
+	var got []Request
+	tk := w.NewTicker(s, stats.NewRNG(seed), func(q Request) { got = append(got, q) })
+	r := stats.NewRNG(seed)
+	arr, svc := r.Split("web/arrivals"), r.Split("web/service")
+	service := stats.Scaled{S: stats.Uniform{Min: 1, Max: 1 + w.Jitter}, Factor: w.BaseService}
+	var id uint64
+	now := 0.0
+	for _, n := range []int{1, 2, 31, 32, 33, 500, 7200, 9000, 40, 12000} {
+		var want []Request
+		for i := 0; i < n; i++ {
+			id++
+			at := now + arr.Float64()*w.Interval
+			want = append(want, Request{ID: id, Arrival: at, Service: service.Sample(svc)})
+		}
+		slices.SortFunc(want, requestCmp)
+		got = got[:0]
+		tk.Emit(now, n)
+		now += w.Interval
+		s.RunUntil(now)
+		if len(got) != n {
+			t.Fatalf("tick of %d requests emitted %d", n, len(got))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("tick of %d requests: request %d is %+v, the per-request loop's %+v", n, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 func TestWebDeterministicAcrossRuns(t *testing.T) {

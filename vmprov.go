@@ -45,9 +45,9 @@ type (
 	// workloads).
 	ClientResult = metrics.ClientResult
 	// Scenario is an evaluation setup: workload, analyzer, QoS, baselines.
-	// A literal with its own NewSource and NewAnalyzer is a custom
-	// experiment; Fault.Domains.Zones ≥ 2 runs it on a federation of
-	// that many clouds.
+	// A literal with its own NewSource (and NewAnalyzer, for the adaptive
+	// policy) is a custom experiment; Fault.Domains.Zones ≥ 2 runs it on
+	// a federation of that many clouds.
 	Scenario = experiment.Scenario
 	// Policy is a named provisioning policy runnable over a Scenario.
 	Policy = experiment.Policy
