@@ -68,7 +68,7 @@ fault-smoke:
 # mid-outage snapshot properties — under the race detector, then a short
 # -chaos run whose per-replication invariant checks gate the process.
 chaos-smoke:
-	$(GO) test -race -count=1 ./internal/provision -run 'TestBreaker|TestShed|TestAllZonesOpen|TestRetryBackoff|TestRetryPolicyValidate|TestBreakerAndShedPolicyValidate'
+	$(GO) test -race -count=1 ./internal/provision -run 'TestBreaker|TestShed|TestAllZonesOpen|TestRetryBackoff|TestBreakerAndShedPolicyValidate'
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestChaos|TestSweepChaos'
 	$(GO) run ./cmd/vmprovsim -chaos -scale 0.02 -reps 1 -horizon 3600 > /dev/null
 
@@ -104,8 +104,8 @@ spec-roundtrip:
 	$(GO) run ./cmd/vmprovsim -spec examples/specs/web_multiclient_panel.json > /dev/null
 
 # Hybrid fast-forward smoke: the hybrid engine's unit and equivalence
-# tests — every policy of the hybrid panel within
-# metrics.HybridTolerance, determinism across worker counts, bit-exact
+# tests — every policy of the hybrid panel within the hybrid contract
+# (metrics.CloseTo), determinism across worker counts, bit-exact
 # -mode=exact, the pinned hybrid golden, a traced hybrid run equal to
 # the untraced one — then one traced hybrid CLI replication.
 ff-smoke:
@@ -119,17 +119,19 @@ ff-smoke:
 # detector, including TestMPCGolden (the MPC controller's decisions,
 # pinned bit for bit) and TestMPCBeatsWorstBaseline (the MPC policy must
 # not lose to every baseline on its own objective); then the per-layer
-# rewind tests of the kernel (tickers, zero snapshot), the collector
-# (zero snapshot) and the federation, and the restore checks of every
-# workload.Rewindable: each source kind, the observing analyzers, each
-# forecaster (TestRewind*, TestForecasterRewind) and the Adaptive
-# controller's re-evaluation λ̂ (TestSnapshotAdaptiveReevaluate, above).
+# rewind tests of the kernel (tickers, zero snapshot, handles from a
+# discarded future), the collector (zero snapshot) and the federation,
+# and the restore checks of every workload.Rewindable: each source kind,
+# a multi-client source snapshotted into a pooled store sized for fewer
+# clients, the observing analyzers, each forecaster (TestRewind*,
+# TestForecasterRewind) and the Adaptive controller's re-evaluation λ̂
+# (TestSnapshotAdaptiveReevaluate, above).
 snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/experiment -run 'TestSnapshot|TestMPC|FuzzSnapshotRestore'
-	$(GO) test -race -count=1 ./internal/sim -run 'TestTicker|TestResetMatchesNew'
+	$(GO) test -race -count=1 ./internal/sim -run 'TestTicker|TestResetMatchesNew|TestStaleHandleAcrossRestore'
 	$(GO) test -race -count=1 ./internal/metrics -run 'ZeroSnapshot'
 	$(GO) test -race -count=1 ./internal/cloud -run 'TestFederation'
-	$(GO) test -race -count=1 ./internal/workload -run 'TestRewind|TestScientificZeroGapSnapshot'
+	$(GO) test -race -count=1 ./internal/workload -run 'TestRewind|TestScientificZeroGapSnapshot|TestMultiSourceSnapshotResizesPooledStore'
 	$(GO) test -race -count=1 ./internal/forecast -run 'TestForecasterRewind'
 
 # CLI golden: nine vmprovsim invocations (-all tables and CSV, the

@@ -12,12 +12,19 @@
 // For each candidate family (exponential, Weibull, log-normal) it prints
 // the fitted parameters, analytic mean, the Kolmogorov–Smirnov statistic
 // against the sample, and whether the fit survives at the 5% level.
+//
+// Bad flags exit 2: among them a -window that is not a finite positive
+// number and a -mode other than values or times. Input that cannot be
+// read or fitted exits 1.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -30,52 +37,88 @@ import (
 )
 
 func main() {
-	var (
-		input    = flag.String("input", "", "file of samples (one value per line or first CSV column); empty with -scenario runs the built-in demo")
-		mode     = flag.String("mode", "values", "values (fit directly) or times (fit the gaps between ascending timestamps)")
-		scenario = flag.String("scenario", "", "scientific: demo-fit the BoT model's own peak interarrivals")
-		seed     = flag.Uint64("seed", 1, "seed for the demo scenario")
-		fcast    = flag.Bool("forecast", false, "with -mode times: additionally backtest the forecaster family on per-window rates")
-		window   = flag.Float64("window", 60, "forecast binning window in seconds")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlfit:", err)
+	}
+	os.Exit(exitCode(err))
+}
 
-	var xs []float64
+// usageError is a bad command line, which exits 2; any other error
+// (input that cannot be read or fitted) exits 1.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// exitCode maps run's error to the process exit code.
+func exitCode(err error) int {
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, new(usageError)):
+		return 2
+	default:
+		return 1
+	}
+}
+
+// run parses the command line, fits the requested sample and writes the
+// report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("wlfit", flag.ExitOnError)
+	var (
+		input    = fs.String("input", "", "file of samples (one value per line or first CSV column); empty with -scenario runs the built-in demo")
+		mode     = fs.String("mode", "values", "values (fit directly) or times (fit the gaps between ascending timestamps)")
+		scenario = fs.String("scenario", "", "scientific: demo-fit the BoT model's own peak interarrivals")
+		seed     = fs.Uint64("seed", 1, "seed for the demo scenario")
+		fcast    = fs.Bool("forecast", false, "with -mode times: additionally backtest the forecaster family on per-window rates")
+		window   = fs.Float64("window", 60, "forecast binning window in seconds")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 itself
+
+	switch {
+	case !(*window > 0) || math.IsInf(*window, 1):
+		return usagef("-window %v: need a finite window > 0", *window)
+	case *mode != "values" && *mode != "times":
+		return usagef("unknown -mode %q: need values or times", *mode)
+	case *fcast && *mode != "times" && *scenario == "":
+		return usagef("-forecast needs timestamp input (-mode times or -scenario)")
+	}
+
+	var (
+		xs  []float64
+		err error
+	)
 	switch {
 	case *scenario != "":
-		xs = demoSample(*scenario, *seed)
+		xs, err = demoSample(w, *scenario, *seed)
 	case *input != "":
-		var err error
 		xs, err = readSamples(*input)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wlfit:", err)
-			os.Exit(1)
-		}
 	default:
-		fmt.Fprintln(os.Stderr, "wlfit: need -input or -scenario")
-		os.Exit(2)
+		err = usagef("need -input or -scenario")
+	}
+	if err != nil {
+		return err
 	}
 	times := xs
 	if *mode == "times" || *scenario != "" {
 		xs = gaps(times)
 	}
 	if len(xs) < 10 {
-		fmt.Fprintf(os.Stderr, "wlfit: only %d samples; need at least 10\n", len(xs))
-		os.Exit(1)
+		return fmt.Errorf("only %d samples; need at least 10", len(xs))
 	}
-	report(xs)
+	if err := report(w, xs); err != nil {
+		return err
+	}
 	if *fcast {
-		if *mode != "times" && *scenario == "" {
-			fmt.Fprintln(os.Stderr, "wlfit: -forecast needs timestamp input (-mode times or -scenario)")
-			os.Exit(2)
-		}
-		forecastReport(times, *window)
+		forecastReport(w, times, *window)
 	}
+	return nil
 }
 
 // forecastReport bins the timestamps into windows and backtests the
 // forecaster family on the per-window rates.
-func forecastReport(times []float64, window float64) {
+func forecastReport(w io.Writer, times []float64, window float64) {
 	sorted := append([]float64(nil), times...)
 	sort.Float64s(sorted)
 	horizon := sorted[len(sorted)-1]
@@ -99,17 +142,16 @@ func forecastReport(times []float64, window float64) {
 		fmt.Fprintln(os.Stderr, "wlfit: forecast backtest:", err)
 		return
 	}
-	fmt.Printf("\none-step-ahead forecast backtest (%.0f s windows, %d steps):\n%s",
+	fmt.Fprintf(w, "\none-step-ahead forecast backtest (%.0f s windows, %d steps):\n%s",
 		window, scores[0].Steps, forecast.Table(scores))
 }
 
 // demoSample generates peak-hour BoT job arrival times from the
 // scientific model; the main flow derives the interarrival gaps, whose
 // fit must recover Weibull(4.25, 7.86).
-func demoSample(name string, seed uint64) []float64 {
+func demoSample(w io.Writer, name string, seed uint64) ([]float64, error) {
 	if name != "scientific" && name != "sci" {
-		fmt.Fprintf(os.Stderr, "wlfit: unknown scenario %q\n", name)
-		os.Exit(2)
+		return nil, usagef("unknown scenario %q", name)
 	}
 	sc := workload.NewScientific(1)
 	s := sim.New()
@@ -129,8 +171,8 @@ func demoSample(name string, seed uint64) []float64 {
 			uniq = append(uniq, t)
 		}
 	}
-	fmt.Printf("demo: %d peak-hour BoT job arrivals from the scientific model (true interarrival: Weibull(4.25, 7.86))\n\n", len(uniq))
-	return append([]float64(nil), uniq...)
+	fmt.Fprintf(w, "demo: %d peak-hour BoT job arrivals from the scientific model (true interarrival: Weibull(4.25, 7.86))\n\n", len(uniq))
+	return append([]float64(nil), uniq...), nil
 }
 
 func readSamples(path string) ([]float64, error) {
@@ -177,18 +219,18 @@ type candidate struct {
 	err   error
 }
 
-func report(xs []float64) {
-	var w stats.Welford
+func report(w io.Writer, xs []float64) error {
+	var st stats.Welford
 	for _, x := range xs {
-		w.Add(x)
+		st.Add(x)
 	}
 	cv2 := 0.0
-	if w.Mean() != 0 {
-		cv2 = w.Var() / (w.Mean() * w.Mean())
+	if st.Mean() != 0 {
+		cv2 = st.Var() / (st.Mean() * st.Mean())
 	}
-	fmt.Printf("samples: n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g\n",
-		w.N(), w.Mean(), w.Std(), w.Min(), w.Max())
-	fmt.Printf("shape:   cv²=%.3f (1 = exponential, <1 regular, >1 bursty)  lag-1 acf=%.3f\n\n",
+	fmt.Fprintf(w, "samples: n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g\n",
+		st.N(), st.Mean(), st.Std(), st.Min(), st.Max())
+	fmt.Fprintf(w, "shape:   cv²=%.3f (1 = exponential, <1 regular, >1 bursty)  lag-1 acf=%.3f\n\n",
 		cv2, stats.Autocorrelation(xs, 1))
 
 	var cands []candidate
@@ -202,11 +244,10 @@ func report(xs []float64) {
 		cands = append(cands, candidate{"lognormal", fmt.Sprintf("mu=%.4g sigma=%.4g", l.Mu, l.Sigma), l.Mean(), l, nil})
 	}
 	if len(cands) == 0 {
-		fmt.Fprintln(os.Stderr, "wlfit: no family could be fitted (non-positive data?)")
-		os.Exit(1)
+		return errors.New("no family could be fitted (non-positive data?)")
 	}
 	crit := stats.KSCritical(0.05, len(xs))
-	fmt.Printf("%-12s %-28s %10s %10s   verdict (KS 5%% crit %.4f)\n", "family", "parameters", "mean", "KS D", crit)
+	fmt.Fprintf(w, "%-12s %-28s %10s %10s   verdict (KS 5%% crit %.4f)\n", "family", "parameters", "mean", "KS D", crit)
 	type scored struct {
 		candidate
 		d float64
@@ -221,6 +262,7 @@ func report(xs []float64) {
 		if r.d < crit {
 			verdict = "plausible"
 		}
-		fmt.Printf("%-12s %-28s %10.4g %10.4f   %s\n", r.name, r.param, r.mean, r.d, verdict)
+		fmt.Fprintf(w, "%-12s %-28s %10.4g %10.4f   %s\n", r.name, r.param, r.mean, r.d, verdict)
 	}
+	return nil
 }

@@ -126,13 +126,13 @@ const (
 
 // Datacenter is one IaaS cloud c_i: a fixed pool of hosts with a
 // configurable VM placement policy (least-loaded by default, as in the
-// paper).
+// paper) and an energy meter over its hosts' linear power model.
 type Datacenter struct {
 	hosts     []host
 	nextID    int
 	placed    map[int]VM
-	power     *powerMeter // nil = energy metering disabled
-	placement Placement   //vmprov:ephemeral -- run-scope policy config set before the first placement; Restore deliberately preserves it
+	power     powerMeter
+	placement Placement //vmprov:ephemeral -- run-scope policy config set before the first placement; Restore deliberately preserves it
 	rrCursor  int
 }
 
@@ -182,18 +182,15 @@ func (dc *Datacenter) Snapshot(snap *DCSnap) {
 	for id, vm := range dc.placed {
 		snap.placed[id] = vm
 	}
-	snap.power = powerMeter{}
-	if dc.power != nil {
-		snap.power = *dc.power
-	}
+	snap.power = dc.power
 }
 
 // Restore rewinds the data center to a state captured from it by
 // Snapshot: VMs provisioned since the snapshot vanish, released ones are
 // placed again, and energy accounting resumes from the captured integral.
-// Hosts past the captured prefix are emptied and the power model is
-// kept, so restoring the zero DCSnap releases every VM and restarts the
-// meter at zero without allocating.
+// Hosts past the captured prefix are emptied, so restoring the zero
+// DCSnap releases every VM and restarts the meter at zero without
+// allocating.
 func (dc *Datacenter) Restore(snap *DCSnap) {
 	for i := copy(dc.hosts, snap.hosts); i < len(dc.hosts); i++ {
 		h := &dc.hosts[i]
@@ -205,11 +202,7 @@ func (dc *Datacenter) Restore(snap *DCSnap) {
 	for id, vm := range snap.placed {
 		dc.placed[id] = vm
 	}
-	if dc.power != nil {
-		model := dc.power.model
-		*dc.power = snap.power
-		dc.power.model = model
-	}
+	dc.power = snap.power
 }
 
 // Provision places a VM on the host with the fewest running VMs that can
@@ -224,14 +217,12 @@ func (dc *Datacenter) Provision(now float64, spec VMSpec) (VM, error) {
 		return VM{}, ErrNoCapacity
 	}
 	h := &dc.hosts[best]
-	if dc.power != nil {
-		dc.power.advance(now)
-		prevVMs, prevFrac := h.vms, h.frac()
-		defer func() { dc.power.hostChanged(prevVMs, prevFrac, h.vms, h.frac()) }()
-	}
+	dc.power.advance(now)
+	prevVMs, prevFrac := h.vms, h.frac()
 	h.usedCores += spec.Cores
 	h.usedRAM += spec.RAMMB
 	h.vms++
+	dc.power.hostChanged(prevVMs, prevFrac, h.vms, h.frac())
 	dc.nextID++
 	vm := VM{ID: dc.nextID, Host: best, Spec: spec}
 	dc.placed[vm.ID] = vm
@@ -246,14 +237,12 @@ func (dc *Datacenter) Release(now float64, id int) error {
 	}
 	delete(dc.placed, id)
 	h := &dc.hosts[vm.Host]
-	if dc.power != nil {
-		dc.power.advance(now)
-		prevVMs, prevFrac := h.vms, h.frac()
-		defer func() { dc.power.hostChanged(prevVMs, prevFrac, h.vms, h.frac()) }()
-	}
+	dc.power.advance(now)
+	prevVMs, prevFrac := h.vms, h.frac()
 	h.usedCores -= vm.Spec.Cores
 	h.usedRAM -= vm.Spec.RAMMB
 	h.vms--
+	dc.power.hostChanged(prevVMs, prevFrac, h.vms, h.frac())
 	return nil
 }
 

@@ -202,13 +202,12 @@ func dcScript(t *testing.T, dc *Datacenter, t0 float64) []VM {
 
 // TestDatacenterZeroSnapshot: restoring the zero DCSnap releases every
 // VM, rewinds the ID counter and placement cursor, and restarts the
-// power meter at zero with the same model, so the data center then
-// behaves exactly like a new one under every placement policy.
+// power meter at zero, so the data center then behaves exactly like a
+// new one under every placement policy.
 func TestDatacenterZeroSnapshot(t *testing.T) {
 	for _, pl := range []Placement{LeastLoaded, FirstFit, RoundRobin} {
 		build := func() *Datacenter {
 			dc := New(3, HostSpec{Cores: 4, RAMMB: 16384})
-			dc.SetPowerModel(DefaultPowerModel())
 			dc.SetPlacement(pl)
 			return dc
 		}

@@ -197,9 +197,6 @@ func TestFederationZeroSnapshot(t *testing.T) {
 	}
 	fed, big, small := twoMemberFed()
 	fresh, freshBig, freshSmall := twoMemberFed()
-	for _, dc := range []*Datacenter{big, small, freshBig, freshSmall} {
-		dc.SetPowerModel(DefaultPowerModel())
-	}
 	script(fed)
 	fed.Restore(&FedSnap{})
 	if fed.Running() != 0 || big.Running() != 0 || small.Running() != 0 {

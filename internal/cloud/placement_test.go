@@ -66,7 +66,6 @@ func TestFirstFitEnergyAdvantage(t *testing.T) {
 	run := func(p Placement) float64 {
 		dc := New(4, HostSpec{Cores: 4, RAMMB: 8192})
 		dc.SetPlacement(p)
-		dc.SetPowerModel(PowerModel{IdleW: 100, PeakW: 200})
 		spec := VMSpec{Cores: 1, RAMMB: 1024, Capacity: 1}
 		for i := 0; i < 4; i++ {
 			if _, err := dc.Provision(0, spec); err != nil {
@@ -76,12 +75,12 @@ func TestFirstFitEnergyAdvantage(t *testing.T) {
 		return dc.PowerWatts()
 	}
 	ff, ll := run(FirstFit), run(LeastLoaded)
-	// FirstFit: one active host fully loaded = 200 W.
-	// LeastLoaded: four active hosts at 1/4 load = 4·125 = 500 W.
+	// FirstFit: one active host fully loaded = 250 W.
+	// LeastLoaded: four active hosts at 1/4 load = 4·193.75 = 775 W.
 	if ff >= ll {
 		t.Fatalf("first-fit %v W should undercut least-loaded %v W", ff, ll)
 	}
-	if ff != 200 || ll != 500 {
-		t.Fatalf("power values: ff=%v ll=%v, want 200/500", ff, ll)
+	if ff != 250 || ll != 775 {
+		t.Fatalf("power values: ff=%v ll=%v, want 250/775", ff, ll)
 	}
 }

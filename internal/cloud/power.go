@@ -1,24 +1,20 @@
 package cloud
 
-// PowerModel is a linear host power model: an active host (one hosting at
-// least one VM) draws IdleW plus (PeakW−IdleW) scaled by its core
+// The linear host power model every data center meters with, a typical
+// dual-socket 2011-era server: an active host (one hosting at least one
+// VM) draws idleWatts plus (peakWatts−idleWatts) scaled by its core
 // utilization; hosts with no VMs are powered off. This supports the
 // paper's motivation of "reduced financial and environmental costs":
 // fewer provisioned VM hours concentrate load on fewer active hosts.
-type PowerModel struct {
-	IdleW float64 // active-host idle draw (watts)
-	PeakW float64 // fully-loaded draw (watts)
-}
-
-// DefaultPowerModel is a typical dual-socket 2011-era server: 175 W idle,
-// 250 W at full load.
-func DefaultPowerModel() PowerModel { return PowerModel{IdleW: 175, PeakW: 250} }
+const (
+	idleWatts = 175
+	peakWatts = 250
+)
 
 // powerMeter integrates data-center power over time. Incremental state:
 // the number of active hosts and the sum over hosts of their core
 // utilization fraction.
 type powerMeter struct {
-	model       PowerModel
 	activeHosts int
 	sumFrac     float64 // Σ usedCores/h.cores over active hosts
 	lastT       float64
@@ -27,7 +23,7 @@ type powerMeter struct {
 
 // watts returns the instantaneous draw.
 func (m *powerMeter) watts() float64 {
-	return m.model.IdleW*float64(m.activeHosts) + (m.model.PeakW-m.model.IdleW)*m.sumFrac
+	return idleWatts*float64(m.activeHosts) + (peakWatts-idleWatts)*m.sumFrac
 }
 
 // advance integrates up to time t.
@@ -51,29 +47,15 @@ func (m *powerMeter) hostChanged(prevVMs int, prevFrac float64, nowVMs int, nowF
 	}
 }
 
-// SetPowerModel enables energy metering with the given model. Call before
-// the first provisioning action.
-func (dc *Datacenter) SetPowerModel(pm PowerModel) {
-	dc.power = &powerMeter{model: pm}
-}
-
 // EnergyKWh returns the energy consumed through time now (seconds), in
-// kilowatt-hours. Zero when metering is disabled.
+// kilowatt-hours.
 func (dc *Datacenter) EnergyKWh(now float64) float64 {
-	if dc.power == nil {
-		return 0
-	}
 	dc.power.advance(now)
 	return dc.power.joules / 3.6e6
 }
 
 // PowerWatts returns the instantaneous draw, for inspection.
-func (dc *Datacenter) PowerWatts() float64 {
-	if dc.power == nil {
-		return 0
-	}
-	return dc.power.watts()
-}
+func (dc *Datacenter) PowerWatts() float64 { return dc.power.watts() }
 
 // frac returns h's core-utilization fraction.
 func (h *host) frac() float64 {

@@ -5,40 +5,29 @@ import (
 	"testing"
 )
 
-func TestEnergyDisabledByDefault(t *testing.T) {
-	dc := New(2, HostSpec{Cores: 4, RAMMB: 4096})
-	if _, err := dc.Provision(0, VMSpec{Cores: 1, RAMMB: 1024, Capacity: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if dc.EnergyKWh(3600) != 0 || dc.PowerWatts() != 0 {
-		t.Fatal("metering should be off without a power model")
-	}
-}
-
 func TestEnergyLinearModel(t *testing.T) {
 	dc := New(2, HostSpec{Cores: 4, RAMMB: 8192})
-	dc.SetPowerModel(PowerModel{IdleW: 100, PeakW: 300})
 	spec := VMSpec{Cores: 1, RAMMB: 1024, Capacity: 1}
 
-	// t=0: one VM on host 0 → 100 + 200·(1/4) = 150 W.
+	// t=0: one VM on host 0 → 175 + 75·(1/4) = 193.75 W.
 	vm1, _ := dc.Provision(0, spec)
-	if got := dc.PowerWatts(); math.Abs(got-150) > 1e-9 {
-		t.Fatalf("power after first VM = %v, want 150", got)
+	if got := dc.PowerWatts(); math.Abs(got-193.75) > 1e-9 {
+		t.Fatalf("power after first VM = %v, want 193.75", got)
 	}
-	// t=100: second VM lands on host 1 (least loaded) → two hosts at 150 W.
+	// t=100: second VM lands on host 1 (least loaded) → two hosts at 193.75 W.
 	_, _ = dc.Provision(100, spec)
-	if got := dc.PowerWatts(); math.Abs(got-300) > 1e-9 {
-		t.Fatalf("power after second VM = %v, want 300", got)
+	if got := dc.PowerWatts(); math.Abs(got-387.5) > 1e-9 {
+		t.Fatalf("power after second VM = %v, want 387.5", got)
 	}
 	// t=200: release the first → back to one active host.
 	if err := dc.Release(200, vm1.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := dc.PowerWatts(); math.Abs(got-150) > 1e-9 {
-		t.Fatalf("power after release = %v, want 150", got)
+	if got := dc.PowerWatts(); math.Abs(got-193.75) > 1e-9 {
+		t.Fatalf("power after release = %v, want 193.75", got)
 	}
-	// Energy through t=300: 150·100 + 300·100 + 150·100 J = 60 kJ.
-	wantKWh := 60000.0 / 3.6e6
+	// Energy through t=300: 193.75·100 + 387.5·100 + 193.75·100 J = 77.5 kJ.
+	wantKWh := 77500.0 / 3.6e6
 	if got := dc.EnergyKWh(300); math.Abs(got-wantKWh) > 1e-12 {
 		t.Fatalf("energy = %v kWh, want %v", got, wantKWh)
 	}
@@ -50,12 +39,11 @@ func TestEnergyLinearModel(t *testing.T) {
 
 func TestEnergyFullHost(t *testing.T) {
 	dc := New(1, HostSpec{Cores: 2, RAMMB: 8192})
-	dc.SetPowerModel(PowerModel{IdleW: 100, PeakW: 300})
 	spec := VMSpec{Cores: 1, RAMMB: 1024, Capacity: 1}
 	_, _ = dc.Provision(0, spec)
 	_, _ = dc.Provision(0, spec)
-	if got := dc.PowerWatts(); math.Abs(got-300) > 1e-9 {
-		t.Fatalf("full host power = %v, want peak 300", got)
+	if got := dc.PowerWatts(); math.Abs(got-250) > 1e-9 {
+		t.Fatalf("full host power = %v, want peak 250", got)
 	}
 }
 
@@ -110,15 +98,13 @@ func TestFederationExhaustionAndRelease(t *testing.T) {
 func TestFederationEnergy(t *testing.T) {
 	a := New(1, HostSpec{Cores: 4, RAMMB: 8192})
 	b := New(1, HostSpec{Cores: 4, RAMMB: 8192})
-	a.SetPowerModel(PowerModel{IdleW: 100, PeakW: 300})
-	b.SetPowerModel(PowerModel{IdleW: 100, PeakW: 300})
 	f := NewFederation(a, b)
 	spec := VMSpec{Cores: 1, RAMMB: 1024, Capacity: 1}
 	_, _ = f.Provision(0, spec)
 	_, _ = f.Provision(0, spec)
-	// Two active hosts at 150 W for 3600 s → 0.3 kWh.
-	if got := f.EnergyKWh(3600); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("federation energy = %v kWh, want 0.3", got)
+	// Two active hosts at 193.75 W for 3600 s → 0.3875 kWh.
+	if got := f.EnergyKWh(3600); math.Abs(got-0.3875) > 1e-9 {
+		t.Fatalf("federation energy = %v kWh, want 0.3875", got)
 	}
 }
 

@@ -39,10 +39,9 @@ func TestHybridMatchesExactWithinTolerance(t *testing.T) {
 		return panel.Run(SweepOptions{})[0].Results
 	}
 	exact, hybrid := run(ModeExact), run(ModeHybrid)
-	tol := metrics.HybridTolerance()
 	for i := range exact {
 		ex, hy := exact[i], hybrid[i]
-		if diffs := metrics.CloseToDiff(ex, hy, tol); len(diffs) > 0 {
+		if diffs := metrics.CloseToDiff(ex, hy); len(diffs) > 0 {
 			t.Errorf("%s: hybrid outside tolerance:\n  %s", ex.Policy, strings.Join(diffs, "\n  "))
 		}
 		if hy.Events*2 >= ex.Events {

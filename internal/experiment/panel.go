@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"vmprov/internal/fault"
@@ -118,6 +119,10 @@ func (ps PanelSpec) Compile() (*Panel, error) {
 		}
 		p.Scenarios = append(p.Scenarios, sc)
 		p.Policies = append(p.Policies, pols)
+		// Grown once to its exact length: a Job is a few hundred bytes,
+		// and append's size-class rounding over hundreds of them
+		// allocates up to twice that, which set-up pays on every panel.
+		p.jobs = slices.Grow(p.jobs, len(pols)*reps)
 		for _, pol := range pols {
 			for r := 0; r < reps; r++ {
 				p.jobs = append(p.jobs, Job{Scenario: sc, Policy: pol, Seed: ps.Seed + uint64(r)})
@@ -230,7 +235,7 @@ func FaultPanel(scale float64, reps int, seed uint64) (PanelSpec, error) {
 // HybridPanel returns the built-in hybrid fast-forward panel: six hours
 // of the web scenario in hybrid mode, adaptive against the full static
 // ladder — the validation target the hybrid engine's accuracy contract
-// (metrics.HybridTolerance against the same panel in exact mode) is
+// (metrics.CloseTo against the same panel in exact mode) is
 // checked on, and the benchmark's web-hybrid workload.
 func HybridPanel(scale float64, reps int, seed uint64) (PanelSpec, error) {
 	sp, err := BuildScenarioSpec("web", scale)

@@ -115,6 +115,31 @@ func TestParsePanelSpecStrict(t *testing.T) {
 	}
 }
 
+// TestParsePanelSpecRejectsRemovedSettings: the provisioner's retry
+// schedule and monitor window are constants, so a scenario config that
+// still sets one fails the strict decoder instead of being ignored.
+func TestParsePanelSpecRejectsRemovedSettings(t *testing.T) {
+	ps, err := PaperPanel("web", 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := ps.MarshalJSONIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ field, value string }{
+		{"retry", `{"max_attempts": 3}`},
+		{"monitor_window", `500`},
+	} {
+		field := c.field
+		spec := strings.Replace(string(data), `"config": {`, fmt.Sprintf(`"config": {"%s": %s, `, field, c.value), 1)
+		_, err := ParsePanelSpec([]byte(spec))
+		if want := fmt.Sprintf("unknown field %q", field); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("config with %q: %v, want an error naming the %s", field, err, want)
+		}
+	}
+}
+
 func TestPaperPanelRoundTrip(t *testing.T) {
 	for _, name := range []string{"web", "scientific"} {
 		ps, err := PaperPanel(name, 0, 3, 1)

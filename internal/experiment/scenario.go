@@ -29,7 +29,8 @@ const (
 	// ModeHybrid fast-forwards quiescent windows analytically through
 	// the internal/fluid engine, probing with exact simulation around
 	// fleet transitions and on a periodic calibration schedule. Results
-	// match exact runs within metrics.HybridTolerance, not bit-exactly.
+	// match exact runs within the hybrid accuracy contract
+	// (metrics.CloseTo), not bit-exactly.
 	// Scenarios whose workload the engine cannot serve (non-tick
 	// sources, observing analyzers) silently run exact; failure-domain
 	// faults and degraded-mode shedding fail validation. A tracer leaves

@@ -51,9 +51,7 @@ type RunContext struct {
 // NewRunContext creates an empty context. The first Run warms it up;
 // later runs reuse its buffers.
 func NewRunContext() *RunContext {
-	dc := cloud.NewDefault()
-	dc.SetPowerModel(cloud.DefaultPowerModel())
-	return &RunContext{s: sim.New(), dc: dc}
+	return &RunContext{s: sim.New(), dc: cloud.NewDefault()}
 }
 
 // collector returns the pooled collector for QoS target ts, building it
@@ -79,9 +77,7 @@ func (rc *RunContext) federation(zones int) *cloud.Federation {
 	}
 	members := make([]*cloud.Datacenter, zones)
 	for i := range members {
-		m := cloud.New(cloud.DefaultHosts/zones, cloud.HostSpec{Cores: cloud.DefaultHostCores, RAMMB: cloud.DefaultHostRAM})
-		m.SetPowerModel(cloud.DefaultPowerModel())
-		members[i] = m
+		members[i] = cloud.New(cloud.DefaultHosts/zones, cloud.HostSpec{Cores: cloud.DefaultHostCores, RAMMB: cloud.DefaultHostRAM})
 	}
 	rc.fed = cloud.NewFederation(members...)
 	return rc.fed

@@ -5,64 +5,48 @@ import (
 	"math"
 )
 
-// Tolerance bounds how far two Results may drift before CloseTo calls
-// them different. It exists for hybrid-vs-exact validation: a fluid
-// fast-forwarded run reproduces the exact run's figures only within the
-// tolerances the hybrid mode declares, so tests compare with CloseTo
-// where exact-mode comparisons use Equal.
+// The hybrid accuracy contract: how far a hybrid run's figure-table
+// metrics may drift from the exact run's before CloseTo calls them
+// different. A fluid fast-forwarded run reproduces the exact run's
+// figures only within these bounds, so tests compare the two modes with
+// CloseTo where exact-mode comparisons use Equal. The hybrid tests (make
+// ff-smoke) enforce them on every policy of the hybrid panel.
 //
-// Each knob covers one group of the figure-table metrics. A comparison
-// passes when the absolute difference is within the Abs floor OR within
-// Rel times the larger magnitude — the floor is what lets a rate whose
-// exact value is 0 (e.g. adaptive rejection under the paper's QoS) match
-// a tiny-but-nonzero hybrid estimate.
-type Tolerance struct {
-	RespRel float64 // relative: MeanResponse, StdResponse
-	RespAbs float64 // absolute floor for the response comparisons (seconds)
+// Each constant covers one group of the figure-table metrics. A
+// comparison passes when the absolute difference is within the abs floor
+// OR within rel times the larger magnitude — the floor is what lets a
+// rate whose exact value is 0 (e.g. adaptive rejection under the paper's
+// QoS) match a tiny-but-nonzero hybrid estimate. The rejection floor is
+// the scenarios' default modeling tolerance.
+const (
+	respRel = 0.02  // relative: MeanResponse, StdResponse
+	respAbs = 0.002 // absolute floor for the response comparisons (seconds)
 
-	RejRel float64 // relative: RejectionRate
-	RejAbs float64 // absolute floor for RejectionRate
+	rejRel = 0.05 // relative: RejectionRate
+	rejAbs = 1e-3 // absolute floor for RejectionRate
 
-	CountRel float64 // relative: Accepted, Crashes
-	CountAbs float64 // absolute floor for the count comparisons
+	countRel = 0.02 // relative: Accepted, Crashes
+	countAbs = 10   // absolute floor for the count comparisons
 
-	UtilAbs float64 // absolute: Utilization and Availability (both in [0,1])
+	utilAbs = 0.02 // absolute: Utilization and Availability (both in [0,1])
 
-	InstAbs float64 // absolute: Min/Max/AvgInstances slack
+	instAbs = 1 // absolute: Min/Max/AvgInstances slack
 
-	VMRel float64 // relative: VMHours
-}
-
-// HybridTolerance is the accuracy contract of -mode=hybrid against
-// -mode=exact on the paper's panels: response mean within 2% relative,
-// rejection within 5% relative with an absolute floor at the config's
-// default rejection tolerance. The hybrid tests (make ff-smoke) enforce
-// exactly these bounds on every policy of the hybrid panel.
-func HybridTolerance() Tolerance {
-	return Tolerance{
-		RespRel:  0.02,
-		RespAbs:  0.002,
-		RejRel:   0.05,
-		RejAbs:   1e-3,
-		CountRel: 0.02,
-		CountAbs: 10,
-		UtilAbs:  0.02,
-		InstAbs:  1,
-		VMRel:    0.05,
-	}
-}
+	vmRel = 0.05 // relative: VMHours
+)
 
 // CloseTo reports whether b agrees with a on every figure-table metric
-// within tol. The policy labels must match exactly — comparing different
-// policies within tolerance is a bug, not a near-miss.
-func CloseTo(a, b Result, tol Tolerance) bool {
-	return len(CloseToDiff(a, b, tol)) == 0
+// within the hybrid accuracy contract. The policy labels must match
+// exactly — comparing different policies within tolerance is a bug, not
+// a near-miss.
+func CloseTo(a, b Result) bool {
+	return len(CloseToDiff(a, b)) == 0
 }
 
 // CloseToDiff returns one human-readable line per figure-table metric on
-// which a and b disagree beyond tol, empty when CloseTo would be true.
-// Tests print these lines verbatim.
-func CloseToDiff(a, b Result, tol Tolerance) []string {
+// which a and b disagree beyond the hybrid accuracy contract, empty when
+// CloseTo would be true. Tests print these lines verbatim.
+func CloseToDiff(a, b Result) []string {
 	var diffs []string
 	add := func(name string, av, bv, rel, abs float64) {
 		if !within(av, bv, rel, abs) {
@@ -74,7 +58,7 @@ func CloseToDiff(a, b Result, tol Tolerance) []string {
 		diffs = append(diffs, fmt.Sprintf("policy: %q vs %q", a.Policy, b.Policy))
 	}
 	add("duration", a.Duration, b.Duration, 0, 1e-6)
-	add("accepted", float64(a.Accepted), float64(b.Accepted), tol.CountRel, tol.CountAbs)
+	add("accepted", float64(a.Accepted), float64(b.Accepted), countRel, countAbs)
 	// Rejected and violation counts are the rejection-class quantities in
 	// count form — the same declared tolerance as RejectionRate applies,
 	// with the absolute floor scaled up by the offered count so that a
@@ -83,19 +67,19 @@ func CloseToDiff(a, b Result, tol Tolerance) []string {
 	if o := float64(b.Accepted + b.Rejected); o > offered {
 		offered = o
 	}
-	rejFloor := math.Max(tol.CountAbs, tol.RejAbs*offered)
-	add("rejected", float64(a.Rejected), float64(b.Rejected), tol.RejRel, rejFloor)
-	add("violations", float64(a.Violations), float64(b.Violations), tol.RejRel, rejFloor)
-	add("crashes", float64(a.Crashes), float64(b.Crashes), tol.CountRel, tol.CountAbs)
-	add("rejection rate", a.RejectionRate, b.RejectionRate, tol.RejRel, tol.RejAbs)
-	add("mean response", a.MeanResponse, b.MeanResponse, tol.RespRel, tol.RespAbs)
-	add("sd response", a.StdResponse, b.StdResponse, tol.RespRel, tol.RespAbs)
-	add("utilization", a.Utilization, b.Utilization, 0, tol.UtilAbs)
-	add("availability", a.Availability, b.Availability, 0, tol.UtilAbs)
-	add("min instances", float64(a.MinInstances), float64(b.MinInstances), 0, tol.InstAbs)
-	add("max instances", float64(a.MaxInstances), float64(b.MaxInstances), 0, tol.InstAbs)
-	add("avg instances", a.AvgInstances, b.AvgInstances, 0, tol.InstAbs)
-	add("VM hours", a.VMHours, b.VMHours, tol.VMRel, 0)
+	rejFloor := math.Max(countAbs, rejAbs*offered)
+	add("rejected", float64(a.Rejected), float64(b.Rejected), rejRel, rejFloor)
+	add("violations", float64(a.Violations), float64(b.Violations), rejRel, rejFloor)
+	add("crashes", float64(a.Crashes), float64(b.Crashes), countRel, countAbs)
+	add("rejection rate", a.RejectionRate, b.RejectionRate, rejRel, rejAbs)
+	add("mean response", a.MeanResponse, b.MeanResponse, respRel, respAbs)
+	add("sd response", a.StdResponse, b.StdResponse, respRel, respAbs)
+	add("utilization", a.Utilization, b.Utilization, 0, utilAbs)
+	add("availability", a.Availability, b.Availability, 0, utilAbs)
+	add("min instances", float64(a.MinInstances), float64(b.MinInstances), 0, instAbs)
+	add("max instances", float64(a.MaxInstances), float64(b.MaxInstances), 0, instAbs)
+	add("avg instances", a.AvgInstances, b.AvgInstances, 0, instAbs)
+	add("VM hours", a.VMHours, b.VMHours, vmRel, 0)
 	return diffs
 }
 

@@ -25,8 +25,8 @@ func baseResult() Result {
 
 func TestCloseToIdentical(t *testing.T) {
 	a := baseResult()
-	if !CloseTo(a, a, HybridTolerance()) {
-		t.Fatalf("identical results not close: %v", CloseToDiff(a, a, HybridTolerance()))
+	if !CloseTo(a, a) {
+		t.Fatalf("identical results not close: %v", CloseToDiff(a, a))
 	}
 }
 
@@ -34,19 +34,19 @@ func TestCloseToWithinResponseTolerance(t *testing.T) {
 	a, b := baseResult(), baseResult()
 	b.MeanResponse = a.MeanResponse * 1.01 // 1% < 2% declared
 	b.Accepted = 100900                    // 0.9% < 2%
-	if !CloseTo(a, b, HybridTolerance()) {
-		t.Fatalf("1%% drift rejected: %v", CloseToDiff(a, b, HybridTolerance()))
+	if !CloseTo(a, b) {
+		t.Fatalf("1%% drift rejected: %v", CloseToDiff(a, b))
 	}
 }
 
 func TestCloseToResponseBeyondTolerance(t *testing.T) {
 	a, b := baseResult(), baseResult()
 	b.MeanResponse = a.MeanResponse * 1.03 // 3% > 2%
-	diffs := CloseToDiff(a, b, HybridTolerance())
+	diffs := CloseToDiff(a, b)
 	if len(diffs) != 1 || !strings.Contains(diffs[0], "mean response") {
 		t.Fatalf("want one mean-response diff, got %v", diffs)
 	}
-	if CloseTo(a, b, HybridTolerance()) {
+	if CloseTo(a, b) {
 		t.Fatal("CloseTo and CloseToDiff disagree")
 	}
 }
@@ -57,11 +57,11 @@ func TestCloseToRejectionAbsoluteFloor(t *testing.T) {
 	a, b := baseResult(), baseResult()
 	b.RejectionRate = 5e-4 // within the 1e-3 floor
 	b.Rejected = 8         // within the count floor
-	if !CloseTo(a, b, HybridTolerance()) {
-		t.Fatalf("floor not applied: %v", CloseToDiff(a, b, HybridTolerance()))
+	if !CloseTo(a, b) {
+		t.Fatalf("floor not applied: %v", CloseToDiff(a, b))
 	}
 	b.RejectionRate = 0.01 // beyond floor, and rel is moot against 0
-	if CloseTo(a, b, HybridTolerance()) {
+	if CloseTo(a, b) {
 		t.Fatal("1% rejection matched an exact 0")
 	}
 }
@@ -69,12 +69,12 @@ func TestCloseToRejectionAbsoluteFloor(t *testing.T) {
 func TestCloseToPolicyAndDurationStrict(t *testing.T) {
 	a, b := baseResult(), baseResult()
 	b.Policy = "Static-100"
-	if CloseTo(a, b, HybridTolerance()) {
+	if CloseTo(a, b) {
 		t.Fatal("different policies compared close")
 	}
 	b = baseResult()
 	b.Duration = a.Duration + 1
-	if CloseTo(a, b, HybridTolerance()) {
+	if CloseTo(a, b) {
 		t.Fatal("different durations compared close")
 	}
 }
@@ -83,11 +83,11 @@ func TestCloseToInstanceSlack(t *testing.T) {
 	a, b := baseResult(), baseResult()
 	b.MaxInstances = a.MaxInstances + 1 // the declared ±1 slack
 	b.AvgInstances = a.AvgInstances + 0.6
-	if !CloseTo(a, b, HybridTolerance()) {
-		t.Fatalf("±1 instance slack rejected: %v", CloseToDiff(a, b, HybridTolerance()))
+	if !CloseTo(a, b) {
+		t.Fatalf("±1 instance slack rejected: %v", CloseToDiff(a, b))
 	}
 	b.MaxInstances = a.MaxInstances + 2
-	if CloseTo(a, b, HybridTolerance()) {
+	if CloseTo(a, b) {
 		t.Fatal("2-instance drift accepted")
 	}
 }

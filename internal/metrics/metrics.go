@@ -508,7 +508,7 @@ type Result struct {
 	AvgInstances float64 // time-weighted average
 	VMHours      float64 // Σ instance lifetimes, in hours
 	Utilization  float64 // busy seconds / VM seconds
-	EnergyKWh    float64 // data-center energy, when metering is enabled
+	EnergyKWh    float64 // data-center energy in kWh
 
 	// Resilience metrics (all zero / Availability 1 in fault-free runs).
 	Crashes            uint64  // instance failures (VM crashes + failed boots)

@@ -41,11 +41,10 @@ func TestValidateQueueSizeBoundary(t *testing.T) {
 // Config round-trips through its JSON spec schema with every field intact.
 func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg := Config{
-		QoS:           QoS{Ts: 0.25, MaxRejection: 0.01, RejectionTol: 1e-3, MinUtilization: 0.8},
-		NominalTr:     0.1,
-		MaxVMs:        20,
-		BootDelay:     30,
-		MonitorWindow: 500,
+		QoS:       QoS{Ts: 0.25, MaxRejection: 0.01, RejectionTol: 1e-3, MinUtilization: 0.8},
+		NominalTr: 0.1,
+		MaxVMs:    20,
+		BootDelay: 30,
 	}
 	data, err := json.Marshal(cfg)
 	if err != nil {

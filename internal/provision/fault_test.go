@@ -120,28 +120,26 @@ func TestRetryRecoversAfterCapacityFrees(t *testing.T) {
 }
 
 // TestRetryGivesUpAfterMaxAttempts: a permanent failure stops retrying
-// after MaxAttempts, leaving no event-loop churn behind.
+// after retryMaxAttempts (10), leaving no event-loop churn behind.
 func TestRetryGivesUpAfterMaxAttempts(t *testing.T) {
-	cfg := testCfg()
-	cfg.Retry = RetryPolicy{MaxAttempts: 3}
 	var gp *gatedProvider
-	r := newFaultRig(cfg, func(dc *cloud.Datacenter) cloud.Provider {
+	r := newFaultRig(testCfg(), func(dc *cloud.Datacenter) cloud.Provider {
 		gp = &gatedProvider{Datacenter: dc, failUntil: 1e18} // never recovers
 		return gp
 	})
 	r.sim.At(0, func() { r.p.SetTarget(2) })
 	r.sim.Run()
 	// One call from SetTarget plus one per retry.
-	if gp.calls != 4 {
-		t.Fatalf("provision calls = %d, want 4 (initial + 3 retries)", gp.calls)
+	if gp.calls != 11 {
+		t.Fatalf("provision calls = %d, want 11 (initial + 10 retries)", gp.calls)
 	}
-	if res := r.col.Result("x", r.sim.Now()); res.Retries != 3 {
-		t.Fatalf("retries = %d, want 3", res.Retries)
+	if res := r.col.Result("x", r.sim.Now()); res.Retries != 10 {
+		t.Fatalf("retries = %d, want 10", res.Retries)
 	}
 	// A fresh scaling decision restarts the schedule.
 	r.p.SetTarget(3)
-	if gp.calls != 5 {
-		t.Fatalf("SetTarget after give-up did not retry: calls = %d, want 5", gp.calls)
+	if gp.calls != 12 {
+		t.Fatalf("SetTarget after give-up did not retry: calls = %d, want 12", gp.calls)
 	}
 }
 
@@ -334,9 +332,7 @@ func TestTransientReleaseRetried(t *testing.T) {
 // never satisfy the target, the pool keeps serving with what it has and
 // the availability metric reports the deficit.
 func TestGracefulDegradationUnderPermanentShortfall(t *testing.T) {
-	cfg := testCfg()
-	cfg.Retry = RetryPolicy{MaxAttempts: 2}
-	r := newFaultRig(cfg, func(dc *cloud.Datacenter) cloud.Provider {
+	r := newFaultRig(testCfg(), func(dc *cloud.Datacenter) cloud.Provider {
 		gp := &gatedProvider{Datacenter: dc, failUntil: 1e18}
 		return gp
 	})

@@ -34,12 +34,11 @@ type QoS struct {
 // Config parameterizes a provisioner. The JSON tags are the schema of the
 // declarative scenario specs.
 type Config struct {
-	QoS           QoS          `json:"qos"`
-	NominalTr     float64      `json:"nominal_tr"`               // nominal single-request execution time; with Ts it defines k (Equation 1)
-	MaxVMs        int          `json:"max_vms"`                  // contract ceiling on concurrently running VMs
-	VMSpec        cloud.VMSpec `json:"vm_spec"`                  // resources of each application VM
-	BootDelay     float64      `json:"boot_delay,omitempty"`     // seconds from provisioning to readiness (paper setup: 0)
-	MonitorWindow int          `json:"monitor_window,omitempty"` // completions in the monitored-Tm sliding window (default 1000)
+	QoS       QoS          `json:"qos"`
+	NominalTr float64      `json:"nominal_tr"`           // nominal single-request execution time; with Ts it defines k (Equation 1)
+	MaxVMs    int          `json:"max_vms"`              // contract ceiling on concurrently running VMs
+	VMSpec    cloud.VMSpec `json:"vm_spec"`              // resources of each application VM
+	BootDelay float64      `json:"boot_delay,omitempty"` // seconds from provisioning to readiness (paper setup: 0)
 
 	// SLA extension (the paper's future-work Section VII); both default
 	// off, leaving the base experiments untouched.
@@ -53,11 +52,6 @@ type Config struct {
 	// reject requests no instance can finish in time.
 	DeadlineAware bool `json:"deadline_aware,omitempty"`
 
-	// Retry shapes the self-healing re-provisioning loop; the zero value
-	// (omitted from JSON) selects the defaults, so base scenario specs
-	// are unchanged.
-	Retry RetryPolicy `json:"retry,omitzero"`
-
 	// Breaker shapes the per-zone circuit breaker used when the provider
 	// spans multiple failure domains (a federation); the zero value
 	// selects the defaults. Without a multi-zone provider it is inert.
@@ -68,54 +62,28 @@ type Config struct {
 	Shed ShedPolicy `json:"shed,omitzero"`
 }
 
-// RetryPolicy parameterizes the capped-exponential-backoff loop that
-// re-attempts failed provisions: after a Provision error the provisioner
-// schedules a retry event InitialBackoff seconds out, doubling (by
-// Multiplier) up to MaxBackoff on each consecutive failure, and gives up
-// after MaxAttempts consecutive failures until the next scaling decision
-// or crash. Retries are simulated events on the virtual clock, never spin
-// loops, so a fault-free run schedules none and stays bit-identical to
-// the pre-retry provisioner.
-type RetryPolicy struct {
-	InitialBackoff float64 `json:"initial_backoff,omitempty"` // seconds; default 1
-	MaxBackoff     float64 `json:"max_backoff,omitempty"`     // seconds; default 64
-	Multiplier     float64 `json:"multiplier,omitempty"`      // default 2
-	MaxAttempts    int     `json:"max_attempts,omitempty"`    // default 10; -1 = retry forever
-}
+// The self-healing retry schedule. After a failed Provision the
+// provisioner retries retryInitialBackoff seconds later, doubling the
+// delay on each consecutive failure up to retryMaxBackoff, and gives up
+// after retryMaxAttempts consecutive failures until the next scaling
+// decision or crash. A transient Release error is retried on the same
+// schedule without an attempt limit. Retries are simulated events on
+// the virtual clock, never spin loops, so a fault-free run schedules
+// none.
+const (
+	retryInitialBackoff = 1  // seconds
+	retryMaxBackoff     = 64 // seconds
+	retryMaxAttempts    = 10
+)
 
-// withDefaults resolves zero fields to the default policy.
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.InitialBackoff == 0 {
-		rp.InitialBackoff = 1
-	}
-	if rp.MaxBackoff == 0 {
-		rp.MaxBackoff = 64
-	}
-	if rp.Multiplier == 0 {
-		rp.Multiplier = 2
-	}
-	if rp.MaxAttempts == 0 {
-		rp.MaxAttempts = 10
-	}
-	return rp
-}
+// monitorWindow is the number of completions in the monitored-Tm
+// sliding window.
+const monitorWindow = 1000
 
-// validate reports retry-policy errors (zero fields are legal: they mean
-// "use the default").
-func (rp RetryPolicy) validate() error {
-	if rp.InitialBackoff < 0 || math.IsNaN(rp.InitialBackoff) || math.IsInf(rp.InitialBackoff, 0) {
-		return fmt.Errorf("provision: Retry.InitialBackoff %v must be a finite non-negative number", rp.InitialBackoff)
-	}
-	if rp.MaxBackoff < 0 || math.IsNaN(rp.MaxBackoff) || math.IsInf(rp.MaxBackoff, 0) {
-		return fmt.Errorf("provision: Retry.MaxBackoff %v must be a finite non-negative number", rp.MaxBackoff)
-	}
-	if rp.Multiplier != 0 && rp.Multiplier < 1 || math.IsNaN(rp.Multiplier) || math.IsInf(rp.Multiplier, 0) {
-		return fmt.Errorf("provision: Retry.Multiplier %v must be at least 1 (or 0 for the default)", rp.Multiplier)
-	}
-	if rp.MaxAttempts < -1 {
-		return fmt.Errorf("provision: Retry.MaxAttempts %d must be -1 (unlimited), 0 (default), or positive", rp.MaxAttempts)
-	}
-	return nil
+// retryDelay returns the backoff before retry n of a chain (0-based):
+// retryInitialBackoff·2ⁿ, capped at retryMaxBackoff.
+func retryDelay(n int) float64 {
+	return min(math.Ldexp(retryInitialBackoff, n), retryMaxBackoff)
 }
 
 // FaultModel is the provisioning layer's view of an injected fault
@@ -153,9 +121,6 @@ func (c Config) Validate() error {
 	if c.BootDelay < 0 {
 		return fmt.Errorf("provision: BootDelay must be non-negative, got %v", c.BootDelay)
 	}
-	if err := c.Retry.validate(); err != nil {
-		return err
-	}
 	if err := c.Breaker.validate(); err != nil {
 		return err
 	}
@@ -181,11 +146,10 @@ type Provisioner struct {
 	scratchBusy []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt from scratch every decision
 
 	// Self-healing state. fm is the injected fault environment (nil = a
-	// perfectly reliable IaaS). retry is the resolved backoff policy.
-	// repairT holds the open crash-repair episodes (crash times awaiting
-	// a replacement activation) feeding the MTTR metric.
+	// perfectly reliable IaaS). repairT holds the open crash-repair
+	// episodes (crash times awaiting a replacement activation) feeding
+	// the MTTR metric.
 	fm      FaultModel //vmprov:ephemeral -- environment wiring set before the run via SetFaultModel; the injector snapshots its own state
-	retry   RetryPolicy
 	repairT []float64
 
 	// Zone-aware failover state (multi-zone providers only; see
@@ -224,10 +188,10 @@ type pstate struct {
 	activeFree  int
 
 	// One pending retry event at a time re-attempts failed provisions
-	// with capped exponential backoff.
-	retryEv      sim.Event
-	retryBackoff float64
-	retryFails   int
+	// with capped exponential backoff; retryFails counts the consecutive
+	// failures it follows.
+	retryEv    sim.Event
+	retryFails int
 
 	zoneCur int // rotates placement across healthy zones
 }
@@ -240,9 +204,6 @@ func NewProvisioner(s *sim.Sim, dc cloud.Provider, cfg Config, col *metrics.Coll
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.MonitorWindow <= 0 {
-		cfg.MonitorWindow = 1000
-	}
 	if cfg.VMSpec == (cloud.VMSpec{}) {
 		cfg.VMSpec = cloud.DefaultVMSpec()
 	}
@@ -252,8 +213,7 @@ func NewProvisioner(s *sim.Sim, dc cloud.Provider, cfg Config, col *metrics.Coll
 		cfg:         cfg,
 		k:           queueing.QueueSize(cfg.QoS.Ts, cfg.NominalTr),
 		col:         col,
-		monitor:     stats.NewWindow(cfg.MonitorWindow),
-		retry:       cfg.Retry.withDefaults(),
+		monitor:     stats.NewWindow(monitorWindow),
 		brk:         cfg.Breaker.withDefaults(),
 		shedClasses: cfg.Shed.Classes,
 	}
@@ -513,16 +473,15 @@ func (p *Provisioner) releaseVM(id int) {
 	if !errors.Is(err, cloud.ErrTransient) {
 		panic(err)
 	}
-	p.sim.ScheduleFunc(p.retry.InitialBackoff, retryRelease, &releaseRetry{
-		p: p, id: id, backoff: p.retry.InitialBackoff,
-	})
+	p.sim.ScheduleFunc(retryDelay(0), retryRelease, &releaseRetry{p: p, id: id})
 }
 
-// releaseRetry carries one stuck Release through its backoff chain.
+// releaseRetry carries one stuck Release through its backoff chain; n
+// numbers the retry it schedules.
 type releaseRetry struct {
-	p       *Provisioner
-	id      int
-	backoff float64
+	p  *Provisioner
+	id int
+	n  int
 }
 
 // retryRelease re-attempts a failed Release; on another transient error
@@ -530,8 +489,8 @@ type releaseRetry struct {
 // fresh immutable payload so a kernel snapshot restored mid-chain replays
 // the same backoff schedule (a reused, self-mutating payload would carry
 // post-snapshot state back into the restored event). Release retries are
-// never bounded by MaxAttempts: the VM must come back eventually, and
-// holding it leaked would silently shrink the data center.
+// never bounded by retryMaxAttempts: the VM must come back eventually,
+// and holding it leaked would silently shrink the data center.
 func retryRelease(a any) {
 	rr := a.(*releaseRetry)
 	p := rr.p
@@ -543,8 +502,8 @@ func retryRelease(a any) {
 	if !errors.Is(err, cloud.ErrTransient) {
 		panic(err)
 	}
-	backoff := min(rr.backoff*p.retry.Multiplier, p.retry.MaxBackoff)
-	p.sim.ScheduleFunc(backoff, retryRelease, &releaseRetry{p: p, id: rr.id, backoff: backoff})
+	n := rr.n + 1
+	p.sim.ScheduleFunc(retryDelay(n), retryRelease, &releaseRetry{p: p, id: rr.id, n: n})
 }
 
 // SetTarget grows or shrinks the committed pool to m instances,
@@ -669,22 +628,17 @@ func (p *Provisioner) provisionOne() (ok, retryable bool) {
 
 // scheduleRetry arms the self-healing retry event after a failed
 // provision: one pending event at a time, with capped exponential backoff
-// across consecutive failures, giving up after MaxAttempts until the next
-// scaling decision or crash resets the schedule.
+// across consecutive failures, giving up after retryMaxAttempts until the
+// next scaling decision or crash resets the schedule.
 func (p *Provisioner) scheduleRetry() {
 	if !p.retryEv.Canceled() {
 		return // a retry is already pending
 	}
-	if p.retry.MaxAttempts >= 0 && p.retryFails >= p.retry.MaxAttempts {
+	if p.retryFails >= retryMaxAttempts {
 		return
 	}
+	p.retryEv = p.sim.ScheduleFunc(retryDelay(p.retryFails), provisionRetry, p)
 	p.retryFails++
-	if p.retryBackoff == 0 {
-		p.retryBackoff = p.retry.InitialBackoff
-	} else {
-		p.retryBackoff = min(p.retryBackoff*p.retry.Multiplier, p.retry.MaxBackoff)
-	}
-	p.retryEv = p.sim.ScheduleFunc(p.retryBackoff, provisionRetry, p)
 }
 
 // cancelRetry drops any pending retry and resets the backoff schedule.
@@ -692,7 +646,6 @@ func (p *Provisioner) cancelRetry() {
 	p.sim.Cancel(p.retryEv)
 	p.retryEv = sim.Event{}
 	p.retryFails = 0
-	p.retryBackoff = 0
 }
 
 // provisionRetry is the retry event: re-attempt healing the pool back to
@@ -819,8 +772,9 @@ func (p *Provisioner) crash(in *app.Instance) {
 		// no committed capacity and opens no repair episode.
 		p.repairT = append(p.repairT, now)
 	}
-	// The crash resets the give-up state: even after MaxAttempts failed
-	// retries the provisioner must try to replace a freshly dead VM.
+	// The crash resets the give-up state: even after retryMaxAttempts
+	// failed retries the provisioner must try to replace a freshly dead
+	// VM.
 	p.cancelRetry()
 	p.heal()
 	for _, q := range queued {

@@ -52,65 +52,6 @@ func TestRetryBackoffSequencePinned(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffRespectsCustomCap: a custom policy's cap and multiplier
-// shape the schedule (initial 2, ×3, capped at 10): retries at
-// t = 2, 8 (2+6), 18 (8+10), then give-up at MaxAttempts=3.
-func TestRetryBackoffRespectsCustomCap(t *testing.T) {
-	cfg := testCfg()
-	cfg.Retry = RetryPolicy{InitialBackoff: 2, MaxBackoff: 10, Multiplier: 3, MaxAttempts: 3}
-	var tp *transientProvider
-	r := newFaultRig(cfg, func(dc *cloud.Datacenter) cloud.Provider {
-		tp = &transientProvider{Datacenter: dc}
-		return tp
-	})
-	r.sim.At(0, func() { r.p.SetTarget(1) })
-	r.sim.Run()
-	want := []float64{0, 2, 8, 18}
-	if len(tp.times) != len(want) {
-		t.Fatalf("provision attempts = %v, want %v", tp.times, want)
-	}
-	for i, at := range tp.times {
-		if at != want[i] {
-			t.Fatalf("attempt %d at t=%v, want %v", i, at, want[i])
-		}
-	}
-}
-
-// TestRetryPolicyValidate covers the edge cases of RetryPolicy.validate:
-// non-finite backoffs, a shrinking multiplier, and out-of-range attempt
-// counts are rejected; zero fields and the documented sentinels pass.
-func TestRetryPolicyValidate(t *testing.T) {
-	bad := []RetryPolicy{
-		{InitialBackoff: math.NaN()},
-		{InitialBackoff: math.Inf(1)},
-		{InitialBackoff: -1},
-		{MaxBackoff: math.NaN()},
-		{MaxBackoff: math.Inf(-1)},
-		{MaxBackoff: -0.5},
-		{Multiplier: 0.5},
-		{Multiplier: -2},
-		{Multiplier: math.NaN()},
-		{Multiplier: math.Inf(1)},
-		{MaxAttempts: -2},
-	}
-	for _, rp := range bad {
-		if rp.validate() == nil {
-			t.Errorf("RetryPolicy%+v passed validation", rp)
-		}
-	}
-	good := []RetryPolicy{
-		{}, // zero value: all defaults
-		{MaxAttempts: -1},
-		{Multiplier: 1},
-		{InitialBackoff: 0.5, MaxBackoff: 0.5},
-	}
-	for _, rp := range good {
-		if err := rp.validate(); err != nil {
-			t.Errorf("RetryPolicy%+v rejected: %v", rp, err)
-		}
-	}
-}
-
 // TestBreakerAndShedPolicyValidate covers the breaker and shed policy
 // validators.
 func TestBreakerAndShedPolicyValidate(t *testing.T) {

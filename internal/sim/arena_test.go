@@ -97,6 +97,67 @@ func TestStaleHandleIsInert(t *testing.T) {
 	}
 }
 
+// TestStaleHandleAcrossRestoreFreeSlot: a handle issued after a snapshot
+// belongs to a discarded future once the snapshot is restored. Here its
+// slot was free at the snapshot, so the first event scheduled after the
+// restore reuses it; the stale handle must not cancel that event.
+func TestStaleHandleAcrossRestoreFreeSlot(t *testing.T) {
+	s := New()
+	s.Cancel(s.Schedule(1, func() {})) // frees slot 0
+	var snap Snapshot
+	s.Snapshot(&snap)
+	stale := s.Schedule(2, func() { t.Error("discarded-future event fired") })
+	s.Restore(&snap)
+	fired := false
+	fresh := s.Schedule(3, func() { fired = true })
+	checkStaleInert(t, s, stale, fresh, &fired)
+}
+
+// TestStaleHandleAcrossRestorePendingSlot: the discarded future fired an
+// event pending at the snapshot and reused its slot for the stale
+// handle's event. After the restore the pre-snapshot handle is valid
+// again, and once the rewound event fires and a fresh event reuses the
+// slot, the stale handle must not cancel it.
+func TestStaleHandleAcrossRestorePendingSlot(t *testing.T) {
+	s := New()
+	pre := s.Schedule(5, func() {})
+	var snap Snapshot
+	s.Snapshot(&snap)
+	s.RunUntil(6)
+	stale := s.Schedule(2, func() { t.Error("discarded-future event fired") })
+	s.Restore(&snap)
+	if pre.Canceled() || pre.Time() != 5 {
+		t.Fatalf("pre-snapshot handle after Restore: canceled=%v time=%v, want pending at 5", pre.Canceled(), pre.Time())
+	}
+	s.RunUntil(6)
+	fired := false
+	fresh := s.Schedule(3, func() { fired = true })
+	checkStaleInert(t, s, stale, fresh, &fired)
+}
+
+// checkStaleInert checks that stale reports no pending event, that Cancel
+// through it is a no-op that leaves fresh pending, and that fresh then
+// fires.
+func checkStaleInert(t *testing.T, s *Sim, stale, fresh Event, fired *bool) {
+	t.Helper()
+	if stale.id != fresh.id {
+		t.Fatalf("fresh event in slot %d, want the stale handle's slot %d", fresh.id, stale.id)
+	}
+	if !stale.Canceled() || !math.IsNaN(stale.Time()) {
+		t.Fatalf("stale handle reports a pending event at %v", stale.Time())
+	}
+	if s.Cancel(stale) {
+		t.Fatal("Cancel through a handle from a discarded future canceled a live event")
+	}
+	if fresh.Canceled() {
+		t.Fatal("fresh event canceled through the stale handle")
+	}
+	s.Run()
+	if !*fired {
+		t.Fatal("fresh event never fired")
+	}
+}
+
 func TestCancelForeignSimIsNoOp(t *testing.T) {
 	a, b := New(), New()
 	e := a.Schedule(1, func() {})

@@ -17,8 +17,8 @@ import (
 // The reference has no arena, no free list, no heap, no lane and no
 // deferred slot — just a linear-scan minimum over (time, seq) — so any
 // disagreement implicates the kernel's clever parts, including
-// cancel-then-reuse aliasing of pooled event slots and the merge of the
-// heap, the lane and the slot.
+// cancel-then-reuse aliasing of pooled event slots (within one future and
+// across a restore) and the merge of the heap, the lane and the slot.
 
 // refEvent is one pending event of the reference scheduler.
 type refEvent struct {
@@ -162,6 +162,7 @@ func checkModel(t *testing.T, data []byte) {
 	var gotFired, wantFired []firing
 	var handles []Event  // kernel handles of top-level events, by creation order
 	var refSeqs []uint64 // matching reference seqs
+	var stale []Event    // handles issued in futures a restore discarded
 
 	// fireFn records a kernel firing and applies the child rule. Declared
 	// as a variable so the child closure can recurse.
@@ -212,7 +213,7 @@ func checkModel(t *testing.T, data []byte) {
 
 	nextID := 1
 	for op := 0; op+2 < len(data); op += 3 {
-		code, x, y := data[op]%13, float64(data[op+1]), int(data[op+2])
+		code, x, y := data[op]%14, float64(data[op+1]), int(data[op+2])
 		switch code {
 		case 0, 1: // schedule a fresh event at now + x/8
 			id := nextID
@@ -294,6 +295,7 @@ func checkModel(t *testing.T, data []byte) {
 			gotFired, wantFired = gotFired[:firedAt], wantFired[:firedAt]
 			// Handles from the discarded future are the future's:
 			// its events are gone, and its arena slots may be reused.
+			stale = append(stale, handles[heldAt:]...)
 			handles, refSeqs = handles[:heldAt], refSeqs[:heldAt]
 			if y%2 == 1 {
 				snap = nil
@@ -317,6 +319,15 @@ func checkModel(t *testing.T, data []byte) {
 				break
 			}
 			ref.events = append(ref.events, refEvent{t: at, seq: rseq, id: id})
+		case 13: // cancel a handle from a discarded future: its event is
+			// gone from both schedulers, so it must cancel nothing, even
+			// where a later event reuses its arena slot
+			if len(stale) == 0 {
+				continue
+			}
+			if s.Cancel(stale[y%len(stale)]) {
+				t.Fatalf("op %d: Cancel(stale handle %d) canceled a live event", op, y%len(stale))
+			}
 		}
 		sync(op)
 	}
@@ -352,6 +363,12 @@ func FuzzSimHeap(f *testing.F) {
 	// taken; then a snapshot, drains, and two restores of it.
 	f.Add([]byte{10, 0, 0, 10, 255, 0, 10, 128, 0, 10, 0, 0, 0, 16, 0, 12, 16, 0, 8, 16, 0, 12, 16, 1,
 		11, 0, 0, 4, 255, 0, 11, 0, 0, 5, 0, 0, 4, 255, 0, 11, 0, 1, 4, 255, 0})
+	// A handle from a discarded future across a restore, then canceled
+	// once a fresh event reuses its slot: the slot was free at the
+	// snapshot (cancel first), or pending there and fired in both
+	// futures (schedule at 5, drain past it on each side of the restore).
+	f.Add([]byte{0, 8, 0, 3, 0, 0, 11, 0, 0, 0, 8, 0, 11, 0, 1, 0, 8, 0, 13, 0, 0, 4, 255, 0})
+	f.Add([]byte{0, 40, 0, 11, 0, 0, 4, 48, 0, 0, 8, 0, 11, 0, 1, 4, 48, 0, 0, 8, 0, 13, 0, 0, 4, 255, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*400 {
 			t.Skip("cap op count: the reference is quadratic")

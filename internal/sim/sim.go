@@ -45,10 +45,11 @@
 //     set once per event: it advances inline when the event is next and
 //     within Until, and otherwise parks it on the deferred slot.
 //
-// Event handles carry a generation counter: a handle to a node that has
-// fired (or was canceled) and has since been reused is detected and
-// Cancel on it is a safe no-op, so free-list reuse cannot alias a live
-// event.
+// Event handles carry a generation number, drawn at scheduling from a
+// per-simulator counter that only grows: a handle whose event has fired,
+// was canceled or was discarded by a Restore matches no event scheduled
+// later, in its slot or any other, so Cancel on it is a safe no-op and
+// neither free-list reuse nor a rewind can alias a live event.
 package sim
 
 import (
@@ -70,13 +71,14 @@ const (
 )
 
 // node is one arena slot. While pending it sits in the heap at index pos;
-// when free it chains through next on the free list. gen increments every
-// time the slot is released, invalidating outstanding handles.
+// when free it chains through next on the free list. gen is the
+// generation of the event last scheduled into the slot: a handle is live
+// while it carries that generation and the slot is pending.
 type node struct {
 	time float64
 	fn   func(any) // shared callback; Schedule/At closures run through callClosure
 	arg  any
-	gen  uint32
+	gen  uint64
 	pos  int32 // index in the heap; noEvent when not pending
 	next int32 // next free node; meaningful only while free
 }
@@ -119,7 +121,7 @@ type fireRef struct {
 type Event struct {
 	s   *Sim
 	id  int32
-	gen uint32
+	gen uint64
 }
 
 // Time returns the virtual time the event is scheduled for, or NaN when
@@ -156,6 +158,7 @@ type Sim struct {
 	fires   []fireRef   // interned fire-and-forget callbacks
 	tickers []*Ticker   // every ticker started by Every, in start order
 	until   float64     //vmprov:ephemeral -- run-loop bound, saved and restored by RunUntil itself
+	gens    uint64      //vmprov:ephemeral -- last generation issued; rewinding it would let a handle from a discarded future match a later event
 }
 
 // state is the simulator's scalar state. Snapshot and Restore copy it
@@ -192,14 +195,14 @@ func New() *Sim {
 func (s *Sim) Reset() { s.Restore(&Snapshot{state: state{free: noEvent}}) }
 
 // Snapshot captures the simulator's complete state — clock, sequence and
-// processed counters, arena (including generation counters and the free
-// list threaded through it), pending heap, the lane's live entries, fire
-// registry, the deferred slot, and each ticker's pending event and stop
-// flag — into snap,
-// reusing snap's buffers. The cost is O(arena size), which is bounded by
-// the peak number of concurrently pending events, not by how many events
-// have ever fired. Snapshot schedules nothing and never mutates s, so
-// taking one mid-run is invisible to the event order.
+// processed counters, arena (including each slot's generation and the
+// free list threaded through it), pending heap, the lane's live entries,
+// fire registry, the deferred slot, and each ticker's pending event and
+// stop flag — into snap, reusing snap's buffers. The cost is O(arena
+// size), which is bounded by the peak number of concurrently pending
+// events, not by how many events have ever fired. Snapshot schedules
+// nothing and never mutates s, so taking one mid-run is invisible to the
+// event order.
 func (s *Sim) Snapshot(snap *Snapshot) {
 	snap.state = s.state
 	clear(snap.nodes) // drop closure/arg refs pinned by a previous use
@@ -219,14 +222,17 @@ func (s *Sim) Snapshot(snap *Snapshot) {
 // Restore rewinds the simulator to a state previously captured from this
 // same Sim by Snapshot. Events scheduled after the snapshot vanish;
 // events that were pending at the snapshot are pending again, and their
-// pre-snapshot Event handles are valid again (the arena's generation
-// counters are part of the state). Arena slots grown or recycled after
-// the snapshot are invalidated and returned to the free list rather than
-// truncated, so a stale handle held by a discarded future — e.g. a
-// ticker's last reschedule during a co-simulated lookahead — indexes a
-// live slot and cancels as a harmless no-op. Tickers are rewound too: one
-// stopped after the snapshot runs again, and one started after it is
-// forgotten, its pending event gone with the arena.
+// pre-snapshot Event handles are valid again (each slot's generation is
+// part of the captured arena). A handle issued after the snapshot, in
+// the discarded future, stays stale for good: the generation counter is
+// not rewound, so no event scheduled after the restore carries its
+// generation, whichever slot it reuses. Arena slots grown after the
+// snapshot are returned to the free list rather than truncated, so such
+// a handle — e.g. a ticker's last reschedule during a co-simulated
+// lookahead — indexes a live slot and cancels as a harmless no-op.
+// Tickers are rewound too: one stopped after the snapshot runs again,
+// and one started after it is forgotten, its pending event gone with the
+// arena.
 func (s *Sim) Restore(snap *Snapshot) {
 	s.state = snap.state
 	n := copy(s.nodes, snap.nodes)
@@ -234,7 +240,6 @@ func (s *Sim) Restore(snap *Snapshot) {
 	for i := len(s.nodes) - 1; i >= n; i-- {
 		nd := &s.nodes[i]
 		nd.fn, nd.arg = nil, nil
-		nd.gen++
 		nd.pos = noEvent
 		nd.next = free
 		free = int32(i)
@@ -507,10 +512,12 @@ func (s *Sim) insert(t float64, fn func(any), arg any) Event {
 		s.nodes = append(s.nodes, node{})
 		id = int32(len(s.nodes) - 1)
 	}
+	s.gens++
 	n := &s.nodes[id]
 	n.time = t
 	n.fn = fn
 	n.arg = arg
+	n.gen = s.gens
 	s.push(heapEntry{time: t, seq: seq, id: id}) // writes n.pos at the final position
 	return Event{s: s, id: id, gen: n.gen}
 }
@@ -529,14 +536,14 @@ func plusZero(t float64) float64 {
 	return t
 }
 
-// release returns a slot to the free list and invalidates outstanding
-// handles to it. Callback references are dropped so the arena does not
-// pin dead closures or args for the GC.
+// release returns a slot to the free list, which invalidates outstanding
+// handles to it: the slot is no longer pending, and the next event in it
+// gets a fresh generation. Callback references are dropped so the arena
+// does not pin dead closures or args for the GC.
 func (s *Sim) release(id int32) {
 	n := &s.nodes[id]
 	n.fn = nil
 	n.arg = nil
-	n.gen++
 	n.pos = noEvent
 	n.next = s.free
 	s.free = id

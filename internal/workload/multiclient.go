@@ -553,11 +553,13 @@ type multiSnap struct {
 	stores []any
 }
 
-// Snapshot implements Rewindable by delegating to each MMPP client.
+// Snapshot implements Rewindable by delegating to each MMPP client. A
+// pooled store may come from a source with another client count, so it
+// is resized to this source's clients.
 func (m *MultiSource) Snapshot(store any) any {
 	sn := stats.Store[multiSnap](store)
 	sn.ids = m.ids
-	if sn.stores == nil {
+	if len(sn.stores) != len(m.clients) {
 		sn.stores = make([]any, len(m.clients))
 	}
 	for i, c := range m.clients {

@@ -160,6 +160,50 @@ func TestRewindSources(t *testing.T) {
 	}
 }
 
+// TestMultiSourceSnapshotResizesPooledStore: a pooled snapshot store may
+// come from a multi source with fewer clients, as when one replication
+// context runs model-predictive replications of two multi-client
+// scenarios in turn. Snapshot must resize it (it indexed past the end
+// for the larger source's MMPP client), and the restore through it must
+// replay the requests of the uninterrupted run.
+func TestMultiSourceSnapshotResizesPooledStore(t *testing.T) {
+	clients := rewindClients() // the MMPP client is the last of four
+	three := slices.Clone(clients[:3])
+	three[0].RateFraction = 0.5
+	small, err := NewMultiSource(20, three)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := NewMultiSource(20, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := small.Snapshot(nil)
+
+	s := sim.New()
+	r := stats.NewRNG(17)
+	var reqs []Request
+	big.Start(s, r, func(q Request) { reqs = append(reqs, q) })
+	s.RunUntil(1315.5)
+	var ks sim.Snapshot
+	var rs stats.RNGSnap
+	s.Snapshot(&ks)
+	r.Snapshot(&rs)
+	store = big.Snapshot(store)
+	n := len(reqs)
+	s.RunUntil(2500)
+	want := slices.Clone(reqs[n:])
+	s.Restore(&ks)
+	r.Restore(&rs)
+	big.Restore(store)
+	reqs = reqs[:n]
+	s.RunUntil(2500)
+	if got := reqs[n:]; len(want) == 0 || firstDiff(got, want) >= 0 {
+		t.Fatalf("after Restore through a resized store, %d requests differ from the uninterrupted %d (first at %d)",
+			len(got), len(want), firstDiff(got, want))
+	}
+}
+
 // TestRewindAnalyzers is the restore check of the observing analyzers: a
 // window analyzer, and a forecast analyzer over each forecaster, fed by
 // a source and snapshotted mid-window, must alert after the snapshot

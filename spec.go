@@ -59,9 +59,6 @@ type (
 	// transient API errors) for a scenario; the zero value is the
 	// paper's perfectly reliable cloud.
 	FaultSpec = fault.Spec
-	// RetryPolicy shapes the provisioner's self-healing retry/backoff
-	// loop; the zero value selects the defaults.
-	RetryPolicy = provision.RetryPolicy
 	// BreakerPolicy shapes the per-zone circuit breaker used over
 	// multi-zone providers; the zero value selects the defaults.
 	BreakerPolicy = provision.BreakerPolicy
@@ -85,7 +82,8 @@ const (
 	ModeExact = experiment.ModeExact
 	// ModeHybrid fast-forwards quiescent windows through the closed-form
 	// performance model, probing with exact windows on a calibration
-	// schedule; results match exact runs within metrics.HybridTolerance.
+	// schedule; results match exact runs within the hybrid accuracy
+	// contract (ResultsCloseTo).
 	ModeHybrid = experiment.ModeHybrid
 )
 

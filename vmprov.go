@@ -93,9 +93,6 @@ type (
 	VMSpec = cloud.VMSpec
 	// Placement selects the VM-to-host mapping policy.
 	Placement = cloud.Placement
-	// Tolerance bounds how far two Results may drift before ResultsCloseTo
-	// calls them different (hybrid-vs-exact validation).
-	Tolerance = metrics.Tolerance
 )
 
 // Placement policies (the paper's setup uses PlacementLeastLoaded).
@@ -162,17 +159,14 @@ func ResultsCSV(results []Result) string { return experiment.ResultsCSV(results)
 // rows included (Result is not ==-comparable).
 func ResultsEqual(a, b Result) bool { return metrics.Equal(a, b) }
 
-// HybridTolerance is the accuracy contract of ModeHybrid against
-// ModeExact on the paper's panels.
-func HybridTolerance() Tolerance { return metrics.HybridTolerance() }
-
 // ResultsCloseTo reports whether two results agree on every figure-table
-// metric within tol.
-func ResultsCloseTo(a, b Result, tol Tolerance) bool { return metrics.CloseTo(a, b, tol) }
+// metric within the accuracy contract of ModeHybrid against ModeExact.
+func ResultsCloseTo(a, b Result) bool { return metrics.CloseTo(a, b) }
 
 // ResultsCloseToDiff returns one line per figure-table metric on which
-// the results disagree beyond tol; empty when they are close.
-func ResultsCloseToDiff(a, b Result, tol Tolerance) []string { return metrics.CloseToDiff(a, b, tol) }
+// the results disagree beyond the hybrid accuracy contract; empty when
+// they are close.
+func ResultsCloseToDiff(a, b Result) []string { return metrics.CloseToDiff(a, b) }
 
 // SLOClassResults folds per-client rows into one row per SLO class.
 func SLOClassResults(clients []ClientResult) []ClientResult {
