@@ -1,17 +1,19 @@
 # CI entry points for the vmprov reproduction. `make ci` is the gate a PR
 # must pass: static checks, the full test suite with the race detector,
 # the kernel fuzz targets in short mode, end-to-end CLI smoke runs, every
-# example program, and the benchmark harness's own tests. Throughput is
-# measured by `bash bench/run.sh` (see bench/README.md), not by CI.
+# example program, every Go benchmark run once (bench-smoke, so their
+# b.Fatal guards execute), and the benchmark harness's own tests.
+# Throughput is measured by `bash bench/run.sh` (see bench/README.md),
+# not by CI.
 
 GO        ?= go
 FUZZTIME  ?= 10s
 SPECTMP   ?= /tmp/vmprov_spec_smoke.json
 TRACETMP  ?= /tmp/vmprov_trace_smoke.jsonl
 
-.PHONY: ci fmt vet lint build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke cli-golden examples-smoke bench-test bench golden
+.PHONY: ci fmt vet lint build test race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke cli-golden examples-smoke bench-smoke bench-test bench golden
 
-ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke cli-golden examples-smoke bench-test
+ci: fmt vet lint build race sweep-race fault-smoke chaos-smoke fuzz sweep-smoke spec-roundtrip ff-smoke snapshot-smoke cli-golden examples-smoke bench-smoke bench-test
 
 # gofmt cleanliness gate: fail (and list the files) if any tracked Go
 # source is not gofmt-formatted.
@@ -155,6 +157,13 @@ examples-smoke:
 	bash examples/testdata/examples.sh "$$dir/bin" "$$dir/out"; \
 	status=0; diff -r examples/testdata/golden "$$dir/out" || status=$$?; \
 	rm -rf "$$dir"; exit $$status
+
+# Every Go benchmark of the module, one iteration each (5–9 s on 2 vCPU
+# with a warm build cache): a benchmark's own checks (b.Fatal on a run
+# that served nothing, a custom policy's controller) fail CI instead of
+# waiting for `make bench`. Timings at one iteration mean nothing.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` never builds it: build and test it here, so an internal

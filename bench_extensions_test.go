@@ -1,5 +1,5 @@
 // Benchmarks for the future-work extensions: energy, federation,
-// composite pipelines, forecasting, and burstiness.
+// forecasting, scheduled scaling, placement, and burstiness.
 package vmprov
 
 import (
@@ -55,44 +55,6 @@ func BenchmarkFederatedProvisioning(b *testing.B) {
 			b.ReportMetric(float64(res.MaxInstances), "maxVMs")
 		}
 	}
-}
-
-// BenchmarkCompositePipeline measures the three-stage web→app→storage
-// pipeline end to end.
-func BenchmarkCompositePipeline(b *testing.B) {
-	var e2e float64
-	for i := 0; i < b.N; i++ {
-		s := NewSim()
-		stage := func(ts, tr float64) Config {
-			return Config{
-				QoS:       QoS{Ts: ts, RejectionTol: 1e-3, MinUtilization: 0.8},
-				NominalTr: tr,
-				MaxVMs:    200,
-			}
-		}
-		p := NewPipeline(s, nil, 2, []Stage{
-			{Name: "web", Cfg: stage(0.3, 0.1), Controller: &StaticController{M: 6}},
-			{Name: "app", Cfg: stage(0.9, 0.3), Controller: &StaticController{M: 16}},
-			{Name: "storage", Cfg: stage(0.2, 0.05), Controller: &StaticController{M: 3}},
-		})
-		r := NewRNG(uint64(i) + 1)
-		var pump func()
-		pump = func() {
-			if s.Now() >= 2000 {
-				return
-			}
-			p.Submit([]float64{
-				0.1 * (1 + 0.1*r.Float64()),
-				0.3 * (1 + 0.1*r.Float64()),
-				0.05 * (1 + 0.1*r.Float64()),
-			}, 0, 0)
-			s.Schedule(r.ExpFloat64()/30, pump)
-		}
-		s.Schedule(0.01, pump)
-		res := p.Finish(2500)
-		e2e = res.EndToEndMean
-	}
-	b.ReportMetric(e2e, "e2e_s")
 }
 
 // BenchmarkForecastBacktest scores the forecaster family on a noisy

@@ -62,6 +62,12 @@ func run(args []string, w io.Writer) error {
 		*k = queueing.QueueSize(*ts, *tm)
 	}
 	qos := vmprov.QoS{Ts: *ts, MaxRejection: *rej, RejectionTol: *rejTol, MinUtilization: *util}
+	if err := qos.Validate(); err != nil {
+		return err
+	}
+	if *maxVMs < 1 {
+		return fmt.Errorf("-maxvms %d: need at least 1 instance", *maxVMs)
+	}
 
 	if *sweep != "" {
 		lo, hi, step, err := parseSweep(*sweep)

@@ -26,6 +26,19 @@ func TestRejectsImpossibleInput(t *testing.T) {
 			t.Errorf("qnsolve %s was accepted", strings.Join(args, " "))
 		}
 	}
+	// Sizing against QoS a provisioner would refuse used to print a fleet
+	// size, and -rejtol -1 or -maxvms 0 printed it beside "no m meets QoS".
+	for _, extra := range [][]string{
+		{"-util", "2"}, {"-util", "-1"}, {"-util", "NaN"},
+		{"-rej", "2"},
+		{"-rejtol", "-1"}, {"-rejtol", "NaN"},
+		{"-maxvms", "0"},
+	} {
+		args := append([]string{"-lambda", "30", "-tm", "0.105", "-ts", "0.25", "-size"}, extra...)
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("qnsolve %s was accepted", strings.Join(args, " "))
+		}
+	}
 	// A fleet of no instances is Fleet.Validate's parameter error.
 	if err := run([]string{"-lambda", "100", "-tm", "0.105", "-ts", "0.25", "-m", "0"}, io.Discard); !errors.Is(err, queueing.ErrParams) {
 		t.Errorf("-m 0: %v, want queueing.ErrParams", err)

@@ -26,6 +26,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,13 +120,9 @@ func run(args []string, w io.Writer) error {
 // forecastReport bins the timestamps into windows and backtests the
 // forecaster family on the per-window rates.
 func forecastReport(w io.Writer, times []float64, window float64) {
-	sorted := append([]float64(nil), times...)
-	sort.Float64s(sorted)
-	horizon := sorted[len(sorted)-1]
-	counts := stats.BinCounts(sorted, horizon, window)
-	series := make([]float64, len(counts))
-	for i, c := range counts {
-		series[i] = c / window
+	series := windowCounts(times, window)
+	for i := range series {
+		series[i] /= window
 	}
 	period := len(series) / 4
 	if period < 2 {
@@ -144,6 +141,18 @@ func forecastReport(w io.Writer, times []float64, window float64) {
 	}
 	fmt.Fprintf(w, "\none-step-ahead forecast backtest (%.0f s windows, %d steps):\n%s",
 		window, scores[0].Steps, forecast.Table(scores))
+}
+
+// windowCounts counts the timestamps (at least one) in windows of the
+// given width from the earliest through the latest. Binning in window
+// units keeps the bin count exact, so the latest lands below the horizon.
+func windowCounts(times []float64, window float64) []float64 {
+	first, last := slices.Min(times), slices.Max(times)
+	units := make([]float64, len(times))
+	for i, t := range times {
+		units[i] = (t - first) / window
+	}
+	return stats.BinCounts(units, math.Floor((last-first)/window)+1, 1)
 }
 
 // demoSample generates peak-hour BoT job arrival times from the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,18 @@ func TestDemoHeader(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[6], "plausible") {
 		t.Errorf("Weibull fit of the Weibull model rejected: %q", lines[6])
+	}
+}
+
+// TestWindowCountsSpanTheSample: the forecast windows start at the
+// first timestamp and the last timestamp gets one, so a sample far from
+// t = 0 has a non-empty first window and its counts sum to its size.
+// Binning from t = 0 up to the last timestamp put 480 empty windows in
+// front of this sample and dropped its last arrival.
+func TestWindowCountsSpanTheSample(t *testing.T) {
+	const start = 8 * 3600
+	times := []float64{start + 180, start, start + 30, start + 61, start + 179.5}
+	if counts, want := windowCounts(times, 60), []float64{2, 1, 1, 1}; !slices.Equal(counts, want) {
+		t.Fatalf("counts = %v, want %v", counts, want)
 	}
 }

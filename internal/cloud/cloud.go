@@ -293,10 +293,9 @@ func (dc *Datacenter) pick(spec VMSpec) int {
 var _ Provider = (*Datacenter)(nil)
 
 // Running returns the number of currently provisioned VMs.
+//
+//vmprov:allow deadcode -- internal/provision tests in fault_test.go, provision_test.go and conservation_test.go (TestCrashRequeuesAndReplaces, TestScaleDownDrainsBusy, TestConservationProperty, ...) count the VMs left running with it
 func (dc *Datacenter) Running() int { return len(dc.placed) }
-
-// Hosts returns the number of physical hosts.
-func (dc *Datacenter) Hosts() int { return len(dc.hosts) }
 
 // Capacity returns how many additional VMs of the given spec could be
 // provisioned right now.
@@ -314,13 +313,4 @@ func (dc *Datacenter) Capacity(spec VMSpec) int {
 		}
 	}
 	return total
-}
-
-// HostLoad returns the number of VMs on each host, for placement tests.
-func (dc *Datacenter) HostLoad() []int {
-	load := make([]int, len(dc.hosts))
-	for i := range dc.hosts {
-		load[i] = dc.hosts[i].vms
-	}
-	return load
 }

@@ -7,6 +7,21 @@ import (
 	"testing/quick"
 )
 
+// Hosts returns the number of physical hosts.
+func (dc *Datacenter) Hosts() int { return len(dc.hosts) }
+
+// HostLoad returns the number of VMs on each host, for placement tests.
+func (dc *Datacenter) HostLoad() []int {
+	load := make([]int, len(dc.hosts))
+	for i := range dc.hosts {
+		load[i] = dc.hosts[i].vms
+	}
+	return load
+}
+
+// PowerWatts returns the instantaneous draw, for inspection.
+func (dc *Datacenter) PowerWatts() float64 { return dc.power.watts() }
+
 func TestProvisionLeastLoaded(t *testing.T) {
 	dc := New(3, HostSpec{Cores: 4, RAMMB: 8192})
 	spec := VMSpec{Cores: 1, RAMMB: 1024, Capacity: 1}

@@ -54,9 +54,6 @@ func (dc *Datacenter) EnergyKWh(now float64) float64 {
 	return dc.power.joules / 3.6e6
 }
 
-// PowerWatts returns the instantaneous draw, for inspection.
-func (dc *Datacenter) PowerWatts() float64 { return dc.power.watts() }
-
 // frac returns h's core-utilization fraction.
 func (h *host) frac() float64 {
 	return float64(h.usedCores) / float64(h.spec.Cores)

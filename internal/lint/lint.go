@@ -277,7 +277,7 @@ func pathGate(names ...string) func(string) bool {
 }
 
 // withModuleRoot widens a path gate to also match the module root
-// package — the facade files (composite.go, sla.go, tracing.go, ...)
+// package — the facade files (sla.go, tracing.go, spec.go, ...)
 // re-export simulation machinery and live under the same determinism
 // contract as the internal packages they front.
 func withModuleRoot(gate func(string) bool) func(string) bool {

@@ -35,7 +35,7 @@ var SimClockAnalyzer = &Analyzer{
 		"simulated time must come from the kernel clock",
 	AppliesTo: withModuleRoot(pathGate("sim", "app", "provision", "workload", "fault",
 		"experiment", "metrics", "queueing", "forecast", "fluid", "mpc",
-		"composite", "sla")),
+		"sla")),
 	SkipTestFiles: true,
 	Run:           runSimClock,
 }

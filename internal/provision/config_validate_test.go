@@ -2,6 +2,7 @@ package provision
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -17,6 +18,14 @@ func TestValidateErrorMessages(t *testing.T) {
 		{Config{QoS: QoS{Ts: 1}, NominalTr: 0, MaxVMs: 1}, "NominalTr"},
 		{Config{QoS: QoS{Ts: 1}, NominalTr: 1, MaxVMs: 0}, "MaxVMs"},
 		{Config{QoS: QoS{Ts: 0.5}, NominalTr: 1, MaxVMs: 4}, "k = ⌊Ts/Tr⌋"},
+		{Config{QoS: QoS{Ts: math.NaN()}, NominalTr: 1, MaxVMs: 1}, "QoS.Ts"},
+		{Config{QoS: QoS{Ts: 1, MaxRejection: 2}, NominalTr: 1, MaxVMs: 1}, "QoS.MaxRejection"},
+		{Config{QoS: QoS{Ts: 1, MaxRejection: math.NaN()}, NominalTr: 1, MaxVMs: 1}, "QoS.MaxRejection"},
+		{Config{QoS: QoS{Ts: 1, RejectionTol: -1}, NominalTr: 1, MaxVMs: 1}, "QoS.RejectionTol"},
+		{Config{QoS: QoS{Ts: 1, RejectionTol: math.NaN()}, NominalTr: 1, MaxVMs: 1}, "QoS.RejectionTol"},
+		{Config{QoS: QoS{Ts: 1, MinUtilization: 2}, NominalTr: 1, MaxVMs: 1}, "QoS.MinUtilization"},
+		{Config{QoS: QoS{Ts: 1, MinUtilization: -1}, NominalTr: 1, MaxVMs: 1}, "QoS.MinUtilization"},
+		{Config{QoS: QoS{Ts: 1, MinUtilization: math.NaN()}, NominalTr: 1, MaxVMs: 1}, "QoS.MinUtilization"},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()

@@ -31,6 +31,22 @@ type QoS struct {
 	MinUtilization float64 `json:"min_utilization,omitempty"` // minimum per-instance utilization (paper: 0.8)
 }
 
+// Validate reports targets no fleet can be sized against. Each range
+// check is written so that NaN fails it.
+func (q QoS) Validate() error {
+	switch {
+	case !(q.Ts > 0):
+		return fmt.Errorf("provision: QoS.Ts must be positive, got %v", q.Ts)
+	case !(q.MaxRejection >= 0 && q.MaxRejection <= 1):
+		return fmt.Errorf("provision: QoS.MaxRejection %v outside [0,1]", q.MaxRejection)
+	case !(q.RejectionTol >= 0):
+		return fmt.Errorf("provision: QoS.RejectionTol must be non-negative, got %v", q.RejectionTol)
+	case !(q.MinUtilization >= 0 && q.MinUtilization < 1):
+		return fmt.Errorf("provision: QoS.MinUtilization %v outside [0,1)", q.MinUtilization)
+	}
+	return nil
+}
+
 // Config parameterizes a provisioner. The JSON tags are the schema of the
 // declarative scenario specs.
 type Config struct {
@@ -100,14 +116,8 @@ type FaultModel interface {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.QoS.Ts <= 0 {
-		return fmt.Errorf("provision: QoS.Ts must be positive, got %v", c.QoS.Ts)
-	}
-	if c.QoS.MaxRejection < 0 || c.QoS.MaxRejection > 1 {
-		return fmt.Errorf("provision: QoS.MaxRejection %v outside [0,1]", c.QoS.MaxRejection)
-	}
-	if c.QoS.MinUtilization < 0 || c.QoS.MinUtilization >= 1 {
-		return fmt.Errorf("provision: QoS.MinUtilization %v outside [0,1)", c.QoS.MinUtilization)
+	if err := c.QoS.Validate(); err != nil {
+		return err
 	}
 	if c.NominalTr <= 0 {
 		return fmt.Errorf("provision: NominalTr must be positive, got %v", c.NominalTr)
@@ -165,8 +175,7 @@ type Provisioner struct {
 	scratchVictims []*app.Instance //vmprov:ephemeral -- scratch buffer, rebuilt every sweep
 
 	// tracer, when set, receives structured lifecycle events: it is the
-	// provisioner's only observer (trace sinks, the hybrid fluid engine,
-	// composite pipelines).
+	// provisioner's only observer (trace sinks, the hybrid fluid engine).
 	tracer trace.Recorder //vmprov:ephemeral -- observer wiring set before the run, not replication state
 }
 
@@ -283,7 +292,7 @@ func (p *Provisioner) fleetChanged() {
 // SetTracer attaches a structured event recorder (request lifecycle,
 // scaling decisions, instance churn). A second recorder joins the first
 // through trace.Multi rather than replacing it, so a user tracer cannot
-// unhook the fluid engine or a composite pipeline; nil adds nothing.
+// unhook the fluid engine; nil adds nothing.
 func (p *Provisioner) SetTracer(tr trace.Recorder) {
 	switch {
 	case p.tracer == nil:
@@ -401,9 +410,8 @@ func (p *Provisioner) displaceFor(req workload.Request) bool {
 }
 
 // onComplete handles every service completion: metrics, the Tm monitor,
-// and the deferred destruction of drained instances. The complete event
-// follows the retirement, so a recorder that submits the request onward
-// (a composite pipeline) sees the fleet after it.
+// and the deferred destruction of drained instances. A drained instance's
+// retirement records its fleet event before the complete event.
 func (p *Provisioner) onComplete(c app.Completion) {
 	// A completion frees one slot; Len()==k-1 now means the instance held
 	// exactly k before, i.e. this completion took it from full to free.

@@ -68,3 +68,51 @@ func TestAdaptivePredictTracing(t *testing.T) {
 		t.Fatalf("higher rate should size a larger fleet: %+v", preds)
 	}
 }
+
+// recordFunc adapts a function to trace.Recorder.
+type recordFunc func(trace.Event)
+
+func (f recordFunc) Record(e trace.Event) { f(e) }
+
+// TestDrainedCompletionRecordsFleetFirst pins the order of the events a
+// draining instance's last completion records: the retirement's fleet
+// event, with the committed count after it and the instance already
+// gone, and then the complete event, at the same instant.
+func TestDrainedCompletionRecordsFleetFirst(t *testing.T) {
+	r := newRig(t, testCfg())
+	var events []trace.Event
+	var running []int // Running() as each event was recorded
+	r.p.SetTracer(recordFunc(func(e trace.Event) {
+		events = append(events, e)
+		running = append(running, r.p.Running())
+	}))
+	r.p.SetTarget(2)
+	r.sim.At(0, func() {
+		r.p.Submit(workload.Request{ID: 1, Service: 5})
+		r.p.Submit(workload.Request{ID: 2, Service: 7})
+	})
+	r.sim.At(1, func() { r.p.SetTarget(1) }) // both busy: one drains
+	r.sim.Run()
+
+	var fleet []int
+	for i, e := range events {
+		if e.Kind == trace.KindFleet && e.T > 1 {
+			fleet = append(fleet, i)
+		}
+	}
+	if len(fleet) != 1 {
+		t.Fatalf("want one fleet event after the scale-down, the retirement; got %d in %+v", len(fleet), events)
+	}
+	i := fleet[0]
+	ev := events[i]
+	if ev.Count != 1 || running[i] != 1 {
+		t.Fatalf("retirement recorded committed=%d with %d running, want 1 and 1", ev.Count, running[i])
+	}
+	if i+1 == len(events) {
+		t.Fatalf("no event follows the retirement: %+v", events)
+	}
+	next := events[i+1]
+	if next.Kind != trace.KindComplete || next.T != ev.T {
+		t.Fatalf("retirement at t=%v followed by %+v, want the drained request's complete at the same instant", ev.T, next)
+	}
+}

@@ -4,8 +4,8 @@
 // Tracing is opt-in and zero-cost when disabled.
 //
 // A Recorder is the application provisioner's only observer: the hybrid
-// fluid engine and the composite pipeline read the same events a JSONL
-// writer does. Besides T (simulated seconds) and Kind, each kind sets:
+// fluid engine reads the same events a JSONL writer does. Besides T
+// (simulated seconds) and Kind, each kind sets:
 //
 //	accept    Req, Class, Inst (the instance dispatched to)
 //	reject    Req, Class; Detail "displaced" for an evicted waiter

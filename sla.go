@@ -1,6 +1,7 @@
 package vmprov
 
 import (
+	"vmprov/internal/metrics"
 	"vmprov/internal/sla"
 )
 
@@ -15,6 +16,9 @@ type (
 	SLABreach = sla.Breach
 	// SLAReport is the compliance-and-penalty outcome.
 	SLAReport = sla.Report
+	// ClassResult is one priority class's metrics, as Result.Classes
+	// lists them.
+	ClassResult = metrics.ClassResult
 )
 
 // EvaluateSLA checks per-class run metrics against an agreement.

@@ -75,6 +75,9 @@ type (
 	SizingInput = provision.SizingInput
 	// Controller decides fleet sizes over a run.
 	Controller = provision.Controller
+	// ScheduledController applies a pre-planned scaling time table, for
+	// a custom Policy's Build.
+	ScheduledController = provision.Scheduled
 	// Provisioner is the application provisioner component.
 	Provisioner = provision.Provisioner
 	// Request is one end-user request.
@@ -87,8 +90,6 @@ type (
 	Sim = sim.Sim
 	// RNG is a seeded random stream.
 	RNG = stats.RNG
-	// Datacenter is the IaaS substrate.
-	Datacenter = cloud.Datacenter
 	// VMSpec describes an application VM.
 	VMSpec = cloud.VMSpec
 	// Placement selects the VM-to-host mapping policy.
@@ -200,7 +201,3 @@ func NewRNG(seed uint64) *RNG { return stats.NewRNG(seed) }
 
 // NewSim returns an empty discrete-event simulator.
 func NewSim() *Sim { return sim.New() }
-
-// NewDatacenter returns the paper's default data center (1000 hosts of
-// two quad-cores and 16 GB each), for NewPipeline.
-func NewDatacenter() *Datacenter { return cloud.NewDefault() }

@@ -79,33 +79,6 @@ type uniformSvc struct{}
 func (uniformSvc) Sample(r *RNG) float64 { return 1 + 0.1*r.Float64() }
 func (uniformSvc) Mean() float64         { return 1.05 }
 
-func TestFacadePipeline(t *testing.T) {
-	s := NewSim()
-	p := NewPipeline(s, nil, 5, []Stage{
-		{Name: "a", Cfg: Config{
-			QoS:       QoS{Ts: 2.5, RejectionTol: 1e-3, MinUtilization: 0.8},
-			NominalTr: 1, MaxVMs: 20,
-		}, Controller: &StaticController{M: 8}},
-	})
-	r := NewRNG(1)
-	var pump func()
-	pump = func() {
-		if s.Now() >= 1000 {
-			return
-		}
-		p.Submit([]float64{1 + 0.1*r.Float64()}, 0, 0)
-		s.Schedule(r.ExpFloat64()/4, pump)
-	}
-	s.Schedule(0.1, pump)
-	res := p.Finish(1500)
-	if res.Served == 0 || res.DropRate > 0.05 {
-		t.Fatalf("pipeline result wrong: %+v", res)
-	}
-	if !strings.Contains(res.String(), "stage 0") {
-		t.Fatal("pipeline String() broken")
-	}
-}
-
 func TestFacadeWorkloadConstructors(t *testing.T) {
 	if NewWebWorkload(1).MeanRate(12*3600) != 1000 {
 		t.Fatal("web workload constructor broken")
